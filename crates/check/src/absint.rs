@@ -30,7 +30,7 @@
 
 use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::{Fix, Precision};
-use netpu_compiler::Decoded;
+use netpu_compiler::{Decoded, PackedDecode};
 use netpu_core::HwConfig;
 use netpu_nn::qmodel::{BnParams, LayerActivation};
 
@@ -114,13 +114,49 @@ struct FcAcc {
     env: (i64, i64),
 }
 
+/// One neuron's weights: a row of the layer's `i32` weights, or of an
+/// XNOR-path layer's packed ±1 rows (bit set for +1), which
+/// `netpu_compiler::decode_packed` leaves unexpanded.
+#[derive(Clone, Copy)]
+enum NeuronWeights<'a> {
+    Integers(&'a [i32]),
+    Packed(&'a [u64]),
+}
+
+impl<'a> NeuronWeights<'a> {
+    /// Neuron `n`'s row of an FC layer with `in_len` inputs.
+    fn row(weights: &'a [i32], packed: Option<&'a [u64]>, n: usize, in_len: usize) -> Self {
+        match packed {
+            Some(rows) => {
+                let words = in_len.div_ceil(64);
+                NeuronWeights::Packed(&rows[n * words..(n + 1) * words])
+            }
+            None => NeuronWeights::Integers(&weights[n * in_len..(n + 1) * in_len]),
+        }
+    }
+
+    /// The first `in_len` weights.
+    fn iter(self, in_len: usize) -> impl Iterator<Item = i32> + 'a {
+        (0..in_len).map(move |i| match self {
+            NeuronWeights::Integers(w) => w[i],
+            NeuronWeights::Packed(bits) => {
+                netpu_arith::quant::extract_binary_channel(bits[i / 64], i % 64)
+            }
+        })
+    }
+}
+
 /// Analyzes one FC neuron's MAC against the per-input mac-domain
 /// intervals. `parity` is the known accumulator parity (XNOR layers).
-fn fc_neuron(weights: &[i32], inputs: &[(i64, i64)], bias: Option<i32>, parity: Parity) -> FcAcc {
-    debug_assert_eq!(weights.len(), inputs.len());
+fn fc_neuron(
+    weights: NeuronWeights<'_>,
+    inputs: &[(i64, i64)],
+    bias: Option<i32>,
+    parity: Parity,
+) -> FcAcc {
     let mut sum = (0i64, 0i64);
     let mut env = (0i64, 0i64);
-    for (&w, &(ilo, ihi)) in weights.iter().zip(inputs) {
+    for (w, &(ilo, ihi)) in weights.iter(inputs.len()).zip(inputs) {
         let (a, b) = (i64::from(w) * ilo, i64::from(w) * ihi);
         sum.0 += a.min(b);
         sum.1 += a.max(b);
@@ -325,7 +361,8 @@ fn input_range(decoded: &Decoded, report: &mut Report) -> (u8, u8) {
 
 /// Runs the range analysis over a decoded loadable, appending NPC014–
 /// NPC020 findings to `report` and returning the proved bounds.
-pub fn analyze(decoded: &Decoded, cfg: &HwConfig, report: &mut Report) -> RangeAnalysis {
+pub fn analyze(packed: &PackedDecode, cfg: &HwConfig, report: &mut Report) -> RangeAnalysis {
+    let decoded = &packed.decoded;
     let model = &decoded.model;
     let (in_lo, in_hi) = input_range(decoded, report);
     let px = (
@@ -358,8 +395,9 @@ pub fn analyze(decoded: &Decoded, cfg: &HwConfig, report: &mut Report) -> RangeA
         let mut bounds = Vec::with_capacity(layer.neurons);
         let mut next: Vec<(i64, i64)> = Vec::with_capacity(layer.neurons);
         let xnor = layer.in_precision.is_binary() && layer.weight_precision.is_binary();
+        let rows = packed.rows.get(h).and_then(Option::as_deref);
         for n in 0..layer.neurons {
-            let weights = &layer.weights[n * layer.in_len..(n + 1) * layer.in_len];
+            let weights = NeuronWeights::row(&layer.weights, rows, n, layer.in_len);
             let bias = layer.bias.as_ref().map(|b| b[n]);
             let bn = layer.bn.as_ref().map(|p| p[n]);
             let nb = fc_post(weights, &cur, bias, bn, xnor, cfg, n, &mut findings);
@@ -387,8 +425,12 @@ pub fn analyze(decoded: &Decoded, cfg: &HwConfig, report: &mut Report) -> RangeA
     let mut findings = LayerFindings::default();
     let mut bounds = Vec::with_capacity(out.neurons);
     let xnor = out.in_precision.is_binary() && out.weight_precision.is_binary();
+    let rows = packed
+        .rows
+        .get(model.hidden.len())
+        .and_then(Option::as_deref);
     for n in 0..out.neurons {
-        let weights = &out.weights[n * out.in_len..(n + 1) * out.in_len];
+        let weights = NeuronWeights::row(&out.weights, rows, n, out.in_len);
         let bias = out.bias.as_ref().map(|b| b[n]);
         let bn = out.bn.as_ref().map(|p| p[n]);
         let nb = fc_post(weights, &cur, bias, bn, xnor, cfg, n, &mut findings);
@@ -415,7 +457,7 @@ pub fn analyze(decoded: &Decoded, cfg: &HwConfig, report: &mut Report) -> RangeA
 /// layers, with the per-neuron NPC014/015/018/019 classification.
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn fc_post(
-    weights: &[i32],
+    weights: NeuronWeights<'_>,
     inputs: &[(i64, i64)],
     bias: Option<i32>,
     bn: Option<BnParams>,
@@ -427,7 +469,7 @@ fn fc_post(
     let parity = if xnor {
         // Every XNOR product is ±1: the sum of `in_len` odd terms plus
         // the bias has a fixed parity.
-        Parity::of(i64::try_from(weights.len()).unwrap_or(0) + i64::from(bias.unwrap_or(0)))
+        Parity::of(i64::try_from(inputs.len()).unwrap_or(0) + i64::from(bias.unwrap_or(0)))
     } else {
         Parity::Unknown
     };
@@ -512,7 +554,12 @@ mod tests {
         let weights = [1, 1];
         let big = i64::from(i32::MAX) + 1;
         let inputs = [(big, big), (-big, -big)];
-        let fc = fc_neuron(&weights, &inputs, None, Parity::Unknown);
+        let fc = fc_neuron(
+            NeuronWeights::Integers(&weights),
+            &inputs,
+            None,
+            Parity::Unknown,
+        );
         assert_eq!(fc.acc, (i32::MIN, i32::MAX));
         assert!(signed_width(fc.env) > 32);
     }
@@ -521,7 +568,12 @@ mod tests {
     fn exact_sum_interval_when_envelope_fits() {
         let weights = [2, -3];
         let inputs = [(0, 10), (1, 4)];
-        let fc = fc_neuron(&weights, &inputs, Some(5), Parity::Unknown);
+        let fc = fc_neuron(
+            NeuronWeights::Integers(&weights),
+            &inputs,
+            Some(5),
+            Parity::Unknown,
+        );
         // products: [0,20] and [-12,-3]; total [-7, 22]. Prefix sums of
         // the bound sequence: (0,20) → (-12,17) → (-7,22), so the
         // envelope over all prefixes (incl. the empty one) is (-12, 22).
@@ -534,7 +586,12 @@ mod tests {
         // 3 bipolar products (odd) + even bias → odd accumulator.
         let weights = [1, -1, 1];
         let inputs = [(-1, 1), (-1, 1), (-1, 1)];
-        let fc = fc_neuron(&weights, &inputs, Some(0), Parity::Odd);
+        let fc = fc_neuron(
+            NeuronWeights::Integers(&weights),
+            &inputs,
+            Some(0),
+            Parity::Odd,
+        );
         assert_eq!(fc.acc, (-3, 3));
         assert_eq!(Parity::of(i64::from(fc.acc.0)), Parity::Odd);
     }

@@ -99,8 +99,8 @@ pub fn check(loadable: &Loadable, cfg: &HwConfig) -> Report {
 pub fn check_words(words: &[u64], cfg: &HwConfig) -> Report {
     let mut report = rules::run_all(words, cfg);
     if !report.has_errors() {
-        if let Ok(decoded) = netpu_compiler::decode(words) {
-            absint::analyze(&decoded, cfg, &mut report);
+        if let Ok(packed) = netpu_compiler::decode_packed(words) {
+            absint::analyze(&packed, cfg, &mut report);
         }
     }
     report
@@ -150,9 +150,9 @@ pub fn check_words_analyzed(words: &[u64], cfg: &HwConfig) -> (Report, Option<Ra
     if report.has_errors() {
         return (report, None);
     }
-    let analysis = netpu_compiler::decode(words)
+    let analysis = netpu_compiler::decode_packed(words)
         .ok()
-        .map(|decoded| absint::analyze(&decoded, cfg, &mut report));
+        .map(|packed| absint::analyze(&packed, cfg, &mut report));
     (report, analysis)
 }
 

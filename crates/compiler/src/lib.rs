@@ -31,6 +31,6 @@ pub mod stream;
 pub use file::FileError;
 pub use settings::{LayerSetting, LayerType, SettingError};
 pub use stream::{
-    batch_stream, compile, compile_packed, declared_input_range, decode, Decoded, Loadable,
-    PackingMode, SectionKind, StreamError, StreamLayout,
+    batch_stream, compile, compile_packed, declared_input_range, decode, decode_packed, Decoded,
+    Loadable, PackedDecode, PackingMode, SectionKind, StreamError, StreamLayout,
 };

@@ -183,6 +183,50 @@ fn decode_rejects_corrupt_streams() {
 }
 
 #[test]
+fn packed_decode_infers_like_the_full_decode() {
+    // Zoo models in both packings, plus random models mixing binary
+    // and multi-bit layers: the packed decode's model must agree with
+    // the reference walk of the full decode on class and every score.
+    let mut models = models_under_test();
+    models.extend((0..40).map(netpu_nn::zoo::random_model));
+    for (k, model) in models.iter().enumerate() {
+        let pixels = sample_pixels(k as u64, model.input.len);
+        for mode in [stream::PackingMode::Lanes8, stream::PackingMode::Dense] {
+            let loadable = stream::compile_packed(model, &pixels, mode).unwrap();
+            let full = decode(&loadable.words).unwrap();
+            let packed = stream::decode_packed(&loadable.words).unwrap();
+            assert_eq!(packed.decoded.settings, full.settings);
+            assert_eq!(packed.decoded.pixels, full.pixels);
+            let kernel = packed.into_kernel().unwrap();
+            assert_eq!(
+                kernel.infer_traced(&pixels),
+                netpu_nn::reference::infer_traced(&full.model, &pixels),
+                "model {k} {mode:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn packed_decode_rejects_corrupt_streams_like_decode() {
+    let model = ZooModel::TfcW1A1
+        .build_untrained(4, BnMode::Folded)
+        .unwrap();
+    let loadable = compile(&model, &sample_pixels(4, model.input.len)).unwrap();
+    let mut bad = loadable.words.clone();
+    bad[0] ^= 0xFF;
+    assert!(matches!(
+        stream::decode_packed(&bad).err(),
+        Some(StreamError::BadHeader(_))
+    ));
+    let truncated = &loadable.words[..loadable.len() - 1];
+    assert!(matches!(
+        stream::decode_packed(truncated).err(),
+        Some(StreamError::Truncated { .. })
+    ));
+}
+
+#[test]
 fn decode_rejects_bad_layer_sequences() {
     let model = ZooModel::TfcW1A1
         .build_untrained(6, BnMode::Folded)

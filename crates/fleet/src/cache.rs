@@ -5,20 +5,33 @@
 //! (`netpu-check` NPC001–NPC020 structural and abstract-interpretation
 //! range checks, plus — on a strict-equiv driver — NPC021–NPC026
 //! translation validation against the source model) and one
-//! cycle-accurate simulation;
-//! every later request reuses the [`AdmittedModel`] from the cache and
-//! splices its own input words into a clone of the compiled stream
-//! (`Loadable::replace_input`), never re-running admission. The cache
-//! is byte-budgeted LRU: admitting a model past the budget evicts the
-//! least-recently-used residents first.
+//! cycle-accurate simulation; every later request reuses the
+//! [`AdmittedModel`] from the cache and never re-runs admission.
+//!
+//! An admitted model splits a request's answer in two. Cycles and
+//! latency are input-independent for a loaded model, so they come from
+//! the admission run and the static timing certificate. Values come
+//! from the [`ValueKernel`]: the admitted stream decoded once at
+//! admission (the same decode the timing certificate reads) for
+//! bit-exact XNOR+popcount inference. The kernel serves what the
+//! *stream* encodes, not the request's source model, and admission
+//! checks it against the simulator's class and score on the zero input.
+//!
+//! The cache is byte-budgeted LRU over the stream words: admitting a
+//! model past the budget evicts the least-recently-used residents
+//! first. Kernel memory sits outside that budget. A kernel keeps one
+//! bit per binary weight (about 0.37 MB for LFC-w1a1, copied from the
+//! stream's XNOR weight sections) and `i32` weights only for
+//! non-binary layers; it is freed with its entry.
 //!
 //! [`LruCore`] — the budget/recency bookkeeping — is public on its own
 //! so the property suite can drive arbitrary admit/evict/lookup
 //! sequences against a reference model without paying for real
 //! compilation (see `tests/cache_proptest.rs`).
 
-use netpu_arith::cast;
-use netpu_compiler::{compile, Loadable};
+use netpu_arith::{cast, Fix};
+use netpu_compiler::{compile, Loadable, StreamError};
+use netpu_nn::reference::PackedMlp;
 use netpu_nn::QuantMlp;
 use netpu_runtime::{Driver, DriverError, MeasuredRun};
 use serde::Serialize;
@@ -146,6 +159,12 @@ impl<V> LruCore<V> {
         Admit::Inserted { evicted }
     }
 
+    /// `true` when `id` is resident; touches neither recency nor any
+    /// statistic.
+    pub fn contains(&self, id: u64) -> bool {
+        self.entries.contains_key(&id)
+    }
+
     /// Removes `id`, returning its value if it was resident.
     pub fn remove(&mut self, id: u64) -> Option<V> {
         self.entries.remove(&id).map(|slot| {
@@ -162,8 +181,45 @@ impl<V> LruCore<V> {
     }
 }
 
+/// The value side of an admitted model: the admitted stream decoded
+/// for bit-exact inference ([`netpu_compiler::decode_packed`], which
+/// keeps binary layers as packed rows and never builds their `i32`
+/// weights).
+pub struct ValueKernel {
+    packed: PackedMlp<'static>,
+}
+
+impl ValueKernel {
+    /// Wraps the packed decode of an admitted stream.
+    pub fn new(packed: PackedMlp<'static>) -> ValueKernel {
+        ValueKernel { packed }
+    }
+
+    /// The class and winning score the admitted stream computes on
+    /// `pixels`. A wrong input length fails exactly as splicing it into
+    /// the stream would ([`Loadable::replace_input`]).
+    pub fn infer(&self, pixels: &[u8]) -> Result<(usize, Fix), DriverError> {
+        let expected = self.packed.input_len();
+        if pixels.len() != expected {
+            return Err(DriverError::Compile(StreamError::InputLength {
+                expected,
+                got: pixels.len(),
+            }));
+        }
+        Ok(self.packed.infer(pixels))
+    }
+}
+
+impl std::fmt::Debug for ValueKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ValueKernel")
+            .field("input_len", &self.packed.input_len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// A model that has passed full admission, with the swap-cost figures
-/// the scheduler needs.
+/// the scheduler needs and the kernel that computes its values.
 ///
 /// The split between `transfer_us` and `resident_transfer_us` is the
 /// paper's §V reconfiguration economics: a board that already holds the
@@ -179,6 +235,8 @@ pub struct AdmittedModel {
     pub loadable: Loadable,
     /// The admission run's measurements (input-independent timing).
     pub run: MeasuredRun,
+    /// Bit-exact value kernel of the admitted stream.
+    pub kernel: Arc<ValueKernel>,
     /// DMA occupancy streaming the whole loadable, µs.
     pub transfer_us: f64,
     /// DMA occupancy streaming only header + settings + input, µs.
@@ -188,7 +246,8 @@ pub struct AdmittedModel {
     pub weight_stream_us: f64,
     /// End-to-end latency when the board already holds the weights, µs.
     pub resident_latency_us: f64,
-    /// Cache footprint: the stream words, bytes.
+    /// Cache footprint: the stream words, bytes. The kernel's memory
+    /// is not counted.
     pub bytes: u64,
 }
 
@@ -283,12 +342,24 @@ impl CompiledModelCache {
         id: u64,
         model: &QuantMlp,
     ) -> Result<Arc<AdmittedModel>, DriverError> {
+        self.resolve(id, model).map(|(admitted, _)| admitted)
+    }
+
+    /// [`get_or_admit`](Self::get_or_admit), also saying whether this
+    /// call was counted as a cache hit (`true`) or ran admission
+    /// (`false`). The answer comes from the same locked lookup that
+    /// served the call, so it always agrees with [`CacheStats::hits`].
+    pub fn resolve(
+        &self,
+        id: u64,
+        model: &QuantMlp,
+    ) -> Result<(Arc<AdmittedModel>, bool), DriverError> {
         {
             let mut inner = lock(&self.inner);
             loop {
                 if let Some(hit) = inner.lru.lookup(id).map(Arc::clone) {
                     inner.hits += 1;
-                    return Ok(hit);
+                    return Ok((hit, true));
                 }
                 if !inner.in_flight.contains(&id) {
                     inner.in_flight.insert(id);
@@ -317,7 +388,7 @@ impl CompiledModelCache {
         }
         drop(inner);
         self.admitted.notify_all();
-        outcome
+        outcome.map(|admitted| (admitted, false))
     }
 
     /// Looks `id` up without admitting on a miss. Counts toward the
@@ -340,7 +411,7 @@ impl CompiledModelCache {
     /// `true` when `id` is resident, without touching recency or the
     /// hit/miss statistics.
     pub fn contains(&self, id: u64) -> bool {
-        lock(&self.inner).lru.ids().binary_search(&id).is_ok()
+        lock(&self.inner).lru.contains(id)
     }
 
     /// Current statistics.
@@ -356,8 +427,8 @@ impl CompiledModelCache {
         }
     }
 
-    /// Compile + full admission + one simulation. The source model is
-    /// in hand here, so the pre-flight runs through
+    /// Compile + full admission + one simulation + the value kernel.
+    /// The source model is in hand here, so the pre-flight runs through
     /// [`Driver::run_loadable_against`]: a strict-equiv driver extends
     /// the two structural/range tiers with translation validation of
     /// the compiled stream against `model` (NPC021–NPC026), paid — like
@@ -367,28 +438,26 @@ impl CompiledModelCache {
         let loadable = compile(model, &zeros).map_err(DriverError::Compile)?;
         let run = self.driver.run_loadable_against(&loadable, model)?;
         let clock = self.driver.hw.clock_mhz;
-        // §V swap economics, sourced from the static timing certificate
-        // (`netpu-check::timing`, DESIGN.md §4.9) rather than the
-        // host-side layout metadata: the certified closed form derives
-        // the full-stream/resident word split from the decoded stream +
-        // `HwConfig` alone, and `xtask certify-timing` pins it to the
-        // simulator — so these figures are provably the ones replay
-        // measures. An admitted stream always decodes; the layout
-        // fallback merely keeps admission total.
-        let (stream_words, resident_words) = match netpu_compiler::decode(&loadable.words) {
-            Ok(decoded) => {
-                let t = netpu_check::timing::analyze(&decoded, &self.driver.hw);
-                (t.stream_words, t.resident_words)
-            }
-            Err(_) => (
-                loadable.words.len(),
-                loadable.layout.header.len()
-                    + loadable.layout.settings.len()
-                    + loadable.layout.input.len(),
-            ),
-        };
-        let transfer_us = self.driver.dma.occupancy_us(stream_words, clock);
-        let resident_transfer_us = self.driver.dma.occupancy_us(resident_words, clock);
+        // One decode of the admitted stream feeds both halves of the
+        // answer. §V swap economics come from the static timing
+        // certificate (`netpu-check::timing`, DESIGN.md §4.9): the
+        // certified closed form derives the full-stream/resident word
+        // split from the decoded stream + `HwConfig` alone, and `xtask
+        // certify-timing` pins it to the simulator. The decoded model
+        // becomes the value kernel.
+        let packed =
+            netpu_compiler::decode_packed(&loadable.words).map_err(DriverError::Compile)?;
+        let t = netpu_check::timing::analyze(&packed.decoded, &self.driver.hw);
+        let kernel = ValueKernel::new(packed.into_kernel().map_err(DriverError::Compile)?);
+        let zero_input = kernel.infer(&zeros)?;
+        if zero_input != (run.class, run.score) {
+            return Err(DriverError::ValueMismatch {
+                kernel: zero_input,
+                simulator: (run.class, run.score),
+            });
+        }
+        let transfer_us = self.driver.dma.occupancy_us(t.stream_words, clock);
+        let resident_transfer_us = self.driver.dma.occupancy_us(t.resident_words, clock);
         let weight_stream_us = (transfer_us - resident_transfer_us).max(0.0);
         let resident_latency_us =
             (run.measured_latency_us - weight_stream_us).max(resident_transfer_us);
@@ -397,12 +466,26 @@ impl CompiledModelCache {
             id,
             loadable,
             run,
+            kernel: Arc::new(kernel),
             transfer_us,
             resident_transfer_us,
             weight_stream_us,
             resident_latency_us,
             bytes,
         }))
+    }
+}
+
+#[cfg(test)]
+impl CompiledModelCache {
+    /// Replaces resident `id`'s value kernel: the fault the shadow
+    /// oracle must catch.
+    pub(crate) fn swap_kernel(&self, id: u64, kernel: Arc<ValueKernel>) {
+        let mut inner = lock(&self.inner);
+        let mut entry = AdmittedModel::clone(inner.lru.lookup(id).expect("id is resident"));
+        entry.kernel = kernel;
+        let bytes = entry.bytes;
+        inner.lru.insert(id, Arc::new(entry), bytes);
     }
 }
 
@@ -426,6 +509,7 @@ mod tests {
         assert_eq!(lru.insert(3, "c", 40), Admit::Inserted { evicted: vec![2] });
         assert!(lru.resident_bytes() <= lru.capacity_bytes());
         assert_eq!(lru.ids(), vec![1, 3]);
+        assert!(lru.contains(3) && !lru.contains(2));
         assert_eq!(lru.lookup(2), None);
     }
 
@@ -463,6 +547,12 @@ mod tests {
         let first = cache.get_or_admit(42, &model).unwrap();
         let second = cache.get_or_admit(42, &model).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "second lookup re-admitted");
+        // The kernel reproduces the admission run on its zero input.
+        let zeros = vec![0u8; model.input.len];
+        assert_eq!(
+            first.kernel.infer(&zeros).unwrap(),
+            (first.run.class, first.run.score)
+        );
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_bytes, first.bytes);

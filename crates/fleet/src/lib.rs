@@ -8,10 +8,13 @@
 //!
 //! * [`cache`] — the Arc-shared [`CompiledModelCache`]: compile + full
 //!   two-tier admission (NPC001–NPC020) exactly once per model id,
-//!   byte-budgeted LRU eviction, per-request input splicing.
+//!   byte-budgeted LRU eviction, and a bit-exact [`ValueKernel`] per
+//!   admitted stream.
 //! * [`shard`] — the live dispatch core: FNV-routed bounded shard
 //!   queues over per-shard board pools, token-bucket tenant fairness,
-//!   explicit backpressure.
+//!   explicit backpressure; values from the kernel, cycles from the
+//!   certificate, one request in [`SHADOW_EVERY`] re-checked on the
+//!   simulator.
 //! * [`sched`] — swap-aware placement and bounded EDF window
 //!   reordering over per-board weight residency, amortizing the weight
 //!   stream the way the paper's runtime-reconfiguration design intends.
@@ -25,12 +28,13 @@ pub mod sched;
 pub mod shard;
 pub mod tenant;
 
-pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore};
+pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore, ValueKernel};
 pub use metrics::{FleetMetrics, ShardStats};
 pub use netpu_serve::{AdmissionVerdict, RejectReason, TraceSink};
 pub use replay::{run_replay, ReplayConfig, ReplayReport, TenantRow};
 pub use sched::{BoardPool, Candidate, DispatchPolicy, Placement};
 pub use shard::{
     route, FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetSubmit, FleetTicket,
+    SHADOW_EVERY,
 };
 pub use tenant::{TenantLimiter, TenantPolicy, TokenBucket};

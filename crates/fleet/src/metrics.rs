@@ -17,6 +17,8 @@ pub(crate) struct FleetCounters {
     pub timed_out: AtomicU64,
     pub worker_panics: AtomicU64,
     pub crash_requeued: AtomicU64,
+    pub shadow_checks: AtomicU64,
+    pub shadow_mismatches: AtomicU64,
 }
 
 impl FleetCounters {
@@ -63,6 +65,12 @@ pub struct FleetMetrics {
     /// Crashed requests put back on their shard queue for another
     /// attempt (the rest were rejected with `WORKER_CRASH`).
     pub crash_requeued: u64,
+    /// Requests whose kernel-served value the simulator re-checked
+    /// (one in [`SHADOW_EVERY`](crate::shard::SHADOW_EVERY)).
+    pub shadow_checks: u64,
+    /// Shadow checks where the simulator disagreed; each such request
+    /// failed with `DriverError::ValueMismatch`.
+    pub shadow_mismatches: u64,
     /// Compiled-model cache statistics.
     pub cache: CacheStats,
     /// Per-shard scheduling statistics.
@@ -103,6 +111,8 @@ mod tests {
             timed_out: 0,
             worker_panics: 0,
             crash_requeued: 0,
+            shadow_checks: 0,
+            shadow_mismatches: 0,
             cache: CacheStats::default(),
             shards: vec![
                 ShardStats {
@@ -135,6 +145,8 @@ mod tests {
             timed_out: 0,
             worker_panics: 0,
             crash_requeued: 0,
+            shadow_checks: 0,
+            shadow_mismatches: 0,
             cache: CacheStats::default(),
             shards: vec![ShardStats::default()],
         };

@@ -13,15 +13,26 @@
 //!
 //! Workers pull from their shard's queue, resolve the model through
 //! the shared [`CompiledModelCache`] (full admission exactly once per
-//! model fleet-wide), splice the request's input into a clone of the
-//! admitted stream, run the bit-exact fast path for the class, and
-//! charge the placement to the shard's virtual-time board pool.
+//! model fleet-wide), take the class from the admitted model's
+//! bit-exact [`ValueKernel`](crate::cache::ValueKernel), and charge the
+//! placement to the shard's virtual-time board pool. Cycles and latency
+//! never depend on the input, so they come from the admission run and
+//! the timing certificate; no request re-simulates the stream.
+//!
+//! The simulator stays on as a sampled oracle. Every request whose
+//! fleet-wide id is a multiple of [`SHADOW_EVERY`] also splices its
+//! input into the admitted stream and runs the cycle-accurate fast
+//! path. If the simulator's class or winning score differs from the
+//! kernel's, the request fails closed with
+//! [`DriverError::ValueMismatch`], counted in
+//! [`FleetMetrics::shadow_mismatches`].
 
 use crate::cache::CompiledModelCache;
 use crate::metrics::{FleetCounters, FleetMetrics, ShardStats};
 use crate::sched::{BoardPool, DispatchPolicy};
 use crate::tenant::{TenantLimiter, TenantPolicy};
-use netpu_arith::cast;
+use netpu_arith::{cast, Fix};
+use netpu_compiler::Loadable;
 use netpu_core::netpu::run_inference_fast;
 use netpu_nn::QuantMlp;
 use netpu_runtime::{Driver, DriverError};
@@ -31,6 +42,10 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// One request in this many (by fleet-wide request id) is shadowed by
+/// the cycle-accurate simulator.
+pub const SHADOW_EVERY: u64 = 64;
 
 /// Fleet deployment shape.
 #[derive(Clone, Debug)]
@@ -357,6 +372,8 @@ fn gather(shared: &Shared) -> FleetMetrics {
         timed_out: load(&c.timed_out),
         worker_panics: load(&c.worker_panics),
         crash_requeued: load(&c.crash_requeued),
+        shadow_checks: load(&c.shadow_checks),
+        shadow_mismatches: load(&c.shadow_mismatches),
         cache: shared.cache.stats(),
         shards: shared
             .shards
@@ -473,19 +490,11 @@ fn serve_one(shared: &Shared, shard: usize, job: &Job) -> Result<FleetResponse, 
         let _pool = lock_recover(&shared.shards[shard].pool);
         panic!("injected worker crash serving request {}", job.id);
     }
-    let cache_hit = shared.cache.contains(job.req.model_id);
-    let admitted = shared
-        .cache
-        .get_or_admit(job.req.model_id, &job.req.model)?;
-    // Splice this request's input into the admitted stream; the model
-    // sections are reused verbatim, so no re-check is needed — exactly
-    // the §V "reconfigure by stream" economy the cache exists for.
-    let mut loadable = admitted.loadable.clone();
-    loadable
-        .replace_input(&job.req.pixels)
-        .map_err(DriverError::Compile)?;
-    let run = run_inference_fast(&shared.cache.driver().hw, loadable.words)
-        .map_err(DriverError::Accelerator)?;
+    let (admitted, cache_hit) = shared.cache.resolve(job.req.model_id, &job.req.model)?;
+    let (class, score) = admitted.kernel.infer(&job.req.pixels)?;
+    if job.id.is_multiple_of(SHADOW_EVERY) {
+        shadow(shared, &admitted.loadable, &job.req.pixels, (class, score))?;
+    }
     let placement = lock_recover(&shared.shards[shard].pool).place(
         shared.cfg.policy,
         &admitted,
@@ -501,7 +510,7 @@ fn serve_one(shared: &Shared, shard: usize, job: &Job) -> Result<FleetResponse, 
         }
     }
     Ok(FleetResponse {
-        class: run.class,
+        class,
         shard,
         board: placement.grant.board,
         latency_us,
@@ -509,6 +518,33 @@ fn serve_one(shared: &Shared, shard: usize, job: &Job) -> Result<FleetResponse, 
         resident_hit: placement.resident_hit,
         swapped: placement.swapped,
     })
+}
+
+/// The sampled oracle: splices `pixels` into the admitted stream, runs
+/// the cycle-accurate fast path, and fails closed when its class or
+/// winning score differs from the kernel's `served` pair.
+fn shadow(
+    shared: &Shared,
+    admitted: &Loadable,
+    pixels: &[u8],
+    served: (usize, Fix),
+) -> Result<(), DriverError> {
+    let c = &shared.counters;
+    c.bump(&c.shadow_checks);
+    let mut loadable = admitted.clone();
+    loadable
+        .replace_input(pixels)
+        .map_err(DriverError::Compile)?;
+    let run = run_inference_fast(&shared.cache.driver().hw, loadable.words)
+        .map_err(DriverError::Accelerator)?;
+    if (run.class, run.score) != served {
+        c.bump(&c.shadow_mismatches);
+        return Err(DriverError::ValueMismatch {
+            kernel: served,
+            simulator: (run.class, run.score),
+        });
+    }
+    Ok(())
 }
 
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -615,6 +651,148 @@ mod tests {
             .unwrap();
         assert_eq!(resp.class, direct.class);
         fleet.shutdown();
+    }
+
+    #[test]
+    fn cache_hit_flags_agree_with_the_hit_count_under_concurrent_churn() {
+        // Six models in a cache that holds about two: workers admit,
+        // hit and evict concurrently, and every response's `cache_hit`
+        // must come from the lookup that served it.
+        let models: Vec<Arc<QuantMlp>> = (0..6)
+            .map(|i| {
+                Arc::new(
+                    ZooModel::TfcW1A1
+                        .build_untrained(30 + i, BnMode::Folded)
+                        .unwrap(),
+                )
+            })
+            .collect();
+        let zeros = vec![0u8; models[0].input.len];
+        let stream_bytes = netpu_compiler::compile(&models[0], &zeros).unwrap().len() as u64 * 8;
+        let fleet = FleetServer::start(
+            Driver::builder().build(),
+            FleetConfig {
+                shards: 2,
+                boards_per_shard: 2,
+                queue_depth: 256,
+                cache_capacity_bytes: stream_bytes * 5 / 2,
+                ..FleetConfig::default()
+            },
+        );
+        let hits: u64 = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..3u64)
+                .map(|t| {
+                    let (fleet, models) = (&fleet, &models);
+                    scope.spawn(move || {
+                        let tickets: Vec<FleetTicket> = (0..40u64)
+                            .map(|i| {
+                                let m = cast::usize_sat((i * 7 + t) % 6);
+                                let req = request(t, m as u64, &models[m], i as u8);
+                                fleet.submit(req).expect_accepted()
+                            })
+                            .collect();
+                        tickets
+                            .into_iter()
+                            .map(|t| u64::from(t.wait().unwrap().cache_hit))
+                            .sum::<u64>()
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        let m = fleet.shutdown();
+        assert_eq!(m.completed, 120);
+        assert!(m.cache.evictions > 0, "the budget forced no churn");
+        assert_eq!(hits, m.cache.hits);
+        assert_eq!(m.cache.hits + m.cache.misses, 120);
+    }
+
+    #[test]
+    fn shadow_mismatch_fails_closed_and_the_trace_verifies() {
+        let model = Arc::new(
+            ZooModel::TfcW1A1
+                .build_untrained(21, BnMode::Folded)
+                .unwrap(),
+        );
+        let other = ZooModel::TfcW1A1
+            .build_untrained(22, BnMode::Folded)
+            .unwrap();
+        let sink = Arc::new(netpu_trace::MemorySink::new());
+        let fleet = FleetServer::start(
+            Driver::builder().build(),
+            FleetConfig {
+                shards: 1,
+                boards_per_shard: 1,
+                trace: Some(Arc::clone(&sink) as Arc<dyn TraceSink>),
+                ..FleetConfig::default()
+            },
+        );
+        // Cache the model, then swap its kernel for another model's.
+        let cache = &fleet.shared.cache;
+        cache.get_or_admit(1, &model).unwrap();
+        let impostor = CompiledModelCache::new(Driver::builder().build(), 64 << 20)
+            .get_or_admit(1, &other)
+            .unwrap();
+        cache.swap_kernel(1, Arc::clone(&impostor.kernel));
+        let seed = (0u8..=255)
+            .find(|&v| {
+                let px = vec![v; model.input.len];
+                let t = netpu_nn::reference::infer_traced(&model, &px);
+                impostor.kernel.infer(&px).unwrap() != (t.class, t.scores[t.class])
+            })
+            .expect("two random models disagree somewhere");
+        // Request id 0 is shadowed.
+        let outcome = fleet
+            .submit(request(0, 1, &model, seed))
+            .expect_accepted()
+            .wait();
+        assert!(
+            matches!(outcome, Err(DriverError::ValueMismatch { .. })),
+            "{outcome:?}"
+        );
+        let m = fleet.shutdown();
+        assert_eq!((m.shadow_checks, m.shadow_mismatches), (1, 1));
+        assert_eq!((m.completed, m.failed), (0, 1));
+        let summary = netpu_trace::verify(&sink.take()).expect("trace verifies");
+        assert_eq!((summary.requests, summary.failed), (1, 1));
+    }
+
+    #[test]
+    fn one_request_in_shadow_every_is_shadowed() {
+        let model = Arc::new(
+            ZooModel::TfcW1A1
+                .build_untrained(23, BnMode::Folded)
+                .unwrap(),
+        );
+        let fleet = FleetServer::start(
+            Driver::builder().build(),
+            FleetConfig {
+                shards: 1,
+                boards_per_shard: 1,
+                queue_depth: 256,
+                tenant_policy: TenantPolicy {
+                    rate_rps: 1e9,
+                    burst: 1e9,
+                },
+                ..FleetConfig::default()
+            },
+        );
+        let n = 2 * SHADOW_EVERY + 1;
+        let tickets: Vec<FleetTicket> = (0..n)
+            .map(|i| {
+                fleet
+                    .submit(request(0, 1, &model, i as u8))
+                    .expect_accepted()
+            })
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let m = fleet.shutdown();
+        assert_eq!(
+            (m.completed, m.shadow_checks, m.shadow_mismatches),
+            (n, 3, 0)
+        );
     }
 
     #[test]

@@ -358,6 +358,7 @@ fn check_fc(
     ip: Precision,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<BnParams>>,
+    packed: bool,
 ) -> Result<(), ModelError> {
     if in_len > MAX_LAYER_WIDTH {
         return Err(ModelError::TooWide {
@@ -371,7 +372,12 @@ fn check_fc(
             width: neurons,
         });
     }
-    if weights.len() != neurons * in_len {
+    // A packed XNOR-path layer holds its weights outside the model
+    // (`PackedMlp::from_rows`, which checks their shape); any bit
+    // pattern is a valid ±1 matrix.
+    let held_packed = packed && wp.is_binary() && ip.is_binary();
+    let expected = if held_packed { 0 } else { neurons * in_len };
+    if weights.len() != expected {
         return Err(ModelError::WeightShape { layer });
     }
     // Branchless validity fold so the scan vectorises (models carry
@@ -423,6 +429,18 @@ impl QuantMlp {
     /// Validates the whole model: dimensions, precision pairing, weight
     /// and bias ranges, threshold geometry, and architecture ceilings.
     pub fn validate(&self) -> Result<(), ModelError> {
+        self.validate_fc(false)
+    }
+
+    /// [`validate`](Self::validate) for a model whose XNOR-path layers
+    /// hold their weights packed outside it (see
+    /// [`PackedMlp::from_rows`](crate::reference::PackedMlp::from_rows)):
+    /// those layers' `weights` must be empty.
+    pub fn validate_packed(&self) -> Result<(), ModelError> {
+        self.validate_fc(true)
+    }
+
+    fn validate_fc(&self, packed: bool) -> Result<(), ModelError> {
         if self.input.len > MAX_LAYER_WIDTH {
             return Err(ModelError::TooWide {
                 layer: 0,
@@ -459,6 +477,7 @@ impl QuantMlp {
                 h.in_precision,
                 &h.bias,
                 &h.bn,
+                packed,
             )?;
             check_activation(layer, &h.activation, h.neurons, h.out_precision)?;
             prev_width = h.neurons;
@@ -485,6 +504,7 @@ impl QuantMlp {
             self.output.in_precision,
             &self.output.bias,
             &self.output.bn,
+            packed,
         )
     }
 

@@ -7,8 +7,9 @@
 //! with this module on every layer output, which is what ties the
 //! latency model to a functionally correct datapath.
 
-use crate::qmodel::{HiddenLayer, LayerActivation, OutputLayer, QuantMlp};
+use crate::qmodel::{HiddenLayer, LayerActivation, ModelError, OutputLayer, QuantMlp};
 use netpu_arith::{bitslice, Fix};
+use std::borrow::Cow;
 
 /// Saturating 32-bit accumulation, as the ACCU submodule's 32-bit output
 /// register behaves (§III.B.1: 32-bit output supports ≥ 2^16 inputs).
@@ -202,6 +203,18 @@ impl PackedRows {
         if !bipolar {
             return None;
         }
+        PackedRows::from_bits(bits, neurons, in_len)
+    }
+
+    /// Wraps rows already packed in this layout: `neurons` rows of
+    /// `⌈in_len/64⌉` words, weight `i` in bit `i % 64` of word `i / 64`,
+    /// set for +1; bits past `in_len` are ignored. `None` when `bits`
+    /// has the wrong length.
+    fn from_bits(bits: Vec<u64>, neurons: usize, in_len: usize) -> Option<PackedRows> {
+        let words_per_row = in_len.div_ceil(64);
+        if bits.len() != neurons * words_per_row {
+            return None;
+        }
         let masks = (0..words_per_row)
             .map(|j| {
                 let lanes = (in_len - j * 64).min(64);
@@ -250,11 +263,15 @@ fn binary_mac(
 /// magnitude. Layers that are not fully binary (multi-bit weights or
 /// activations) fall back to the general reference path unchanged.
 ///
+/// The model is either borrowed ([`PackedMlp::new`]) or owned with its
+/// binary weights held only in packed form ([`PackedMlp::from_rows`]),
+/// which costs one bit per binary weight instead of 32.
+///
 /// Results are **bit-identical** to [`infer_traced`] — this is the same
 /// arithmetic, not an approximation — which the module tests pin down
 /// against the unpacked walk for both packed and fallback layers.
 pub struct PackedMlp<'a> {
-    mlp: &'a QuantMlp,
+    mlp: Cow<'a, QuantMlp>,
     hidden: Vec<Option<PackedRows>>,
     output: Option<PackedRows>,
 }
@@ -276,17 +293,44 @@ impl<'a> PackedMlp<'a> {
             .then(|| PackedRows::pack(&o.weights, o.neurons, o.in_len))
             .flatten();
         PackedMlp {
-            mlp,
+            mlp: Cow::Borrowed(mlp),
             hidden,
             output,
         }
     }
 
+    /// Input pixels per inference.
+    pub fn input_len(&self) -> usize {
+        self.mlp.input.len
+    }
+
     /// [`infer_traced`] on the prepared model.
     pub fn infer_traced(&self, pixels: &[u8]) -> InferenceTrace {
-        let input_levels = run_input_layer(self.mlp, pixels);
-        let mut hidden_levels = Vec::with_capacity(self.mlp.hidden.len());
-        let mut cur = input_levels.clone();
+        let mut hidden_levels = Vec::with_capacity(self.mlp.hidden.len() + 1);
+        let scores = self.walk(pixels, |levels| hidden_levels.push(levels.to_vec()));
+        let input_levels = hidden_levels.remove(0);
+        let class = maxout(&scores);
+        InferenceTrace {
+            input_levels,
+            hidden_levels,
+            scores,
+            class,
+        }
+    }
+
+    /// The MaxOut class and its winning score — what the accelerator
+    /// reports — without keeping the per-layer intermediates.
+    pub fn infer(&self, pixels: &[u8]) -> (usize, Fix) {
+        let scores = self.walk(pixels, |_| {});
+        let class = maxout(&scores);
+        (class, scores[class])
+    }
+
+    /// The layer walk: hands the input-layer levels and then each
+    /// hidden layer's levels to `observe`, returns the output scores.
+    fn walk(&self, pixels: &[u8], mut observe: impl FnMut(&[i32])) -> Vec<Fix> {
+        let mut cur = run_input_layer(&self.mlp, pixels);
+        observe(&cur);
         for (layer, packed) in self.mlp.hidden.iter().zip(&self.hidden) {
             cur = match packed {
                 Some(rows) => {
@@ -305,10 +349,10 @@ impl<'a> PackedMlp<'a> {
                 }
                 None => run_hidden_layer(layer, &cur),
             };
-            hidden_levels.push(cur.clone());
+            observe(&cur);
         }
         let o = &self.mlp.output;
-        let scores = match &self.output {
+        match &self.output {
             Some(rows) => {
                 let inputs = to_mac_domain(&cur, o.in_precision);
                 let x = netpu_arith::quant::pack_binary_channels(&inputs);
@@ -327,14 +371,74 @@ impl<'a> PackedMlp<'a> {
                     .collect()
             }
             None => run_output_layer(o, &cur),
-        };
-        let class = maxout(&scores);
-        InferenceTrace {
-            input_levels,
-            hidden_levels,
-            scores,
-            class,
         }
+    }
+}
+
+/// Per FC layer (hidden layers, then the output layer), the packed ±1
+/// weight rows of an XNOR-path layer or `None`: what
+/// [`PackedMlp::from_rows`] takes.
+pub type PackedLayerRows = Vec<Option<Vec<u64>>>;
+
+impl PackedMlp<'static> {
+    /// Takes ownership of a model whose fully binary (XNOR-path) layers
+    /// hold their weights outside it, already packed: `rows` has one
+    /// entry per FC layer (hidden layers, then the output layer), the
+    /// layer's `neurons × ⌈in_len/64⌉` row words for an XNOR-path layer
+    /// (weight `i` of a row in bit `i % 64` of word `i / 64`, set for
+    /// +1) and `None` for any other. XNOR-path layers carry empty
+    /// `weights`, so their `i32` form is never built; other layers keep
+    /// theirs. This is the layout a NetPU-M stream's XNOR weight
+    /// sections already use.
+    ///
+    /// Validates the model ([`QuantMlp::validate`] with the packed
+    /// layers' weights checked by row length) and fails with the
+    /// offending layer otherwise.
+    pub fn from_rows(
+        mlp: QuantMlp,
+        rows: PackedLayerRows,
+    ) -> Result<PackedMlp<'static>, ModelError> {
+        mlp.validate_packed()?;
+        let shapes: Vec<(usize, usize, bool)> = mlp
+            .hidden
+            .iter()
+            .map(|l| {
+                (
+                    l.neurons,
+                    l.in_len,
+                    binary_mac(l.weight_precision, l.in_precision),
+                )
+            })
+            .chain(std::iter::once((
+                mlp.output.neurons,
+                mlp.output.in_len,
+                binary_mac(mlp.output.weight_precision, mlp.output.in_precision),
+            )))
+            .collect();
+        if rows.len() != shapes.len() {
+            let layer = rows.len().min(shapes.len()) + 1;
+            return Err(ModelError::WeightShape { layer });
+        }
+        let mut packed = shapes
+            .into_iter()
+            .zip(rows)
+            .enumerate()
+            .map(
+                |(k, ((neurons, in_len, binary), bits))| match (binary, bits) {
+                    (true, Some(bits)) => PackedRows::from_bits(bits, neurons, in_len)
+                        .map(Some)
+                        .ok_or(ModelError::WeightShape { layer: k + 1 }),
+                    (false, None) => Ok(None),
+                    _ => Err(ModelError::WeightShape { layer: k + 1 }),
+                },
+            )
+            .collect::<Result<Vec<_>, _>>()?;
+        let output = packed.pop().flatten();
+        Ok(PackedMlp {
+            mlp: Cow::Owned(mlp),
+            hidden: packed,
+            output,
+        })
     }
 }
 
@@ -617,6 +721,72 @@ mod tests {
         assert!(packed.output.is_none());
         let pixels: Vec<u8> = (0..784).map(|i| (i % 253) as u8).collect();
         assert_eq!(packed.infer_traced(&pixels), infer_traced(&m, &pixels));
+    }
+
+    /// `mlp` with every XNOR-path layer's weights moved out into packed
+    /// rows, the input [`PackedMlp::from_rows`] takes.
+    fn split_rows(mut mlp: QuantMlp) -> (QuantMlp, PackedLayerRows) {
+        let mut rows = Vec::new();
+        let layers = mlp.hidden.iter_mut().map(|l| {
+            (
+                &mut l.weights,
+                l.in_len,
+                binary_mac(l.weight_precision, l.in_precision),
+            )
+        });
+        let o = &mut mlp.output;
+        let out = (
+            &mut o.weights,
+            o.in_len,
+            binary_mac(o.weight_precision, o.in_precision),
+        );
+        for (weights, in_len, binary) in layers.chain(std::iter::once(out)) {
+            rows.push(binary.then(|| {
+                let bits = weights
+                    .chunks(in_len)
+                    .flat_map(netpu_arith::quant::pack_binary_channels)
+                    .collect();
+                weights.clear();
+                bits
+            }));
+        }
+        (mlp, rows)
+    }
+
+    #[test]
+    fn packed_mlp_from_rows_matches_the_reference() {
+        use crate::zoo::ZooModel;
+        let pixels: Vec<u8> = (0..784).map(|i| (i * 7 % 256) as u8).collect();
+        for kind in [ZooModel::TfcW1A1, ZooModel::TfcW2A2, ZooModel::LfcW1A2] {
+            let m = kind
+                .build_untrained(5, crate::export::BnMode::Folded)
+                .unwrap();
+            let (stripped, rows) = split_rows(m.clone());
+            let packed = PackedMlp::from_rows(stripped, rows).unwrap();
+            let trace = infer_traced(&m, &pixels);
+            assert_eq!(packed.infer_traced(&pixels), trace, "{kind:?}");
+            let winner = (trace.class, trace.scores[trace.class]);
+            assert_eq!(packed.infer(&pixels), winner, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn packed_mlp_from_rows_rejects_misshapen_rows() {
+        let m = crate::zoo::ZooModel::TfcW1A1
+            .build_untrained(5, crate::export::BnMode::Folded)
+            .unwrap();
+        let (stripped, mut rows) = split_rows(m.clone());
+        // A packed layer that still carries its i32 weights.
+        assert!(PackedMlp::from_rows(m, rows.clone()).is_err());
+        // A row one word short.
+        rows[0].as_mut().unwrap().pop();
+        assert_eq!(
+            PackedMlp::from_rows(stripped.clone(), rows.clone()).err(),
+            Some(ModelError::WeightShape { layer: 1 })
+        );
+        // Rows missing for a binary layer.
+        rows[0] = None;
+        assert!(PackedMlp::from_rows(stripped, rows).is_err());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::dma::DmaModel;
 use crate::power::PowerParams;
+use netpu_arith::Fix;
 use netpu_check::{AdmissionVerdict, RejectReason};
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_core::netpu::{
@@ -41,6 +42,9 @@ const SINK_TRACE_EVENTS: usize = 1024;
 pub struct MeasuredRun {
     /// Predicted class.
     pub class: usize,
+    /// The winning MaxOut score behind `class`.
+    #[serde(default)]
+    pub score: Fix,
     /// Simulated accelerator latency (Table V style), µs.
     pub sim_latency_us: f64,
     /// Measured end-to-end latency incl. DMA/PS overhead (Table VI
@@ -103,6 +107,15 @@ pub enum DriverError {
     /// (backpressure, throttling, shutdown, crash recovery), so every
     /// layer reports rejections in one machine-readable shape.
     Rejected(RejectReason),
+    /// A fast value kernel and the cycle-accurate simulator disagreed
+    /// on the same stream and input. The request fails closed instead
+    /// of returning a class no oracle backs.
+    ValueMismatch {
+        /// Class and winning score from the value kernel.
+        kernel: (usize, Fix),
+        /// Class and winning score from the simulator.
+        simulator: (usize, Fix),
+    },
 }
 
 impl std::fmt::Display for DriverError {
@@ -118,6 +131,11 @@ impl std::fmt::Display for DriverError {
             DriverError::Rejected(reason) => {
                 write!(f, "admission rejected the request: {reason}")
             }
+            DriverError::ValueMismatch { kernel, simulator } => write!(
+                f,
+                "value kernel gave class {} (score {}), simulator class {} (score {})",
+                kernel.0, kernel.1, simulator.0, simulator.1
+            ),
             DriverError::Timeout {
                 deadline_us,
                 elapsed_us,
@@ -749,6 +767,7 @@ impl Driver {
         let power = self.power.wall_power_w(&util, self.hw.clock_mhz);
         MeasuredRun {
             class: run.class,
+            score: run.score,
             sim_latency_us: run.latency_us,
             measured_latency_us: measured,
             power_w: power,
@@ -806,6 +825,7 @@ impl Driver {
                     .into_iter()
                     .map(|out| MeasuredRun {
                         class: out.class,
+                        score: out.scores[out.class],
                         probabilities: softmax.then(|| netpu_arith::softmax::softmax(&out.scores)),
                         ..template.clone()
                     })
@@ -867,7 +887,7 @@ impl Driver {
         let results = netpu.results().to_vec();
         let mut runs = Vec::with_capacity(results.len());
         let mut prev_end = 0u64;
-        for (i, (class, _score, done_at)) in results.iter().enumerate() {
+        for (i, (class, score, done_at)) in results.iter().enumerate() {
             let end = if i + 1 == results.len() {
                 cycles
             } else {
@@ -879,6 +899,7 @@ impl Driver {
             let measured = sim_us + setup_share;
             runs.push(MeasuredRun {
                 class: *class,
+                score: *score,
                 sim_latency_us: sim_us,
                 measured_latency_us: measured,
                 power_w: power,
