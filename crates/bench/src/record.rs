@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One experiment's machine-readable output.
 #[derive(Clone, Debug, Serialize)]
@@ -53,10 +53,16 @@ impl ExperimentRecord {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")
     }
 
-    /// Writes the record as pretty JSON, returning the path.
+    /// Writes the record as pretty JSON into the
+    /// [default directory](ExperimentRecord::default_dir), returning
+    /// the path.
     pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = ExperimentRecord::default_dir();
-        fs::create_dir_all(&dir)?;
+        self.write_in(&ExperimentRecord::default_dir())
+    }
+
+    /// Writes the record as pretty JSON into `dir`, returning the path.
+    pub fn write_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         fs::write(&path, serde_json::to_string_pretty(self)?)?;
         Ok(path)
@@ -70,8 +76,12 @@ impl ExperimentRecord {
     /// both own rows of `BENCH_serve.json` — without clobbering each
     /// other's results.
     pub fn write_merged(&self) -> std::io::Result<PathBuf> {
-        let dir = ExperimentRecord::default_dir();
-        fs::create_dir_all(&dir)?;
+        self.write_merged_in(&ExperimentRecord::default_dir())
+    }
+
+    /// [`write_merged`](ExperimentRecord::write_merged) into `dir`.
+    pub fn write_merged_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         let new_names: Vec<&str> = self
             .rows
@@ -112,30 +122,27 @@ mod tests {
     #[test]
     fn record_roundtrips_through_disk() {
         let dir = std::env::temp_dir().join("netpu-record-test");
-        std::env::set_var("NETPU_EXPERIMENT_DIR", &dir);
         let mut r = ExperimentRecord::new("test_rec", "A test");
         r.push(serde_json::json!({"k": 1}));
-        let path = r.write().unwrap();
+        let path = r.write_in(&dir).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(v["id"], "test_rec");
         assert_eq!(v["rows"][0]["k"], 1);
-        std::env::remove_var("NETPU_EXPERIMENT_DIR");
     }
 
     #[test]
     fn merged_writes_replace_by_name_and_keep_the_rest() {
         let dir = std::env::temp_dir().join("netpu-record-merge-test");
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("NETPU_EXPERIMENT_DIR", &dir);
         let mut first = ExperimentRecord::new("test_merge", "first");
         first.push(serde_json::json!({"name": "a", "v": 1}));
         first.push(serde_json::json!({"name": "b", "v": 2}));
-        first.write_merged().unwrap();
+        first.write_merged_in(&dir).unwrap();
         let mut second = ExperimentRecord::new("test_merge", "second");
         second.push(serde_json::json!({"name": "b", "v": 20}));
         second.push(serde_json::json!({"name": "c", "v": 3}));
-        let path = second.write_merged().unwrap();
+        let path = second.write_merged_in(&dir).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         let rows = v.get("rows").and_then(serde_json::Value::as_array).unwrap();
@@ -145,6 +152,5 @@ mod tests {
         assert_eq!(rows[1]["name"], "b");
         assert_eq!(rows[1]["v"], 20);
         assert_eq!(rows[2]["name"], "c");
-        std::env::remove_var("NETPU_EXPERIMENT_DIR");
     }
 }

@@ -14,7 +14,9 @@
 //!   queues over per-shard board pools, token-bucket tenant fairness,
 //!   explicit backpressure; values from the kernel, cycles from the
 //!   certificate, one request in [`SHADOW_EVERY`] re-checked on the
-//!   simulator.
+//!   simulator. Its workers are `netpu-serve`'s crash-only
+//!   [`WorkerPool`](netpu_serve::WorkerPool), one per board, each
+//!   bound to its shard's queue.
 //! * [`sched`] — swap-aware placement and bounded EDF window
 //!   reordering over per-board weight residency, amortizing the weight
 //!   stream the way the paper's runtime-reconfiguration design intends.

@@ -2,21 +2,18 @@
 
 use crate::cache::CacheStats;
 use netpu_arith::cast;
+use netpu_serve::worker::PoolCounters;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free counters the fleet front door and workers update.
 #[derive(Debug, Default)]
 pub(crate) struct FleetCounters {
+    /// The outcome counters the shared worker pool keeps.
+    pub pool: PoolCounters,
     pub submitted: AtomicU64,
-    pub accepted: AtomicU64,
     pub throttled: AtomicU64,
     pub rejected_busy: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub worker_panics: AtomicU64,
-    pub crash_requeued: AtomicU64,
     pub shadow_checks: AtomicU64,
     pub shadow_mismatches: AtomicU64,
 }

@@ -11,10 +11,13 @@
 //! queue bound (backpressure); both refusals are explicit, nothing
 //! blocks.
 //!
-//! Workers pull from their shard's queue, resolve the model through
-//! the shared [`CompiledModelCache`] (full admission exactly once per
-//! model fleet-wide), take the class from the admitted model's
-//! bit-exact [`ValueKernel`](crate::cache::ValueKernel), and charge the
+//! The workers are `netpu-serve`'s crash-only
+//! [`WorkerPool`](netpu_serve::WorkerPool): this module supplies the
+//! fleet's [`Stage`] and the pool does the rest. Each worker pulls from
+//! its shard's queue, resolves the model through the shared
+//! [`CompiledModelCache`] (full admission exactly once per model
+//! fleet-wide), takes the class from the admitted model's bit-exact
+//! [`ValueKernel`](crate::cache::ValueKernel), and charges the
 //! placement to the shard's virtual-time board pool. Cycles and latency
 //! never depend on the input, so they come from the admission run and
 //! the timing certificate; no request re-simulates the stream.
@@ -36,11 +39,11 @@ use netpu_compiler::Loadable;
 use netpu_core::netpu::run_inference_fast;
 use netpu_nn::QuantMlp;
 use netpu_runtime::{Driver, DriverError};
-use netpu_serve::{BoundedQueue, FaultInjector, FaultPlan, Push, RejectReason};
+use netpu_serve::worker::{self, lock_recover, Job, PoolCounters, Served, Stage, Submission};
+use netpu_serve::{BoundedQueue, FaultInjector, FaultPlan, RejectReason, WorkerPool};
 use netpu_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::AtomicU64;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One request in this many (by fleet-wide request id) is shadowed by
@@ -129,77 +132,15 @@ pub struct FleetResponse {
 }
 
 /// Handle to one queued fleet request.
-#[derive(Debug)]
-pub struct FleetTicket {
-    rx: mpsc::Receiver<Result<FleetResponse, DriverError>>,
-}
-
-impl FleetTicket {
-    /// Blocks until the request completes, fails, or the fleet shuts
-    /// down with the request unserved.
-    pub fn wait(self) -> Result<FleetResponse, DriverError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(DriverError::Queue {
-                reason: "fleet shut down before the request completed".into(),
-            })
-        })
-    }
-}
+pub type FleetTicket = worker::Ticket<FleetResponse>;
 
 /// Outcome of a [`FleetServer::submit`] call.
-#[derive(Debug)]
-pub enum FleetSubmit {
-    /// Queued; await the result via the ticket.
-    Accepted(FleetTicket),
-    /// Admission refused the request. The unified [`RejectReason`]
-    /// says why: [`RejectReason::Throttled`] is the tenant token
-    /// bucket (fairness), [`RejectReason::QueueFull`] the target
-    /// shard's queue bound (backpressure), [`RejectReason::Closed`]
-    /// a shut-down fleet.
-    Denied(RejectReason),
-}
+pub type FleetSubmit = Submission<FleetResponse>;
 
-impl FleetSubmit {
-    /// Unwraps the ticket of an accepted submission.
-    pub fn expect_accepted(self) -> FleetTicket {
-        match self {
-            FleetSubmit::Accepted(t) => t,
-            FleetSubmit::Denied(reason) => panic!("submission was denied: {reason}"),
-        }
-    }
-
-    /// The rejection reason of a denied submission.
-    pub fn denial(&self) -> Option<&RejectReason> {
-        match self {
-            FleetSubmit::Denied(reason) => Some(reason),
-            FleetSubmit::Accepted(_) => None,
-        }
-    }
-}
-
-struct Job {
-    id: u64,
-    shard: usize,
-    req: FleetRequest,
-    arrival_us: f64,
-    /// The client's one-shot response channel, consumed at the send
-    /// site so delivery is exactly-once even across worker crashes.
-    tx: Option<mpsc::Sender<Result<FleetResponse, DriverError>>>,
-    /// Worker deaths this request has survived so far.
-    crashes: u32,
-}
-
-impl Job {
-    /// Delivers the request's terminal outcome, at most once.
-    fn deliver(&mut self, outcome: Result<FleetResponse, DriverError>) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(outcome);
-        }
-    }
-}
+type FleetJob = Job<FleetRequest, FleetResponse>;
 
 struct Shard {
-    queue: BoundedQueue<Job>,
+    queue: BoundedQueue<FleetJob>,
     pool: Mutex<BoardPool>,
 }
 
@@ -214,18 +155,39 @@ struct Shared {
     started: Instant,
 }
 
-impl Shared {
-    fn trace(&self, t_us: f64, event: TraceEvent) {
-        if let Some(sink) = &self.cfg.trace {
-            sink.record(t_us, event);
-        }
+impl Stage for Shared {
+    type Req = FleetRequest;
+    type Resp = FleetResponse;
+
+    fn queue(&self, shard: usize) -> &BoundedQueue<FleetJob> {
+        &self.shards[shard].queue
+    }
+
+    fn counters(&self) -> &PoolCounters {
+        &self.counters.pool
+    }
+
+    fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
+        self.cfg.trace.as_ref()
+    }
+
+    fn crash_requeues(&self) -> u32 {
+        self.cfg.crash_requeues
+    }
+
+    fn serve(&self, shard: usize, job: &mut FleetJob) -> Served<FleetResponse> {
+        // Lifecycle events stay at the arrival time; a completion is
+        // stamped at arrival plus its latency.
+        let outcome = serve_one(self, shard, job);
+        let after_us = outcome.as_ref().map_or(0.0, |resp| resp.latency_us);
+        (outcome, after_us)
     }
 }
 
 /// The sharded multi-tenant fleet server.
 pub struct FleetServer {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: WorkerPool,
 }
 
 /// FNV-1a over the model id: the shard-routing hash. `std`'s default
@@ -262,18 +224,7 @@ impl FleetServer {
             started: Instant::now(),
             cfg,
         });
-        let mut workers = Vec::new();
-        let mut worker_idx = 0usize;
-        for shard in 0..shared.cfg.shards {
-            for _ in 0..shared.cfg.boards_per_shard {
-                let shared = Arc::clone(&shared);
-                let worker = worker_idx;
-                worker_idx += 1;
-                workers.push(std::thread::spawn(move || {
-                    worker_loop(&shared, shard, worker)
-                }));
-            }
-        }
+        let workers = WorkerPool::spawn(&shared, shared.cfg.shards, shared.cfg.boards_per_shard);
         FleetServer { shared, workers }
     }
 
@@ -296,44 +247,15 @@ impl FleetServer {
         );
         if !lock_recover(&self.shared.limiter).try_admit(req.tenant, now_us) {
             c.bump(&c.throttled);
-            return self.deny(id, now_us, RejectReason::Throttled { tenant: req.tenant });
+            let reason = RejectReason::Throttled { tenant: req.tenant };
+            return self.shared.deny(id, now_us, reason);
         }
         let shard = route(req.model_id, self.shared.cfg.shards);
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            id,
-            shard,
-            req,
-            arrival_us: now_us,
-            tx: Some(tx),
-            crashes: 0,
-        };
-        // Recorded before the push: once the job is visible a worker
-        // may complete it immediately, and the terminal event must not
-        // precede the admission event in the trace.
-        self.shared.trace(
-            now_us,
-            TraceEvent::Admitted {
-                request: id,
-                range_flagged: false,
-            },
-        );
-        match self.shared.shards[shard].queue.push(job) {
-            Push::Accepted { .. } => {
-                c.bump(&c.accepted);
-                FleetSubmit::Accepted(FleetTicket { rx })
-            }
-            Push::Full { len } => {
-                c.bump(&c.rejected_busy);
-                self.deny(id, now_us, RejectReason::QueueFull { queue_len: len })
-            }
-            Push::Closed => self.deny(id, now_us, RejectReason::Closed),
+        let submitted = self.shared.enqueue(shard, id, now_us, false, req);
+        if let FleetSubmit::Denied(RejectReason::QueueFull { .. }) = submitted {
+            c.bump(&c.rejected_busy);
         }
-    }
-
-    fn deny(&self, id: u64, now_us: f64, reason: RejectReason) -> FleetSubmit {
-        self.shared.trace(now_us, TraceEvent::rejected(id, &reason));
-        FleetSubmit::Denied(reason)
+        submitted
     }
 
     /// A point-in-time metrics snapshot.
@@ -344,12 +266,7 @@ impl FleetServer {
     /// Closes every shard queue, drains in-flight work, joins the
     /// workers, and returns the final metrics.
     pub fn shutdown(self) -> FleetMetrics {
-        for shard in &self.shared.shards {
-            shard.queue.close();
-        }
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        self.workers.shutdown(&*self.shared);
         gather(&self.shared)
     }
 
@@ -364,14 +281,14 @@ fn gather(shared: &Shared) -> FleetMetrics {
     let c = &shared.counters;
     FleetMetrics {
         submitted: load(&c.submitted),
-        accepted: load(&c.accepted),
+        accepted: load(&c.pool.accepted),
         throttled: load(&c.throttled),
         rejected_busy: load(&c.rejected_busy),
-        completed: load(&c.completed),
-        failed: load(&c.failed),
-        timed_out: load(&c.timed_out),
-        worker_panics: load(&c.worker_panics),
-        crash_requeued: load(&c.crash_requeued),
+        completed: load(&c.pool.completed),
+        failed: load(&c.pool.failed),
+        timed_out: load(&c.pool.timed_out),
+        worker_panics: load(&c.pool.worker_panics),
+        crash_requeued: load(&c.pool.crash_requeued),
         shadow_checks: load(&c.shadow_checks),
         shadow_mismatches: load(&c.shadow_mismatches),
         cache: shared.cache.stats(),
@@ -392,97 +309,7 @@ fn gather(shared: &Shared) -> FleetMetrics {
     }
 }
 
-fn worker_loop(shared: &Shared, shard: usize, worker: usize) {
-    while let Some(mut job) = shared.shards[shard].queue.pop_wait() {
-        // Crash-only containment, mirroring `netpu-serve`: a panic in
-        // the serving path kills the request, never the worker. Every
-        // shared lock is re-entered through `lock_recover`, so poison
-        // cannot cascade.
-        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_one(shared, shard, &job)
-        }));
-        match served {
-            Ok(outcome) => {
-                let c = &shared.counters;
-                match &outcome {
-                    Ok(resp) => {
-                        c.bump(&c.completed);
-                        shared.trace(
-                            job.arrival_us + resp.latency_us,
-                            TraceEvent::Completed {
-                                request: job.id,
-                                latency_us: resp.latency_us,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        c.bump(match e {
-                            DriverError::Timeout { .. } => &c.timed_out,
-                            _ => &c.failed,
-                        });
-                        shared.trace(
-                            job.arrival_us,
-                            TraceEvent::Failed {
-                                request: job.id,
-                                error: e.to_string(),
-                            },
-                        );
-                    }
-                }
-                job.deliver(outcome);
-            }
-            Err(_) => recover_crash(shared, worker, job),
-        }
-    }
-}
-
-/// Crash-only recovery, the fleet edition: requeue to the request's
-/// own shard (routing is a pure function of the model id, so the
-/// requeued job lands where its residency state lives) or reject with
-/// [`RejectReason::WorkerCrash`] once the budget is spent. Delivery
-/// stays exactly-once: [`Job::tx`] is consumed at the send site.
-fn recover_crash(shared: &Shared, worker: usize, mut job: Job) {
-    let c = &shared.counters;
-    c.bump(&c.worker_panics);
-    if job.tx.is_none() {
-        // The outcome already went out; the request's lifecycle is
-        // complete and there is nothing to recover.
-        return;
-    }
-    shared.trace(
-        job.arrival_us,
-        TraceEvent::WorkerCrash {
-            worker: cast::u64_from_usize(worker),
-            request: job.id,
-        },
-    );
-    job.crashes += 1;
-    let (id, crashes, arrival_us) = (job.id, job.crashes, job.arrival_us);
-    if crashes <= shared.cfg.crash_requeues {
-        match shared.shards[job.shard].queue.push_reclaim(job) {
-            Ok(_) => {
-                c.bump(&c.crash_requeued);
-                shared.trace(
-                    arrival_us,
-                    TraceEvent::Requeued {
-                        request: id,
-                        crashes: u64::from(crashes),
-                    },
-                );
-                return;
-            }
-            // The shard queue refused the requeue (full or closed):
-            // fall through to an explicit rejection.
-            Err((reclaimed, _refusal)) => job = reclaimed,
-        }
-    }
-    let reason = RejectReason::WorkerCrash { crashes };
-    c.bump(&c.failed);
-    shared.trace(arrival_us, TraceEvent::rejected(id, &reason));
-    job.deliver(Err(DriverError::Rejected(reason)));
-}
-
-fn serve_one(shared: &Shared, shard: usize, job: &Job) -> Result<FleetResponse, DriverError> {
+fn serve_one(shared: &Shared, shard: usize, job: &FleetJob) -> Result<FleetResponse, DriverError> {
     if lock_recover(&shared.injector).should_crash() {
         // The injected death happens while holding the shard's pool
         // lock, poisoning it — the worst state a real crash leaves
@@ -547,11 +374,6 @@ fn shadow(
     Ok(())
 }
 
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[cfg(not(loom))]
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,14 @@
 //! `min(boards/latency, 1/transfer)` bound — the §V loading bottleneck
 //! at system scale (see DESIGN.md §4.2).
 //!
-//! Every refusal is a unified [`RejectReason`]; workers are crash-only
-//! (a panicking worker requeues-or-rejects its request and keeps
-//! serving, DESIGN.md §4.7); and an optional [`TraceSink`] records the
-//! request lifecycle and DMA schedule in `netpu-trace`'s replayable
-//! format.
+//! Every refusal is a unified [`RejectReason`]; an optional
+//! [`TraceSink`] records the request lifecycle and DMA schedule in
+//! `netpu-trace`'s replayable format. The workers are the crash-only
+//! [`worker`] pool (a panicking worker requeues-or-rejects its request
+//! and keeps serving, DESIGN.md §4.7), which `netpu-fleet`'s sharded
+//! server embeds too: each stack supplies only its
+//! [`Stage`](worker::Stage), one serving attempt plus its queues and
+//! counters.
 //!
 //! Built on `std::thread` + channels only; no async runtime.
 
@@ -25,6 +28,7 @@ pub mod faults;
 pub mod metrics;
 pub mod queue;
 pub mod server;
+pub mod worker;
 
 pub use arbiter::{DmaArbiter, Grant};
 pub use faults::{FaultInjector, FaultPlan};
@@ -33,3 +37,4 @@ pub use netpu_check::{AdmissionVerdict, RejectReason};
 pub use netpu_trace::TraceSink;
 pub use queue::{BoundedQueue, Push};
 pub use server::{ServeResponse, Server, ServerConfig, Submit, Ticket};
+pub use worker::WorkerPool;

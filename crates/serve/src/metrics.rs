@@ -1,5 +1,6 @@
 //! Serving counters, latency histogram, and utilization snapshot.
 
+use crate::worker::PoolCounters;
 use netpu_core::SlabBreakdown;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -20,18 +21,14 @@ pub const LATENCY_BUCKETS_US: [f64; 8] = [
 /// Lock-free counters the workers update while serving.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    pub accepted: AtomicU64,
+    /// The outcome counters the shared worker pool keeps.
+    pub pool: PoolCounters,
     pub rejected: AtomicU64,
     pub range_flagged: AtomicU64,
     pub range_rejected: AtomicU64,
     pub equiv_flagged: AtomicU64,
     pub equiv_rejected: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
     pub retried: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub worker_panics: AtomicU64,
-    pub crash_requeued: AtomicU64,
     pub frames_completed: AtomicU64,
     pub slabs_full: AtomicU64,
     pub slabs_partial: AtomicU64,
@@ -142,18 +139,18 @@ impl MetricsSnapshot {
     ) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         MetricsSnapshot {
-            accepted: load(&counters.accepted),
+            accepted: load(&counters.pool.accepted),
             rejected: load(&counters.rejected),
             range_flagged: load(&counters.range_flagged),
             range_rejected: load(&counters.range_rejected),
             equiv_flagged: load(&counters.equiv_flagged),
             equiv_rejected: load(&counters.equiv_rejected),
-            completed: load(&counters.completed),
-            failed: load(&counters.failed),
+            completed: load(&counters.pool.completed),
+            failed: load(&counters.pool.failed),
             retried: load(&counters.retried),
-            timed_out: load(&counters.timed_out),
-            worker_panics: load(&counters.worker_panics),
-            crash_requeued: load(&counters.crash_requeued),
+            timed_out: load(&counters.pool.timed_out),
+            worker_panics: load(&counters.pool.worker_panics),
+            crash_requeued: load(&counters.pool.crash_requeued),
             frames_completed: load(&counters.frames_completed),
             slabs_full: load(&counters.slabs_full),
             slabs_partial: load(&counters.slabs_partial),

@@ -13,15 +13,13 @@
 //!
 //! # Crash-only recovery
 //!
-//! Workers are *crash-only* (DESIGN.md §4.7): a panic anywhere in the
-//! serving path is caught at the worker loop, the dead request is
-//! requeued (up to [`ServerConfig::crash_requeues`] times) or rejected
-//! with [`RejectReason::WorkerCrash`], and the worker keeps serving.
-//! Every lock acquisition goes through [`lock_recover`], so a panic
-//! that poisons the arbiter or injector mutex cannot cascade. Outcome
-//! delivery is exactly-once by construction: the client's one-shot
-//! sender lives in an `Option` consumed at the send site, so a
-//! post-delivery panic finds nothing left to deliver.
+//! The workers are the shared [`worker`](crate::worker) pool
+//! (DESIGN.md §4.7): a panic anywhere in the serving path is caught,
+//! the dead request is requeued (up to [`ServerConfig::crash_requeues`]
+//! times) or rejected with [`RejectReason::WorkerCrash`], and the
+//! worker keeps serving. Every lock acquisition goes through
+//! [`lock_recover`], so a panic that poisons the arbiter or injector
+//! mutex cannot cascade.
 //!
 //! # Tracing
 //!
@@ -32,18 +30,18 @@
 //! matches the arbiter's schedule order and `netpu_trace::verify` can
 //! re-derive the schedule recurrence bit-for-bit.
 
-use crate::arbiter::DmaArbiter;
+use crate::arbiter::{DmaArbiter, Grant};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::metrics::{Counters, MetricsSnapshot};
-use crate::queue::{BoundedQueue, Push};
+use crate::queue::BoundedQueue;
+use crate::worker::{self, lock_recover, Job, PoolCounters, Served, Stage, Submission, WorkerPool};
 use netpu_check::{AdmissionVerdict, RejectReason};
 use netpu_compiler::compile;
 use netpu_nn::QuantMlp;
 use netpu_runtime::{Driver, DriverError, InferPayload, InferRequest, InferResponse};
 use netpu_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -101,37 +99,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Outcome of a [`Server::submit`] call.
-#[derive(Debug)]
-pub enum Submit {
-    /// The request was queued; await the result via the ticket.
-    Accepted(Ticket),
-    /// Admission refused the request. The unified [`RejectReason`]
-    /// says why: [`RejectReason::Invalid`] carries the pre-flight
-    /// verifier's NPC findings, [`RejectReason::QueueFull`] is
-    /// explicit backpressure, [`RejectReason::Closed`] means the
-    /// server has shut down.
-    Denied(RejectReason),
-}
-
-impl Submit {
-    /// Unwraps the ticket of an accepted submission.
-    pub fn expect_accepted(self) -> Ticket {
-        match self {
-            Submit::Accepted(t) => t,
-            Submit::Denied(reason) => panic!("submission was denied: {reason}"),
-        }
-    }
-
-    /// The rejection reason of a denied submission.
-    pub fn denial(&self) -> Option<&RejectReason> {
-        match self {
-            Submit::Denied(reason) => Some(reason),
-            Submit::Accepted(_) => None,
-        }
-    }
-}
-
 /// A successfully served request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeResponse {
@@ -148,43 +115,13 @@ pub struct ServeResponse {
     pub attempts: u32,
 }
 
-/// Handle to one queued request.
-#[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<ServeResponse, DriverError>>,
-}
+/// Outcome of a [`Server::submit`] call.
+pub type Submit = Submission<ServeResponse>;
 
-impl Ticket {
-    /// Blocks until the request completes, fails, or the server is
-    /// dropped with the request unserved.
-    pub fn wait(self) -> Result<ServeResponse, DriverError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(DriverError::Queue {
-                reason: "server shut down before the request completed".into(),
-            })
-        })
-    }
-}
+/// Handle to one queued [`Server`] request.
+pub type Ticket = worker::Ticket<ServeResponse>;
 
-struct Job {
-    id: u64,
-    req: InferRequest<'static>,
-    /// The client's one-shot response channel. Consumed at the send
-    /// site, so delivery is exactly-once even across worker crashes: a
-    /// panic after the send finds `None` and recovery does nothing.
-    tx: Option<mpsc::Sender<Result<ServeResponse, DriverError>>>,
-    /// Worker deaths this request has survived so far.
-    crashes: u32,
-}
-
-impl Job {
-    /// Delivers the request's terminal outcome, at most once.
-    fn deliver(&mut self, outcome: Result<ServeResponse, DriverError>) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(outcome);
-        }
-    }
-}
+type ServeJob = Job<InferRequest<'static>, ServeResponse>;
 
 struct Shared {
     cfg: ServerConfig,
@@ -192,22 +129,43 @@ struct Shared {
     counters: Counters,
     arbiter: Mutex<DmaArbiter>,
     injector: Mutex<FaultInjector>,
-    queue: BoundedQueue<Job>,
+    queue: BoundedQueue<ServeJob>,
     next_request: AtomicU64,
 }
 
-impl Shared {
-    fn trace(&self, t_us: f64, event: TraceEvent) {
-        if let Some(sink) = &self.cfg.trace {
-            sink.record(t_us, event);
-        }
+impl Stage for Shared {
+    type Req = InferRequest<'static>;
+    type Resp = ServeResponse;
+
+    fn queue(&self, _queue: usize) -> &BoundedQueue<ServeJob> {
+        &self.queue
+    }
+
+    fn counters(&self) -> &PoolCounters {
+        &self.counters.pool
+    }
+
+    fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
+        self.cfg.trace.as_ref()
+    }
+
+    fn crash_requeues(&self) -> u32 {
+        self.cfg.crash_requeues
+    }
+
+    fn serve(&self, _queue: usize, job: &mut ServeJob) -> Served<ServeResponse> {
+        serve_one(self, job)
+    }
+
+    fn queued(&self, depth: usize) {
+        self.counters.observe_queue_depth(depth);
     }
 }
 
 /// A multi-board inference server over one shared DMA engine.
 pub struct Server {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: WorkerPool,
 }
 
 impl Server {
@@ -229,12 +187,7 @@ impl Server {
             next_request: AtomicU64::new(0),
             cfg,
         });
-        let workers = (0..shared.cfg.boards)
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, worker))
-            })
-            .collect();
+        let workers = WorkerPool::spawn(&shared, 1, shared.cfg.boards);
         Server { shared, workers }
     }
 
@@ -242,50 +195,7 @@ impl Server {
     /// answers [`RejectReason::QueueFull`] immediately so the caller
     /// can shed or defer load instead of piling up unbounded work.
     pub fn submit(&self, req: InferRequest<'static>) -> Submit {
-        let id = self.shared.next_request.fetch_add(1, Ordering::Relaxed);
-        self.shared.trace(
-            0.0,
-            TraceEvent::Submitted {
-                request: id,
-                tenant: 0,
-                model: 0,
-            },
-        );
-        // Cheap static pre-flight before a queue slot is taken: a
-        // stream the accelerator would reject never reaches a worker.
-        let mut range_flagged = false;
-        if let InferPayload::Loadable(loadable) = &req.payload {
-            let report = netpu_check::check(loadable, &self.shared.driver.hw);
-            if report.has_range_errors() {
-                self.shared
-                    .counters
-                    .range_flagged
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            match AdmissionVerdict::from_report(report, self.shared.cfg.strict_range) {
-                AdmissionVerdict::Admitted {
-                    range_flagged: flagged,
-                } => range_flagged = flagged,
-                AdmissionVerdict::Rejected(reason) => {
-                    if reason
-                        .report()
-                        .is_some_and(netpu_check::Report::has_range_errors)
-                        && self.shared.cfg.strict_range
-                    {
-                        self.shared
-                            .counters
-                            .range_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.deny(id, reason);
-                }
-            }
-        }
-        self.enqueue(id, req, range_flagged)
+        self.admit(None, req)
     }
 
     /// Submits a request *together with the source model its loadable
@@ -301,8 +211,23 @@ impl Server {
     /// driver applies the same tier) and are admitted exactly like
     /// [`Server::submit`].
     pub fn submit_certified(&self, source: &QuantMlp, req: InferRequest<'static>) -> Submit {
-        let id = self.shared.next_request.fetch_add(1, Ordering::Relaxed);
-        self.shared.trace(
+        self.admit(Some(source), req)
+    }
+
+    /// The one admission path. A loadable payload gets the cheap static
+    /// pre-flight before a queue slot is taken, so a stream the
+    /// accelerator would reject never reaches a worker; with a claimed
+    /// `source` the pre-flight adds the translation-validation tier.
+    fn admit(&self, source: Option<&QuantMlp>, req: InferRequest<'static>) -> Submit {
+        let shared = &*self.shared;
+        let c = &shared.counters;
+        let bump = |counter: &AtomicU64, hit: bool| {
+            if hit {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
+        shared.trace(
             0.0,
             TraceEvent::Submitted {
                 request: id,
@@ -312,104 +237,35 @@ impl Server {
         );
         let mut range_flagged = false;
         if let InferPayload::Loadable(loadable) = &req.payload {
-            let report =
-                netpu_check::check_words_against(&loadable.words, source, &self.shared.driver.hw);
-            if report.has_range_errors() {
-                self.shared
-                    .counters
-                    .range_flagged
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            if report.has_equiv_errors() {
-                self.shared
-                    .counters
-                    .equiv_flagged
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let strict_equiv = self.shared.cfg.strict_equiv;
-            match AdmissionVerdict::from_report_tiers(
-                report,
-                self.shared.cfg.strict_range,
-                strict_equiv,
-            ) {
+            let hw = &shared.driver.hw;
+            let report = match source {
+                None => netpu_check::check(loadable, hw),
+                Some(source) => netpu_check::check_words_against(&loadable.words, source, hw),
+            };
+            let (range_errors, equiv_errors) =
+                (report.has_range_errors(), report.has_equiv_errors());
+            bump(&c.range_flagged, range_errors);
+            bump(&c.equiv_flagged, equiv_errors);
+            let strict_range = shared.cfg.strict_range;
+            let strict_equiv = source.is_some() && shared.cfg.strict_equiv;
+            match AdmissionVerdict::from_report_tiers(report, strict_range, strict_equiv) {
                 AdmissionVerdict::Admitted {
                     range_flagged: flagged,
                 } => range_flagged = flagged,
                 AdmissionVerdict::Rejected(reason) => {
-                    if reason
-                        .report()
-                        .is_some_and(netpu_check::Report::has_range_errors)
-                        && self.shared.cfg.strict_range
-                    {
-                        self.shared
-                            .counters
-                            .range_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    if reason
-                        .report()
-                        .is_some_and(netpu_check::Report::has_equiv_errors)
-                        && strict_equiv
-                    {
-                        self.shared
-                            .counters
-                            .equiv_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.deny(id, reason);
+                    bump(&c.range_rejected, range_errors && strict_range);
+                    bump(&c.equiv_rejected, equiv_errors && strict_equiv);
+                    bump(&c.rejected, true);
+                    return shared.deny(id, 0.0, reason);
                 }
             }
         }
-        self.enqueue(id, req, range_flagged)
-    }
-
-    fn enqueue(&self, id: u64, req: InferRequest<'static>, range_flagged: bool) -> Submit {
-        let (tx, rx) = mpsc::channel();
-        // The Admitted event is recorded *before* the push: once the
-        // job is visible in the queue a worker may serve it to
-        // completion immediately, and the request's terminal event
-        // must not precede its admission in the trace. A push refusal
-        // then legitimately follows Admitted with a Rejected event
-        // (Admitted is not terminal).
-        self.shared.trace(
-            0.0,
-            TraceEvent::Admitted {
-                request: id,
-                range_flagged,
-            },
+        let submitted = shared.enqueue(0, id, 0.0, range_flagged, req);
+        bump(
+            &c.rejected,
+            matches!(submitted, Submit::Denied(RejectReason::QueueFull { .. })),
         );
-        match self.shared.queue.push(Job {
-            id,
-            req,
-            tx: Some(tx),
-            crashes: 0,
-        }) {
-            Push::Closed => self.deny(id, RejectReason::Closed),
-            Push::Full { len } => {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                self.deny(id, RejectReason::QueueFull { queue_len: len })
-            }
-            Push::Accepted { depth } => {
-                self.shared
-                    .counters
-                    .accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared.counters.observe_queue_depth(depth);
-                Submit::Accepted(Ticket { rx })
-            }
-        }
-    }
-
-    fn deny(&self, id: u64, reason: RejectReason) -> Submit {
-        self.shared.trace(0.0, TraceEvent::rejected(id, &reason));
-        Submit::Denied(reason)
+        submitted
     }
 
     /// A point-in-time metrics snapshot.
@@ -421,96 +277,10 @@ impl Server {
     /// Closes admission, drains every queued request, joins the
     /// workers, and returns the final metrics.
     pub fn shutdown(self) -> MetricsSnapshot {
-        self.shared.queue.close();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.workers.shutdown(&*self.shared);
         let arbiter = lock_recover(&self.shared.arbiter);
         MetricsSnapshot::gather(&self.shared.counters, &arbiter)
     }
-}
-
-/// Locks a mutex, recovering the data on poison. Crash-only recovery
-/// depends on this seam: a worker that panics mid-request (possibly
-/// while holding the arbiter or injector lock) poisons the mutex, and
-/// every later acquisition — other workers granting transfers, metrics
-/// snapshots, the recovery path itself — must keep going with the data
-/// as the panicking thread left it. Both guarded structures stay
-/// internally consistent across any panic point: the arbiter only
-/// mutates plain `f64` bookkeeping and the injector a counter, neither
-/// of which can be observed mid-update through the lock.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    while let Some(mut job) = shared.queue.pop_wait() {
-        // Crash-only containment: a panic anywhere in the serving path
-        // kills the *request*, never the worker. AssertUnwindSafe is
-        // sound here because everything the closure shares is behind
-        // locks re-entered via `lock_recover`, which absorbs the
-        // poison instead of cascading it.
-        let served =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve_one(shared, &mut job)));
-        if served.is_err() {
-            recover_crash(shared, worker, job);
-        }
-    }
-}
-
-/// Crash-only recovery (DESIGN.md §4.7): a worker panic mid-serve ends
-/// in exactly one client-visible outcome — the request is requeued for
-/// another attempt, or it is rejected with
-/// [`RejectReason::WorkerCrash`]. Never both, never neither, and never
-/// a second delivery for a request whose outcome already went out
-/// ([`Job::tx`] is consumed at the send site, so a post-delivery panic
-/// leaves nothing to recover).
-fn recover_crash(shared: &Shared, worker: usize, mut job: Job) {
-    shared
-        .counters
-        .worker_panics
-        .fetch_add(1, Ordering::Relaxed);
-    if job.tx.is_none() {
-        // The outcome was already delivered; the panic happened on the
-        // way out of the serving path. The request's lifecycle is
-        // complete, so nothing is requeued, rejected, or traced.
-        return;
-    }
-    shared.trace(
-        0.0,
-        TraceEvent::WorkerCrash {
-            worker: worker as u64,
-            request: job.id,
-        },
-    );
-    job.crashes += 1;
-    let (id, crashes) = (job.id, job.crashes);
-    if crashes <= shared.cfg.crash_requeues {
-        match shared.queue.push_reclaim(job) {
-            Ok(depth) => {
-                shared
-                    .counters
-                    .crash_requeued
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.counters.observe_queue_depth(depth);
-                shared.trace(
-                    0.0,
-                    TraceEvent::Requeued {
-                        request: id,
-                        crashes: u64::from(crashes),
-                    },
-                );
-                return;
-            }
-            // The queue refused the requeue (full or closed): fall
-            // through to an explicit rejection with the job reclaimed.
-            Err((reclaimed, _refusal)) => job = reclaimed,
-        }
-    }
-    let reason = RejectReason::WorkerCrash { crashes };
-    shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-    shared.trace(0.0, TraceEvent::rejected(id, &reason));
-    job.deliver(Err(DriverError::Rejected(reason)));
 }
 
 /// DMA occupancy of a served request: one setup per transfer plus the
@@ -525,7 +295,11 @@ fn response_occupancy_us(driver: &Driver, resp: &InferResponse) -> f64 {
         + (resp.dma_transfers - 1) as f64 * driver.dma.setup_us
 }
 
-fn serve_one(shared: &Shared, job: &mut Job) {
+/// One serving attempt: compile, deliver the stream (retrying injected
+/// faults), grant the DMA, and check the deadline. Terminal events are
+/// stamped at the grant's completion time, or at 0.0 when no grant
+/// decided the outcome.
+fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
     let deadline_us = job
         .req
         .options
@@ -541,19 +315,7 @@ fn serve_one(shared: &Shared, job: &mut Job) {
     if let InferPayload::Single { model, pixels } = &job.req.payload {
         match compile(model, pixels) {
             Ok(loadable) => job.req.payload = InferPayload::Loadable(loadable),
-            Err(e) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                let err = DriverError::Compile(e);
-                shared.trace(
-                    0.0,
-                    TraceEvent::Failed {
-                        request: job.id,
-                        error: err.to_string(),
-                    },
-                );
-                job.deliver(Err(err));
-                return;
-            }
+            Err(e) => return (Err(DriverError::Compile(e)), 0.0),
         }
     }
 
@@ -589,47 +351,16 @@ fn serve_one(shared: &Shared, job: &mut Job) {
             Ok(resp) => {
                 let transfer_us = response_occupancy_us(&shared.driver, &resp);
                 let latency_us = resp.total_latency_us();
-                let grant = {
-                    // The grant event is recorded inside the arbiter's
-                    // critical section: replay re-derives the schedule
-                    // from grant order, so sink order must match
-                    // arbiter order exactly.
-                    let mut arbiter = lock_recover(&shared.arbiter);
-                    let g = arbiter.grant(0.0, transfer_us, latency_us);
-                    shared.trace(
-                        g.start_us,
-                        TraceEvent::Granted {
-                            request: job.id,
-                            board: g.board as u64,
-                            arrival_us: 0.0,
-                            transfer_us,
-                            latency_us,
-                            start_us: g.start_us,
-                            transfer_end_us: g.transfer_end_us,
-                            complete_us: g.complete_us,
-                        },
-                    );
-                    g
-                };
+                let grant = grant(shared, job.id, transfer_us, latency_us);
                 if let Some(deadline) = deadline_us {
                     if grant.complete_us > deadline {
-                        shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
                         let err = DriverError::Timeout {
                             deadline_us: deadline,
                             elapsed_us: grant.complete_us,
                         };
-                        shared.trace(
-                            grant.complete_us,
-                            TraceEvent::Failed {
-                                request: job.id,
-                                error: err.to_string(),
-                            },
-                        );
-                        job.deliver(Err(err));
-                        return;
+                        return (Err(err), grant.complete_us);
                     }
                 }
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
                 shared
                     .counters
                     .frames_completed
@@ -638,21 +369,14 @@ fn serve_one(shared: &Shared, job: &mut Job) {
                     shared.counters.observe_batch_slabs(breakdown);
                 }
                 shared.counters.observe_latency(grant.complete_us);
-                shared.trace(
-                    grant.complete_us,
-                    TraceEvent::Completed {
-                        request: job.id,
-                        latency_us: grant.complete_us,
-                    },
-                );
-                job.deliver(Ok(ServeResponse {
+                let served = ServeResponse {
                     response: resp,
                     board: grant.board,
                     start_us: grant.start_us,
                     complete_us: grant.complete_us,
                     attempts: attempt + 1,
-                }));
-                return;
+                };
+                return (Ok(served), grant.complete_us);
             }
             Err(e) => {
                 // Only accelerator-side stream faults are transient;
@@ -662,55 +386,52 @@ fn serve_one(shared: &Shared, job: &mut Job) {
                     DriverError::Accelerator(_)
                         | DriverError::Rejected(RejectReason::Invalid { .. })
                 );
-                if retryable && attempt < retries {
-                    // The rejected stream still occupied the shared
-                    // DMA: charge a transfer-only grant before the
-                    // retry goes back to the queue of attempts.
-                    let wasted = shared
-                        .driver
-                        .dma
-                        .occupancy_us(attempt_words, shared.driver.hw.clock_mhz);
-                    {
-                        let mut arbiter = lock_recover(&shared.arbiter);
-                        let g = arbiter.grant(0.0, wasted, wasted);
-                        shared.trace(
-                            g.start_us,
-                            TraceEvent::Granted {
-                                request: job.id,
-                                board: g.board as u64,
-                                arrival_us: 0.0,
-                                transfer_us: wasted,
-                                latency_us: wasted,
-                                start_us: g.start_us,
-                                transfer_end_us: g.transfer_end_us,
-                                complete_us: g.complete_us,
-                            },
-                        );
-                    }
-                    shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    shared.trace(
-                        0.0,
-                        TraceEvent::Retried {
-                            request: job.id,
-                            attempt: u64::from(attempt),
-                        },
-                    );
-                    continue;
+                if !retryable || attempt >= retries {
+                    return (Err(e), 0.0);
                 }
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+                // The rejected stream still occupied the shared DMA:
+                // charge a transfer-only grant before the retry goes
+                // back to the queue of attempts.
+                let wasted = shared
+                    .driver
+                    .dma
+                    .occupancy_us(attempt_words, shared.driver.hw.clock_mhz);
+                grant(shared, job.id, wasted, wasted);
+                shared.counters.retried.fetch_add(1, Ordering::Relaxed);
+                attempt += 1;
                 shared.trace(
                     0.0,
-                    TraceEvent::Failed {
+                    TraceEvent::Retried {
                         request: job.id,
-                        error: e.to_string(),
+                        attempt: u64::from(attempt),
                     },
                 );
-                job.deliver(Err(e));
-                return;
             }
         }
     }
+}
+
+/// Grants one transfer on the shared DMA. The grant event is recorded
+/// inside the arbiter's critical section: replay re-derives the
+/// schedule from grant order, so sink order must match arbiter order
+/// exactly.
+fn grant(shared: &Shared, request: u64, transfer_us: f64, latency_us: f64) -> Grant {
+    let mut arbiter = lock_recover(&shared.arbiter);
+    let g = arbiter.grant(0.0, transfer_us, latency_us);
+    shared.trace(
+        g.start_us,
+        TraceEvent::Granted {
+            request,
+            board: g.board as u64,
+            arrival_us: 0.0,
+            transfer_us,
+            latency_us,
+            start_us: g.start_us,
+            transfer_end_us: g.transfer_end_us,
+            complete_us: g.complete_us,
+        },
+    );
+    g
 }
 
 #[cfg(test)]

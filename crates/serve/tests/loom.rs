@@ -12,6 +12,9 @@
 //! * **no lost wakeups** — every accepted item is served exactly once,
 //!   and closing the queue wakes every blocked consumer (a lost wakeup
 //!   would hang a consumer forever and trip the model's watchdog).
+//!   Two more cases cover the sharded shape, one consumer per queue
+//!   over two queues: a shutdown racing dispatch serves exactly the
+//!   accepted items, and racing closers wake every blocked consumer.
 //!
 //! A third check covers the worker → shared-DMA handoff: however the
 //! workers interleave their grants, the virtual-time schedule never
@@ -86,6 +89,70 @@ fn close_wakes_every_consumer_and_loses_no_items() {
         let served: usize = consumers.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(served, ITEMS);
         assert!(q.is_empty());
+    });
+}
+
+/// One consumer per queue, each counting what it pops: the sharded
+/// dispatch shape the worker pool runs.
+fn drain_each(queues: &Arc<Vec<BoundedQueue<usize>>>) -> Vec<thread::JoinHandle<Vec<usize>>> {
+    (0..queues.len())
+        .map(|s| {
+            let queues = Arc::clone(queues);
+            thread::spawn(move || std::iter::from_fn(|| queues[s].pop_wait()).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn shutdown_racing_dispatch_over_two_queues_serves_each_accepted_item_once() {
+    loom::model(|| {
+        let queues: Arc<Vec<BoundedQueue<usize>>> =
+            Arc::new((0..2).map(|_| BoundedQueue::new(2)).collect());
+        let consumers = drain_each(&queues);
+        // The producer routes across both queues, then shuts down
+        // while the consumers may still be draining.
+        let mut accepted: Vec<usize> = (0..4)
+            .filter(|&id| match queues[id % 2].push(id) {
+                Push::Accepted { .. } => true,
+                Push::Full { .. } => false,
+                Push::Closed => panic!("closed before shutdown"),
+            })
+            .collect();
+        for q in queues.iter() {
+            q.close();
+        }
+        // A lost close wakeup would hang a join and trip the watchdog.
+        let mut served: Vec<usize> = consumers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        served.sort_unstable();
+        accepted.sort_unstable();
+        assert_eq!(served, accepted, "nothing lost, nothing served twice");
+    });
+}
+
+#[test]
+fn racing_closers_wake_every_blocked_consumer() {
+    loom::model(|| {
+        let queues: Arc<Vec<BoundedQueue<usize>>> =
+            Arc::new((0..2).map(|_| BoundedQueue::new(1)).collect());
+        let consumers = drain_each(&queues);
+        // Two shutdown paths race: closing must be idempotent and wake
+        // every waiter.
+        let closers: Vec<_> = (0..2)
+            .map(|_| {
+                let queues = Arc::clone(&queues);
+                thread::spawn(move || queues.iter().for_each(BoundedQueue::close))
+            })
+            .collect();
+        for c in closers {
+            c.join().unwrap();
+        }
+        for h in consumers {
+            assert!(h.join().unwrap().is_empty(), "nothing was ever queued");
+        }
+        assert!(matches!(queues[0].push(9), Push::Closed));
     });
 }
 

@@ -1,208 +1,143 @@
 #![cfg(loom)]
-//! Model-checked crash-only recovery (DESIGN.md §4.7):
+//! Crash-only recovery (DESIGN.md §4.7) under perturbed schedules
 //! (`RUSTFLAGS="--cfg loom" cargo test -p netpu-serve --test loom_crash`).
 //!
-//! The server promises that a worker panic mid-serve ends in **exactly
-//! one** client-visible outcome: the request is requeued for another
-//! attempt, or rejected with `WorkerCrash` — never both, never
-//! neither, and never a second delivery once an outcome went out. This
-//! suite replays the real recovery protocol — `catch_unwind`
-//! containment, poison-absorbing `lock_recover`, `push_reclaim`
-//! requeue-or-reject, the one-shot response channel consumed at the
-//! send site — over the loom-shimmed [`BoundedQueue`] and the shared
-//! [`DmaArbiter`], with injected panics that unwind **while holding
-//! the arbiter lock** (the worst state a real crash leaves behind).
+//! Both serving stacks promise that a worker panic mid-serve ends in
+//! **exactly one** client-visible outcome: the request is requeued for
+//! another attempt, or rejected with `WorkerCrash` — never both, never
+//! neither, and never a second delivery. These models drive the real
+//! [`WorkerPool`] over the loom-shimmed [`BoundedQueue`] with a
+//! scripted [`Stage`] whose attempts panic on cue, some **while
+//! holding the arbiter lock** (the worst state a real crash leaves
+//! behind). Deliveries are counted through the real tickets: exactly
+//! once means one `recv` succeeds and the next reports the channel
+//! disconnected.
 //!
 //! Three models:
 //!
-//! * **exactly-once under crash storms** — pre- and post-delivery
-//!   crashes across concurrent workers: every request resolves to
+//! * **exactly-once under crash storms** — crashes before and after the
+//!   DMA grant across concurrent workers: every request resolves to
 //!   exactly one outcome, panics/requeues/rejections balance, and the
 //!   poisoned arbiter keeps granting consistently.
 //! * **closed-queue requeue refusal** — a crash whose requeue races a
 //!   shutdown must degrade to an explicit rejection, not a silent
 //!   disconnect.
-//! * **post-delivery crash** — a panic after the outcome was sent
-//!   recovers to *nothing*: no requeue, no second delivery.
+//! * **late crash** — a panic after the attempt's DMA grant, the
+//!   latest point an attempt can die (delivery runs after the attempt
+//!   returns), is still requeued and delivered once, with the wasted
+//!   transfer charged.
 
-use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use loom::thread;
-use netpu_serve::queue::{BoundedQueue, Push};
-use netpu_serve::DmaArbiter;
+use netpu_runtime::DriverError;
+use netpu_serve::worker::{lock_recover, Job, PoolCounters, Served, Stage, Submission, Ticket};
+use netpu_serve::{BoundedQueue, DmaArbiter, RejectReason, TraceSink, WorkerPool};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
 const TRANSFER_US: f64 = 10.0;
 
-/// Where an injected panic unwinds, relative to outcome delivery.
+/// Where an injected panic unwinds within one attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fault {
-    /// No fault: the attempt grants a transfer and delivers success.
+    /// No fault: the attempt grants a transfer and succeeds.
     None,
-    /// Panic before delivery, while holding the arbiter lock —
-    /// recovery must requeue or reject.
-    PreDelivery,
-    /// Panic after delivery — recovery must do nothing.
-    PostDelivery,
+    /// Panic before the grant, while holding the arbiter lock.
+    Early,
+    /// Panic after the grant, just before the attempt returns.
+    Late,
 }
 
-/// Deterministic fault script: attempt `k` (in global pop order) gets
+/// A scripted stack: attempt `k` (in global pop order) gets
 /// `script[k]`; attempts past the script run fault-free.
-struct Injector {
-    attempt: usize,
-    script: Vec<Fault>,
-}
-
-impl Injector {
-    fn next_fault(&mut self) -> Fault {
-        let f = self
-            .script
-            .get(self.attempt)
-            .copied()
-            .unwrap_or(Fault::None);
-        self.attempt += 1;
-        f
-    }
-}
-
-/// A queued request carrying its one-shot response channel. `tx` is
-/// consumed at the delivery site — the same seam the real `Job` uses
-/// to make delivery exactly-once across crashes.
-struct ModelJob {
-    id: usize,
-    tx: Option<()>,
-    crashes: u32,
-}
-
-struct Shared {
-    queue: BoundedQueue<ModelJob>,
+struct Model {
+    queue: BoundedQueue<Job<(), ()>>,
+    counters: PoolCounters,
     arbiter: Mutex<DmaArbiter>,
-    injector: Mutex<Injector>,
+    script: Mutex<Vec<Fault>>,
     crash_requeues: u32,
-    jobs: usize,
-    /// Per-request delivery count: the exactly-once ledger.
-    deliveries: Vec<AtomicUsize>,
-    delivered_total: AtomicUsize,
-    successes: AtomicUsize,
-    rejections: AtomicUsize,
-    worker_panics: AtomicUsize,
-    crash_requeued: AtomicUsize,
 }
 
-/// The real server's poison absorber: a panicking worker poisons any
-/// lock it holds, and every later acquisition keeps going with the
-/// data as the crash left it.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+impl Stage for Model {
+    type Req = ();
+    type Resp = ();
 
-/// Delivers an outcome through the one-shot channel; a job whose
-/// channel was already consumed delivers nothing. The worker that
-/// delivers the final outcome closes the queue (drain-then-shutdown),
-/// so workers exit without any out-of-band signal.
-fn deliver(shared: &Shared, job: &mut ModelJob, ok: bool) {
-    if job.tx.take().is_none() {
-        return;
+    fn queue(&self, _queue: usize) -> &BoundedQueue<Job<(), ()>> {
+        &self.queue
     }
-    shared.deliveries[job.id].fetch_add(1, Ordering::SeqCst);
-    if ok {
-        shared.successes.fetch_add(1, Ordering::SeqCst);
-    } else {
-        shared.rejections.fetch_add(1, Ordering::SeqCst);
-    }
-    if shared.delivered_total.fetch_add(1, Ordering::SeqCst) + 1 == shared.jobs {
-        shared.queue.close();
-    }
-}
 
-/// One serve attempt, mirroring `serve_one`: draw the injected fault,
-/// maybe die holding the arbiter, otherwise grant a transfer on the
-/// shared DMA and deliver success (maybe dying on the way out).
-fn serve_one(shared: &Shared, job: &mut ModelJob) {
-    let fault = lock_recover(&shared.injector).next_fault();
-    if fault == Fault::PreDelivery {
-        let _arbiter = lock_recover(&shared.arbiter);
-        panic!("injected worker crash serving request {}", job.id);
+    fn counters(&self) -> &PoolCounters {
+        &self.counters
     }
-    {
-        let mut arbiter = lock_recover(&shared.arbiter);
-        let g = arbiter.grant(0.0, TRANSFER_US, TRANSFER_US);
-        assert!(g.transfer_end_us >= g.start_us);
-    }
-    deliver(shared, job, true);
-    if fault == Fault::PostDelivery {
-        panic!("injected worker crash after delivering request {}", job.id);
-    }
-}
 
-/// The real `recover_crash` protocol, verbatim in miniature: count the
-/// panic; a consumed channel means the outcome already went out — do
-/// nothing; otherwise requeue within budget via `push_reclaim`, and on
-/// refusal (full or closed) reclaim the job and reject explicitly.
-fn recover_crash(shared: &Shared, job: ModelJob) {
-    shared.worker_panics.fetch_add(1, Ordering::SeqCst);
-    let mut job = job;
-    if job.tx.is_none() {
-        return;
+    fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
+        None
     }
-    job.crashes += 1;
-    if job.crashes <= shared.crash_requeues {
-        match shared.queue.push_reclaim(job) {
-            Ok(_) => {
-                shared.crash_requeued.fetch_add(1, Ordering::SeqCst);
-                return;
+
+    fn crash_requeues(&self) -> u32 {
+        self.crash_requeues
+    }
+
+    fn serve(&self, _queue: usize, job: &mut Job<(), ()>) -> Served<()> {
+        let fault = {
+            let mut script = lock_recover(&self.script);
+            if script.is_empty() {
+                Fault::None
+            } else {
+                script.remove(0)
             }
-            Err((reclaimed, _refusal)) => job = reclaimed,
+        };
+        if fault == Fault::Early {
+            let _arbiter = lock_recover(&self.arbiter);
+            panic!("injected worker crash serving request {}", job.id);
         }
+        let g = lock_recover(&self.arbiter).grant(0.0, TRANSFER_US, TRANSFER_US);
+        assert!(g.transfer_end_us >= g.start_us);
+        if fault == Fault::Late {
+            panic!(
+                "injected worker crash after the grant of request {}",
+                job.id
+            );
+        }
+        (Ok(()), g.complete_us)
     }
-    deliver(shared, &mut job, false);
 }
 
-/// The real `worker_loop`: crash-only containment around each serve,
-/// recovery on unwind, exit when the queue closes and drains.
-fn worker_loop(shared: &Shared) {
-    while let Some(mut job) = shared.queue.pop_wait() {
-        let served =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve_one(shared, &mut job)));
-        if served.is_err() {
-            recover_crash(shared, job);
-        }
-    }
-}
-
-fn shared(jobs: usize, capacity: usize, crash_requeues: u32, script: Vec<Fault>) -> Arc<Shared> {
-    Arc::new(Shared {
+fn model(capacity: usize, crash_requeues: u32, script: Vec<Fault>) -> Arc<Model> {
+    Arc::new(Model {
         queue: BoundedQueue::new(capacity),
+        counters: PoolCounters::default(),
         arbiter: Mutex::new(DmaArbiter::new(2)),
-        injector: Mutex::new(Injector { attempt: 0, script }),
+        script: Mutex::new(script),
         crash_requeues,
-        jobs,
-        deliveries: (0..jobs).map(|_| AtomicUsize::new(0)).collect(),
-        delivered_total: AtomicUsize::new(0),
-        successes: AtomicUsize::new(0),
-        rejections: AtomicUsize::new(0),
-        worker_panics: AtomicUsize::new(0),
-        crash_requeued: AtomicUsize::new(0),
     })
 }
 
-fn submit_all(shared: &Shared) {
-    for id in 0..shared.jobs {
-        let pushed = shared.queue.push(ModelJob {
-            id,
-            tx: Some(()),
-            crashes: 0,
-        });
-        assert!(matches!(pushed, Push::Accepted { .. }), "admission refused");
-    }
-}
-
-fn spawn_workers(shared: &Arc<Shared>, n: usize) -> Vec<thread::JoinHandle<()>> {
-    (0..n)
-        .map(|_| {
-            let shared = Arc::clone(shared);
-            thread::spawn(move || worker_loop(&shared))
+fn submit_all(m: &Model, jobs: u64) -> Vec<Ticket<()>> {
+    (0..jobs)
+        .map(|id| match m.enqueue(0, id, 0.0, false, ()) {
+            Submission::Accepted(t) => t,
+            Submission::Denied(reason) => panic!("admission refused: {reason}"),
         })
         .collect()
+}
+
+/// Takes each ticket's one outcome, then checks its channel reports
+/// disconnected: no second delivery is pending or can ever come.
+/// Returns `(successes, crash rejections)`.
+fn outcomes(tickets: &[Ticket<()>]) -> (usize, usize) {
+    let (mut ok, mut rejected) = (0, 0);
+    for (id, t) in tickets.iter().enumerate() {
+        match t.recv() {
+            Ok(Ok(())) => ok += 1,
+            Ok(Err(DriverError::Rejected(RejectReason::WorkerCrash { .. }))) => rejected += 1,
+            other => panic!("request {id}: unexpected outcome {other:?}"),
+        }
+        assert!(t.recv().is_err(), "request {id} delivered twice");
+    }
+    (ok, rejected)
+}
+
+fn load(counter: &std::sync::atomic::AtomicU64) -> usize {
+    counter.load(Ordering::SeqCst) as usize
 }
 
 /// Silences the injected panics (each model iteration unwinds several
@@ -228,50 +163,38 @@ fn quiet_injected_panics() {
 fn crash_storm_delivers_each_outcome_exactly_once() {
     quiet_injected_panics();
     loom::model(|| {
-        const JOBS: usize = 4;
-        // Three pre-delivery crashes and one post-delivery crash land
-        // on the first four pops, however the workers interleave.
-        let shared = shared(
-            JOBS,
-            JOBS,
+        const JOBS: u64 = 4;
+        // Three early crashes and one late crash land on the first
+        // four pops, however the workers interleave.
+        let m = model(
+            4,
             1,
-            vec![
-                Fault::PreDelivery,
-                Fault::PreDelivery,
-                Fault::PreDelivery,
-                Fault::PostDelivery,
-            ],
+            vec![Fault::Early, Fault::Early, Fault::Early, Fault::Late],
         );
-        submit_all(&shared);
-        let workers = spawn_workers(&shared, 2);
-        for w in workers {
-            // A lost outcome would leave the queue open and hang this
-            // join until the model watchdog fires.
-            w.join().unwrap();
-        }
+        let tickets = submit_all(&m, JOBS);
+        let pool = WorkerPool::spawn(&m, 1, 2);
+        // A lost outcome would block this `recv` until the model
+        // watchdog fires.
+        let (successes, rejections) = outcomes(&tickets);
+        pool.shutdown(&*m);
 
-        // Exactly once, for every request, under every interleaving.
-        for (id, d) in shared.deliveries.iter().enumerate() {
-            assert_eq!(d.load(Ordering::SeqCst), 1, "request {id} outcome count");
-        }
-        let successes = shared.successes.load(Ordering::SeqCst);
-        let rejections = shared.rejections.load(Ordering::SeqCst);
-        let panics = shared.worker_panics.load(Ordering::SeqCst);
-        let requeued = shared.crash_requeued.load(Ordering::SeqCst);
-        assert_eq!(successes + rejections, JOBS);
-        assert_eq!(panics, 4, "every scripted fault fired");
-        // Each pre-delivery crash resolved as a requeue or a rejection
-        // — never both, never neither. With a budget of one requeue, a
-        // rejection needs the same job crashed twice, so at most one
-        // of the three pre-delivery crashes can end in rejection.
-        assert_eq!(requeued + rejections, 3);
-        assert!(rejections <= 1, "rejections = {rejections}");
-        // The arbiter was poisoned by every pre-delivery crash, yet
-        // its bookkeeping stayed exact: one transfer per success (the
-        // post-delivery crash granted and delivered before dying).
-        let busy = lock_recover(&shared.arbiter).dma_busy_us();
-        assert!((busy - successes as f64 * TRANSFER_US).abs() < 1e-9);
-        assert!(shared.queue.is_empty());
+        let c = &m.counters;
+        assert_eq!(successes + rejections, JOBS as usize);
+        assert_eq!(load(&c.completed), successes);
+        assert_eq!(load(&c.failed), rejections);
+        assert_eq!(load(&c.worker_panics), 4, "every scripted fault fired");
+        // Each crash resolved as a requeue or a rejection — never both,
+        // never neither. With a budget of one requeue, a rejection
+        // needs the same job crashed twice.
+        let requeued = load(&c.crash_requeued);
+        assert_eq!(requeued + rejections, 4);
+        assert!(rejections <= 2, "rejections = {rejections}");
+        // The arbiter was poisoned by every early crash, yet its
+        // bookkeeping stayed exact: one transfer per success plus the
+        // one the late crash charged before dying.
+        let busy = lock_recover(&m.arbiter).dma_busy_us();
+        assert!((busy - (successes + 1) as f64 * TRANSFER_US).abs() < 1e-9);
+        assert!(m.queue.is_empty());
     });
 }
 
@@ -279,48 +202,43 @@ fn crash_storm_delivers_each_outcome_exactly_once() {
 fn requeue_refused_by_shutdown_degrades_to_explicit_rejection() {
     quiet_injected_panics();
     loom::model(|| {
-        const JOBS: usize = 2;
-        let shared = shared(JOBS, JOBS, 1, vec![Fault::PreDelivery]);
-        submit_all(&shared);
+        let m = model(2, 1, vec![Fault::Early]);
+        let tickets = submit_all(&m, 2);
         // Shutdown races the workers: admission closes while both
         // queued jobs are still in flight, so the crashed job's
         // requeue is refused (`Push::Closed`) even though its crash
         // budget is unspent — recovery must reclaim it and answer the
         // client with an explicit rejection.
-        shared.queue.close();
-        let workers = spawn_workers(&shared, 2);
-        for w in workers {
-            w.join().unwrap();
-        }
+        m.queue.close();
+        let pool = WorkerPool::spawn(&m, 1, 2);
+        let (successes, rejections) = outcomes(&tickets);
+        pool.shutdown(&*m);
 
-        for (id, d) in shared.deliveries.iter().enumerate() {
-            assert_eq!(d.load(Ordering::SeqCst), 1, "request {id} outcome count");
-        }
-        assert_eq!(shared.worker_panics.load(Ordering::SeqCst), 1);
-        assert_eq!(shared.crash_requeued.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.rejections.load(Ordering::SeqCst), 1);
-        assert_eq!(shared.successes.load(Ordering::SeqCst), 1);
+        assert_eq!((successes, rejections), (1, 1));
+        let c = &m.counters;
+        assert_eq!(load(&c.worker_panics), 1);
+        assert_eq!(load(&c.crash_requeued), 0);
     });
 }
 
 #[test]
-fn post_delivery_crash_recovers_to_nothing() {
+fn late_crash_is_requeued_and_delivered_once() {
     quiet_injected_panics();
     loom::model(|| {
-        let shared = shared(1, 1, 1, vec![Fault::PostDelivery]);
-        submit_all(&shared);
-        let workers = spawn_workers(&shared, 1);
-        for w in workers {
-            w.join().unwrap();
-        }
+        let m = model(1, 1, vec![Fault::Late]);
+        let tickets = submit_all(&m, 1);
+        let pool = WorkerPool::spawn(&m, 1, 1);
+        let (successes, rejections) = outcomes(&tickets);
+        pool.shutdown(&*m);
 
-        // The outcome went out before the crash: recovery counts the
-        // panic and touches nothing else — no requeue, no rejection,
-        // no second delivery.
-        assert_eq!(shared.deliveries[0].load(Ordering::SeqCst), 1);
-        assert_eq!(shared.worker_panics.load(Ordering::SeqCst), 1);
-        assert_eq!(shared.crash_requeued.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.rejections.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.successes.load(Ordering::SeqCst), 1);
+        // The crashed attempt's grant stays charged, but its outcome
+        // never went out: the requeued attempt delivers the only one.
+        assert_eq!((successes, rejections), (1, 0));
+        let c = &m.counters;
+        assert_eq!(load(&c.worker_panics), 1);
+        assert_eq!(load(&c.crash_requeued), 1);
+        assert_eq!(load(&c.completed), 1);
+        let busy = lock_recover(&m.arbiter).dma_busy_us();
+        assert!((busy - 2.0 * TRANSFER_US).abs() < 1e-9);
     });
 }

@@ -23,8 +23,11 @@
 //! `certify-timing` is the timing-soundness release gate (DESIGN.md
 //! §4.9): it prices the same zoo + random-model corpus with the
 //! closed-form cycle model (`netpu_check::timing`) against every
-//! fuzzer sweep instance, and fails on any disagreement with the tick
-//! simulator's cycle counter — zero tolerance, no `±` band.
+//! fuzzer sweep instance, and fails on any disagreement with the cycle
+//! count of the phase-skipping fast simulator
+//! (`netpu_core::run_inference_fast`) — zero tolerance, no `±` band.
+//! The fast path is itself pinned cycle-exact against the tick engine
+//! by `crates/core/tests/fast_path.rs`.
 //!
 //! `dse` is the offline design-space exploration: it enumerates
 //! `HwConfig` × folding × packing × accumulator-width candidates,
@@ -370,8 +373,10 @@ fn certify_timing(models: usize) -> ExitCode {
 
 /// The timing-certification differential gate: proves the closed-form
 /// cycle model (`netpu_check::timing`, DESIGN.md §4.9) **exact** —
-/// zero tolerance, not a bound — against the tick simulator's cycle
-/// counter across the full zoo (both BN modes, both weight packings),
+/// zero tolerance, not a bound — against the cycle count of the
+/// phase-skipping fast simulator (`run_inference_fast`, which
+/// `crates/core/tests/fast_path.rs` pins cycle-exact against the tick
+/// engine) across the full zoo (both BN modes, both weight packings),
 /// `models` deterministic random models, and every fuzzer sweep
 /// instance, plus a pre-packaged burst. A `(stream, instance)` pair
 /// the instance statically rejects is skipped (there is no simulated
@@ -428,7 +433,7 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
     }
     Ok(format!(
         "xtask certify-timing: {compared} (stream, instance) pairs cycle-exact against the \
-         tick simulator ({zoo_streams} zoo streams + {models} random models x {} sweep \
+         fast simulator ({zoo_streams} zoo streams + {models} random models x {} sweep \
          instances; {skipped} pairs skipped where the instance rejects the stream), \
          zero tolerance; burst model exact",
         configs.len()
@@ -451,7 +456,7 @@ fn compile_timing_stream(
     Ok(loadable.words)
 }
 
-/// Proves one stream's statically predicted cycle count equals the tick
+/// Proves one stream's statically predicted cycle count equals the fast
 /// simulator's on `cfg`. `Ok(false)` means the instance rejects the
 /// stream (nothing to compare); `Ok(true)` is an exact match; any
 /// mismatch is an error.
@@ -1583,7 +1588,7 @@ mod tests {
     #[test]
     fn dse_frontier_prices_are_simulation_exact() {
         // The search never simulates; spot-check its prices against the
-        // tick simulator on the cheapest and fastest frontier points.
+        // fast simulator on the cheapest and fastest frontier points.
         let variant = netpu_nn::zoo::ZooModel::TfcW1A1;
         let outcome = dse_model(variant).expect("search runs");
         let model = variant
