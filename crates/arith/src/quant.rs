@@ -43,7 +43,7 @@ pub fn clamp_signed(v: i64, p: Precision) -> i32 {
 /// where `x` is the 37-bit activation output, `scale`/`offset` are 32-bit
 /// fixed-point parameter words, and `O` is the next layer's input
 /// precision. The floor is the hardware's truncation of fraction bits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct QuantParams {
     /// Multiplicative rescale factor.
     pub scale: Fix,

@@ -31,6 +31,14 @@
 //! the tick simulator is pinned by the `xtask certify-timing`
 //! differential gate.
 //!
+//! [`analyze`] runs the tiers over one decode of the stream and returns
+//! the findings with the timing certificate; [`timing::report_timing`]
+//! turns a certificate into the NPC027–NPC031 findings under a
+//! [`TimingSpec`]. A [`VerdictStore`] keeps
+//! those results keyed on the stream with its input section masked, so
+//! admission layers pay the analysis once per distinct stream rather
+//! than once per request.
+//!
 //! Findings are structured [`Diagnostic`]s with stable rule IDs
 //! (`NPC001`…), byte offsets into the serialized stream, and
 //! severities. **Errors** come in three families the admission layers
@@ -61,19 +69,21 @@
 //!
 //! let mut bad = loadable.clone();
 //! bad.words[0] ^= 1; // flip a magic bit
-//! let report = netpu_check::check_words(&bad.words, &HwConfig::paper_instance());
+//! let report = netpu_check::analyze(&bad.words, &HwConfig::paper_instance(), Default::default()).report;
 //! assert!(report.has_errors() && report.fired(RuleId::Npc001));
 //! ```
 
 pub mod absint;
 mod diag;
 mod rules;
+mod store;
 pub mod symex;
 pub mod timing;
 mod verdict;
 
 pub use absint::{LayerBounds, NeuronBounds, RangeAnalysis};
 pub use diag::{Diagnostic, Report, RuleId, Severity};
+pub use store::{payload_span, StoreStats, VerdictStore};
 pub use symex::{certify, compile_certified, Certificate, CertifyError, CertifyOutcome, Witness};
 pub use timing::{DmaParams, LayerTiming, StreamTiming, TimingPhase, TimingSpec};
 pub use verdict::{AdmissionVerdict, RejectReason};
@@ -82,112 +92,103 @@ use netpu_compiler::Loadable;
 use netpu_core::HwConfig;
 use netpu_nn::qmodel::QuantMlp;
 
-/// Checks a compiled loadable against an instance configuration. The
-/// section layout is recomputed from the stream itself — the loadable's
-/// host-side `layout` metadata is deliberately not trusted.
-pub fn check(loadable: &Loadable, cfg: &HwConfig) -> Report {
-    check_words(&loadable.words, cfg)
+/// The optional tiers [`analyze`] runs on top of the structural and
+/// range tiers, which always run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tiers<'a> {
+    /// The source model the stream claims to implement. Adds the
+    /// [`symex`] translation validation (NPC021–NPC026) when the first
+    /// two tiers find no errors.
+    pub source: Option<&'a QuantMlp>,
 }
 
-/// Checks a raw word stream (e.g. one received over a transport, with
-/// no host-side metadata) against an instance configuration.
+/// Everything one verifier pass learns about a stream.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Analysis {
+    /// Every finding of every tier that ran.
+    pub report: Report,
+    /// The [`timing`] certificate. `None` exactly when the stream is
+    /// structurally unsound or does not decode: no cycle count exists
+    /// to certify.
+    pub timing: Option<StreamTiming>,
+    /// The proved per-neuron bounds of the range tier, under the same
+    /// condition as `timing`. A [`VerdictStore`] keeps findings and the
+    /// certificate only, so analyses it serves carry `None`.
+    pub range: Option<RangeAnalysis>,
+}
+
+impl Analysis {
+    /// The admission verdict under the given policy
+    /// ([`AdmissionVerdict::from_report_tiers`]).
+    pub fn verdict(&self, strict_range: bool, strict_equiv: bool) -> AdmissionVerdict {
+        AdmissionVerdict::from_report_tiers(self.report.clone(), strict_range, strict_equiv)
+    }
+}
+
+/// Runs the verifier over a raw word stream (e.g. one received over a
+/// transport, with no host-side metadata) against an instance
+/// configuration. The section layout is recomputed from the stream.
 ///
-/// Structurally clean streams are additionally decoded and run through
-/// the [`absint`] range analyzer; streams the decoder cannot reconstruct
-/// (multi-loadable bursts, truncated tails already reported by the
-/// structural rules) skip the second tier silently.
-pub fn check_words(words: &[u64], cfg: &HwConfig) -> Report {
+/// The structural rules always run. A structurally clean stream is
+/// then decoded once ([`netpu_compiler::decode_packed`]), and that one
+/// decode feeds the [`absint`] range analysis, the [`timing`]
+/// certificate and, with [`Tiers::source`], the [`symex`] translation
+/// validation. Streams the decoder cannot reconstruct (multi-loadable
+/// bursts, truncated tails already reported by the structural rules)
+/// skip the later tiers silently.
+pub fn analyze(words: &[u64], cfg: &HwConfig, tiers: Tiers<'_>) -> Analysis {
     let mut report = rules::run_all(words, cfg);
-    if !report.has_errors() {
-        if let Ok(packed) = netpu_compiler::decode_packed(words) {
-            absint::analyze(&packed, cfg, &mut report);
-        }
-    }
-    report
-}
-
-/// Runs the full two-tier admission decision on a raw word stream:
-/// [`check_words`] followed by [`AdmissionVerdict::from_report`]. This
-/// is the one gate the driver, the serving layers, and the fuzzer all
-/// call, so a stream receives the identical verdict at every layer.
-pub fn admit_words(words: &[u64], cfg: &HwConfig, strict_range: bool) -> AdmissionVerdict {
-    AdmissionVerdict::from_report(check_words(words, cfg), strict_range)
-}
-
-/// The full **three-tier** check: [`check_words`] plus, when the first
-/// two tiers pass, the [`symex`] translation validation of the stream
-/// against its claimed source model. The returned report carries every
-/// finding from all tiers; NPC021–NPC026 appear only when the stream
-/// was sound enough to certify.
-pub fn check_words_against(words: &[u64], source: &QuantMlp, cfg: &HwConfig) -> Report {
-    let mut report = check_words(words, cfg);
-    if !report.has_errors() {
-        let outcome = symex::certify(source, words, cfg);
-        report.merge(outcome.report);
-    }
-    report
-}
-
-/// The three-tier admission decision for callers holding the claimed
-/// source model: [`check_words_against`] followed by
-/// [`AdmissionVerdict::from_report_tiers`] with `strict_equiv` enabled.
-/// `strict_range` keeps its usual meaning for the second tier.
-pub fn admit_words_against(
-    words: &[u64],
-    source: &QuantMlp,
-    cfg: &HwConfig,
-    strict_range: bool,
-) -> AdmissionVerdict {
-    AdmissionVerdict::from_report_tiers(check_words_against(words, source, cfg), strict_range, true)
-}
-
-/// [`check_words`] plus the proved per-neuron bounds, for callers that
-/// want the [`RangeAnalysis`] itself (the soundness test suite, width
-/// tooling). The analysis half is `None` exactly when `check_words`
-/// would have skipped it.
-pub fn check_words_analyzed(words: &[u64], cfg: &HwConfig) -> (Report, Option<RangeAnalysis>) {
-    let mut report = rules::run_all(words, cfg);
-    if report.has_errors() {
-        return (report, None);
-    }
-    let analysis = netpu_compiler::decode_packed(words)
-        .ok()
-        .map(|packed| absint::analyze(&packed, cfg, &mut report));
-    (report, analysis)
-}
-
-/// The four-tier check: [`check_words`] plus, whenever the stream
-/// decodes at all, the [`timing`] certification under `spec` — the
-/// cycle count only depends on the decoded settings, so timing findings
-/// (NPC027–NPC031) are derived even when the range tier reported
-/// numeric hazards. The certificate is `None` exactly when the stream
-/// is structurally unsound (the decoder cannot reconstruct it, so no
-/// cycle count exists to certify).
-pub fn check_words_timed(
-    words: &[u64],
-    cfg: &HwConfig,
-    spec: &timing::TimingSpec,
-) -> (Report, Option<timing::StreamTiming>) {
-    let mut report = check_words(words, cfg);
-    let timed = if report.has_structural_errors() {
+    let packed = if report.has_errors() {
         None
     } else {
-        netpu_compiler::decode(words).ok().map(|decoded| {
-            let t = timing::analyze(&decoded, cfg);
-            timing::report_timing(&t, cfg, spec, &mut report);
-            t
-        })
+        netpu_compiler::decode_packed(words).ok()
     };
-    (report, timed)
+    let Some(packed) = packed else {
+        if let (Some(source), false) = (tiers.source, report.has_errors()) {
+            report.merge(symex::certify(source, words, cfg).report);
+        }
+        return Analysis {
+            report,
+            timing: None,
+            range: None,
+        };
+    };
+    let range = absint::analyze(&packed, cfg, &mut report);
+    if let (Some(source), false) = (tiers.source, report.has_errors()) {
+        report.merge(symex::certify_decoded(source, packed.to_decoded(), cfg).report);
+    }
+    Analysis {
+        report,
+        timing: Some(timing::analyze(&packed.decoded, cfg)),
+        range: Some(range),
+    }
+}
+
+/// The structural and range tiers over a compiled loadable. The
+/// loadable's host-side `layout` metadata is deliberately not trusted.
+pub fn check(loadable: &Loadable, cfg: &HwConfig) -> Report {
+    analyze(&loadable.words, cfg, Tiers::default()).report
+}
+
+/// The three tiers of a caller holding the stream's claimed source
+/// model: structural, range and translation validation.
+pub fn check_words_against(words: &[u64], source: &QuantMlp, cfg: &HwConfig) -> Report {
+    analyze(
+        words,
+        cfg,
+        Tiers {
+            source: Some(source),
+        },
+    )
+    .report
 }
 
 /// The statically certified per-inference cycle count of a raw stream
-/// on `cfg`, or `None` when the stream does not decode. This is the
-/// value `xtask certify-timing` proves byte-for-byte equal to the tick
-/// simulator's cycle counter; the runtime records it alongside traced
-/// runs so replay can cross-check the model against real executions.
+/// on `cfg`, or `None` when the stream is structurally unsound or does
+/// not decode. This is the value `xtask certify-timing` proves equal to
+/// the simulator's cycle counter.
 pub fn predict_cycles(words: &[u64], cfg: &HwConfig) -> Option<u64> {
-    netpu_compiler::decode(words)
-        .ok()
-        .map(|decoded| timing::analyze(&decoded, cfg).total_cycles())
+    analyze(words, cfg, Tiers::default())
+        .timing
+        .map(|t| t.total_cycles())
 }

@@ -1,4 +1,4 @@
-//! The rule implementations behind [`crate::check_words`].
+//! The rule implementations behind [`crate::analyze`].
 //!
 //! Each rule encodes one architectural invariant of the NetPU-M stream
 //! protocol or instance configuration; DESIGN.md §4.3 is the catalog.

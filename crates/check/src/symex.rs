@@ -49,7 +49,7 @@
 
 use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::{cast, Fix, Precision};
-use netpu_compiler::{compile, decode, Loadable, StreamError};
+use netpu_compiler::{compile, decode, Decoded, Loadable, StreamError};
 use netpu_core::HwConfig;
 use netpu_nn::qmodel::{LayerActivation, QuantMlp};
 use netpu_nn::reference;
@@ -204,6 +204,16 @@ pub fn compile_certified(
 /// instance. See the module docs for the decision procedure; the
 /// outcome's report carries only NPC021–NPC026 findings.
 pub fn certify(model: &QuantMlp, words: &[u64], cfg: &HwConfig) -> CertifyOutcome {
+    certify_decoded(model, decode(words), cfg)
+}
+
+/// [`certify`] over a stream the caller already decoded: `decoded` is
+/// what [`decode`] returns for it.
+pub(crate) fn certify_decoded(
+    model: &QuantMlp,
+    decoded: Result<Decoded, StreamError>,
+    cfg: &HwConfig,
+) -> CertifyOutcome {
     let mut report = Report::default();
     let mut witnesses = Vec::new();
     if model.validate().is_err() {
@@ -220,7 +230,7 @@ pub fn certify(model: &QuantMlp, words: &[u64], cfg: &HwConfig) -> CertifyOutcom
             witnesses,
         };
     }
-    let decoded = match decode(words) {
+    let decoded = match decoded {
         Ok(d) => d,
         Err(e) => {
             report.push(

@@ -1,7 +1,7 @@
 //! One accepting and one rejecting fixture per `NPC` rule ID.
 
 use netpu_arith::{Fix, Precision, QuantParams};
-use netpu_check::{certify, check, check_words, check_words_timed, Report, RuleId, TimingSpec};
+use netpu_check::{analyze, certify, check, timing, Report, RuleId, StreamTiming, TimingSpec};
 use netpu_compiler::{compile, compile_packed, Loadable, PackingMode, SectionKind};
 use netpu_core::HwConfig;
 use netpu_nn::export::BnMode;
@@ -18,7 +18,16 @@ fn tfc(bn: BnMode) -> Loadable {
 }
 
 fn rep(words: &[u64]) -> Report {
-    check_words(words, &cfg())
+    analyze(words, &cfg(), Default::default()).report
+}
+
+/// The four-tier check: the findings plus the timing certificate.
+fn timed(words: &[u64], cfg: &HwConfig, spec: &TimingSpec) -> (Report, Option<StreamTiming>) {
+    let mut a = analyze(words, cfg, Default::default());
+    if let Some(t) = &a.timing {
+        timing::report_timing(t, cfg, spec, &mut a.report);
+    }
+    (a.report, a.timing)
 }
 
 /// Word range of a layer's section in the stream, via the (trusted in
@@ -610,7 +619,7 @@ fn npc027_exact_cycle_certificate() {
     // The timing tier is opt-in: the two-tier check never emits it.
     assert!(!check(&l, &cfg()).fired(RuleId::Npc027));
 
-    let (r, t) = check_words_timed(&l.words, &cfg(), &TimingSpec::default());
+    let (r, t) = timed(&l.words, &cfg(), &TimingSpec::default());
     assert!(r.fired(RuleId::Npc027), "{r}");
     assert!(!r.has_errors());
     let t = t.expect("structurally sound stream gets a certificate");
@@ -625,7 +634,7 @@ fn npc028_per_layer_bottleneck_attribution() {
     let l = tfc(BnMode::Folded);
     assert!(!check(&l, &cfg()).fired(RuleId::Npc028));
 
-    let (r, t) = check_words_timed(&l.words, &cfg(), &TimingSpec::default());
+    let (r, t) = timed(&l.words, &cfg(), &TimingSpec::default());
     assert!(r.fired(RuleId::Npc028), "{r}");
     assert!(!r.has_errors());
     // Every decoded layer has a dominant phase to attribute.
@@ -642,7 +651,7 @@ fn npc029_folding_slack() {
         tnpus_per_lpu: 9,
         ..cfg()
     };
-    let (r, _) = check_words_timed(&l.words, &oversized, &TimingSpec::default());
+    let (r, _) = timed(&l.words, &oversized, &TimingSpec::default());
     assert!(r.fired(RuleId::Npc029), "{r}");
     assert!(!r.has_errors());
 
@@ -653,7 +662,7 @@ fn npc029_folding_slack() {
         mul_lanes: 1,
         ..cfg()
     };
-    let (r, _) = check_words_timed(&l.words, &tight, &TimingSpec::default());
+    let (r, _) = timed(&l.words, &tight, &TimingSpec::default());
     assert!(!r.fired(RuleId::Npc029), "{r}");
 }
 
@@ -664,7 +673,7 @@ fn npc030_deadline_infeasibility() {
         deadline_us: Some(1e9),
         ..TimingSpec::default()
     };
-    let (r, _) = check_words_timed(&l.words, &cfg(), &generous);
+    let (r, _) = timed(&l.words, &cfg(), &generous);
     assert!(!r.fired(RuleId::Npc030));
     assert!(!r.has_errors());
 
@@ -673,7 +682,7 @@ fn npc030_deadline_infeasibility() {
         deadline_us: Some(1.0),
         ..TimingSpec::default()
     };
-    let (r, t) = check_words_timed(&l.words, &cfg(), &harsh);
+    let (r, t) = timed(&l.words, &cfg(), &harsh);
     assert!(r.fired(RuleId::Npc030), "{r}");
     assert!(r.has_errors() && r.has_timing_errors());
     assert!(
@@ -688,7 +697,7 @@ fn npc031_dma_vs_compute_classification() {
     let l = tfc(BnMode::Folded);
     assert!(!check(&l, &cfg()).fired(RuleId::Npc031));
 
-    let (r, t) = check_words_timed(&l.words, &cfg(), &TimingSpec::default());
+    let (r, t) = timed(&l.words, &cfg(), &TimingSpec::default());
     assert!(r.fired(RuleId::Npc031), "{r}");
     assert!(!r.has_errors());
     // The fired classification matches the certificate's predicate.

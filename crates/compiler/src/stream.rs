@@ -833,6 +833,30 @@ impl PackedDecode {
     pub fn into_kernel(self) -> Result<PackedMlp<'static>, StreamError> {
         PackedMlp::from_rows(self.decoded.model, self.rows).map_err(StreamError::InvalidModel)
     }
+
+    /// What [`decode`] returns for the stream, without reading it
+    /// again: the XNOR-path layers' packed rows expanded to `i32`
+    /// weights, and the model validated as [`decode`] validates it.
+    pub fn to_decoded(&self) -> Result<Decoded, StreamError> {
+        let mut decoded = self.decoded.clone();
+        let mode = decoded.packing;
+        let model = &mut decoded.model;
+        let weights = model
+            .hidden
+            .iter_mut()
+            .map(|l| &mut l.weights)
+            .chain(std::iter::once(&mut model.output.weights));
+        for ((weights, rows), setting) in weights.zip(&self.rows).zip(&self.decoded.settings[1..]) {
+            if let Some(rows) = rows {
+                *weights = decode_weights(setting, rows, mode);
+            }
+        }
+        decoded
+            .model
+            .validate()
+            .map_err(StreamError::InvalidModel)?;
+        Ok(decoded)
+    }
 }
 
 /// [`decode`] without building the `i32` weights of XNOR-path layers.

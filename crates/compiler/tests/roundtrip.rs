@@ -197,6 +197,7 @@ fn packed_decode_infers_like_the_full_decode() {
             let packed = stream::decode_packed(&loadable.words).unwrap();
             assert_eq!(packed.decoded.settings, full.settings);
             assert_eq!(packed.decoded.pixels, full.pixels);
+            assert_eq!(packed.to_decoded(), Ok(full.clone()), "model {k} {mode:?}");
             let kernel = packed.into_kernel().unwrap();
             assert_eq!(
                 kernel.infer_traced(&pixels),

@@ -6,16 +6,19 @@
 //! range checks, plus — on a strict-equiv driver — NPC021–NPC026
 //! translation validation against the source model) and one
 //! cycle-accurate simulation; every later request reuses the
-//! [`AdmittedModel`] from the cache and never re-runs admission.
+//! [`AdmittedModel`] from the cache and never re-runs admission. The
+//! analysis itself lives in the driver's verdict store, which outlives
+//! an eviction: a model that returns is compiled and simulated again
+//! but its stream is not re-analyzed.
 //!
 //! An admitted model splits a request's answer in two. Cycles and
 //! latency are input-independent for a loaded model, so they come from
 //! the admission run and the static timing certificate. Values come
 //! from the [`ValueKernel`]: the admitted stream decoded once at
-//! admission (the same decode the timing certificate reads) for
-//! bit-exact XNOR+popcount inference. The kernel serves what the
-//! *stream* encodes, not the request's source model, and admission
-//! checks it against the simulator's class and score on the zero input.
+//! admission for bit-exact XNOR+popcount inference. The kernel serves
+//! what the *stream* encodes, not the request's source model, and
+//! admission checks it against the simulator's class and score on the
+//! zero input.
 //!
 //! The cache is byte-budgeted LRU over the stream words: admitting a
 //! model past the budget evicts the least-recently-used residents
@@ -30,6 +33,7 @@
 //! compilation (see `tests/cache_proptest.rs`).
 
 use netpu_arith::{cast, Fix};
+use netpu_check::RejectReason;
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_nn::reference::PackedMlp;
 use netpu_nn::QuantMlp;
@@ -431,23 +435,28 @@ impl CompiledModelCache {
     /// The source model is in hand here, so the pre-flight runs through
     /// [`Driver::run_loadable_against`]: a strict-equiv driver extends
     /// the two structural/range tiers with translation validation of
-    /// the compiled stream against `model` (NPC021–NPC026), paid — like
-    /// the rest of admission — exactly once per model id.
+    /// the compiled stream against `model` (NPC021–NPC026). The
+    /// driver's verdict store keeps that analysis past this entry's
+    /// eviction, so a model that comes back pays compile, one lookup
+    /// and one simulation, not the symbolic check again.
     fn admit(&self, id: u64, model: &QuantMlp) -> Result<Arc<AdmittedModel>, DriverError> {
         let zeros = vec![0u8; model.input.len];
         let loadable = compile(model, &zeros).map_err(DriverError::Compile)?;
-        let run = self.driver.run_loadable_against(&loadable, model)?;
+        let (run, analysis) = self.driver.run_loadable_against(&loadable, model)?;
         let clock = self.driver.hw.clock_mhz;
-        // One decode of the admitted stream feeds both halves of the
-        // answer. §V swap economics come from the static timing
+        // §V swap economics come from the admission's static timing
         // certificate (`netpu-check::timing`, DESIGN.md §4.9): the
         // certified closed form derives the full-stream/resident word
         // split from the decoded stream + `HwConfig` alone, and `xtask
-        // certify-timing` pins it to the simulator. The decoded model
-        // becomes the value kernel.
+        // certify-timing` pins it to the simulator. An admitted stream
+        // is structurally sound, so it has one.
+        let t = analysis.timing.as_ref().ok_or_else(|| {
+            DriverError::Rejected(RejectReason::Invalid {
+                report: analysis.report.clone(),
+            })
+        })?;
         let packed =
             netpu_compiler::decode_packed(&loadable.words).map_err(DriverError::Compile)?;
-        let t = netpu_check::timing::analyze(&packed.decoded, &self.driver.hw);
         let kernel = ValueKernel::new(packed.into_kernel().map_err(DriverError::Compile)?);
         let zero_input = kernel.infer(&zeros)?;
         if zero_input != (run.class, run.score) {

@@ -5,11 +5,12 @@
 //! fails admission with a stable NPC diagnostic, or runs in the tick
 //! simulator without panicking or erroring.** A stream that the
 //! verifier passes clean but that the simulator then rejects (or dies
-//! on) is a verifier soundness hole; a verifier that panics or answers
-//! differently on consecutive runs is broken outright. Each failure
-//! mode is a distinct [`CrasherClass`] so minimization can preserve it.
+//! on) is a verifier soundness hole; a verifier that panics, or whose
+//! warm verdict store answers differently from a fresh analysis, is
+//! broken outright. Each failure mode is a distinct [`CrasherClass`] so
+//! minimization can preserve it.
 
-use netpu_check::{check_words, RuleId};
+use netpu_check::{analyze, payload_span, Report, RuleId, StoreStats, Tiers, VerdictStore};
 use netpu_core::{run_inference_fast, HwConfig};
 use netpu_nn::qmodel::QuantMlp;
 use std::collections::BTreeSet;
@@ -21,7 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub enum CrasherClass {
     /// The verifier itself panicked on the stream.
     CheckerPanic,
-    /// Two consecutive verifier runs produced different reports — the
+    /// A fresh verifier run and a verdict store warmed with the same
+    /// stream under another input produced different reports — the
     /// diagnostic is not stable, so clients cannot key on it.
     UnstableDiagnostic,
     /// The verifier passed the stream clean but the simulator panicked.
@@ -102,14 +104,18 @@ impl Verdict {
 pub fn classify(cfg: &HwConfig, words: &[u64]) -> Verdict {
     let check_cfg = *cfg;
     let check_input = words.to_vec();
-    let Ok(report) = catch_unwind(AssertUnwindSafe(|| check_words(&check_input, &check_cfg)))
-    else {
+    let Ok(analysis) = catch_unwind(AssertUnwindSafe(|| {
+        analyze(&check_input, &check_cfg, Tiers::default())
+    })) else {
         return Verdict::Crasher(CrasherClass::CheckerPanic);
     };
-    // Diagnostics must be a pure function of the stream: clients retry
-    // rejected submissions and compare NPC codes across layers.
-    match catch_unwind(AssertUnwindSafe(|| check_words(words, cfg))) {
-        Ok(second) if second == report => {}
+    let report = analysis.report;
+    // Diagnostics must be a pure function of the stream up to its
+    // input section: clients retry rejected submissions, compare NPC
+    // codes across layers, and admission answers repeats from a
+    // verdict store keyed on the stream with that section masked.
+    match catch_unwind(AssertUnwindSafe(|| through_warm_store(cfg, words))) {
+        Ok((stored, _)) if stored == report => {}
         _ => return Verdict::Crasher(CrasherClass::UnstableDiagnostic),
     }
     if report.has_errors() {
@@ -166,6 +172,21 @@ pub fn classify_with_source(cfg: &HwConfig, words: &[u64], source: &QuantMlp) ->
         };
     }
     Verdict::Clean
+}
+
+/// The report a [`VerdictStore`] gives for `words` after it analyzed
+/// the same stream with every input word inverted, so a stream the
+/// store keeps is answered from the entry another input left behind.
+/// Streams it never keeps get two fresh runs. Pure in `(cfg, words)`.
+fn through_warm_store(cfg: &HwConfig, words: &[u64]) -> (Report, StoreStats) {
+    let store = VerdictStore::default();
+    if let Some(span) = payload_span(words) {
+        let mut warm = words.to_vec();
+        warm[span].iter_mut().for_each(|w| *w = !*w);
+        store.analyze(&warm, cfg, None);
+    }
+    let report = store.analyze(words, cfg, None).report.clone();
+    (report, store.stats())
 }
 
 /// The sorted error-rule IDs of a rejection, if `v` is one.
@@ -226,6 +247,20 @@ mod tests {
     fn a_compiled_seed_classifies_clean() {
         let cfg = HwConfig::paper_instance();
         assert_eq!(classify(&cfg, &seed_words()), Verdict::Clean);
+    }
+
+    #[test]
+    fn a_stream_is_judged_through_an_entry_left_by_another_input() {
+        let cfg = HwConfig::paper_instance();
+        let (report, stats) = through_warm_store(&cfg, &seed_words());
+        assert!(!report.has_errors(), "{report}");
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        // A stream the store never keeps gets two fresh runs instead.
+        let mut bad = seed_words();
+        bad[0] ^= 1;
+        let (report, stats) = through_warm_store(&cfg, &bad);
+        assert!(report.fired(RuleId::Npc001), "{report}");
+        assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn the_trailing_garbage_false_accept_now_rejects_with_npc001() {
     }
     // And the diagnostic points past the first loadable's layout end,
     // not at the genuine (valid) first header.
-    let report = netpu_check::check_words(&words, &cfg);
+    let report = netpu_check::analyze(&words, &cfg, Default::default()).report;
     assert!(
         report.errors().all(|d| d.byte_offset != Some(0)),
         "rejection blamed the valid first header"

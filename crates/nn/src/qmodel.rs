@@ -20,7 +20,7 @@ use std::fmt;
 /// The scale word uses the Q16.16 interpretation ([`Fix::mul_q16`])
 /// because folded BN scales are typically ~10⁻³, far below the Q32.5
 /// datapath's resolution; the offset is an ordinary Q32.5 word.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Hash)]
 pub struct BnParams {
     /// Multiplicative term `γ·s/√(σ²+ε)` as a Q16.16 word (`s` being the
     /// product of the layer's weight and activation scales).
@@ -44,7 +44,7 @@ impl BnParams {
 }
 
 /// A layer's activation stage with its trained per-neuron parameters.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Hash)]
 pub enum LayerActivation {
     /// ReLU followed by the QUAN submodule.
     Relu {
@@ -113,7 +113,7 @@ impl LayerActivation {
 /// The Input Layer: quantizes each high-precision dataset input down to
 /// the first hidden layer's precision. One "neuron" per input element;
 /// no weights (Fig. 3 yellow path bypasses MUL/ACCU/BN).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Hash)]
 pub struct InputLayer {
     /// Number of dataset inputs (e.g. 784 pixels).
     pub len: usize,
@@ -125,7 +125,7 @@ pub struct InputLayer {
 }
 
 /// A Hidden (fully connected) layer.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Hash)]
 pub struct HiddenLayer {
     /// Fan-in of every neuron.
     pub in_len: usize,
@@ -152,7 +152,7 @@ pub struct HiddenLayer {
 
 /// The Output Layer: a fully connected layer whose raw (post-BN) scores
 /// feed the MaxOut classifier (Fig. 3 pink path bypasses ACTIV/QUAN).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Hash)]
 pub struct OutputLayer {
     /// Fan-in of every output neuron.
     pub in_len: usize,
@@ -171,7 +171,7 @@ pub struct OutputLayer {
 }
 
 /// A complete hardware-ready quantized MLP.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize, Hash)]
 pub struct QuantMlp {
     /// Human-readable model name (e.g. `"SFC-w1a1"`).
     pub name: String,

@@ -17,7 +17,7 @@
 use crate::dma::DmaModel;
 use crate::power::PowerParams;
 use netpu_arith::Fix;
-use netpu_check::{AdmissionVerdict, RejectReason};
+use netpu_check::{Analysis, RejectReason, VerdictStore};
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_core::netpu::{
     run_inference_fast, run_inference_hooked, run_inference_observed, InferenceRun, NetPuError,
@@ -478,6 +478,7 @@ impl DriverBuilder {
             strict_equiv: self.strict_equiv,
             probe_datapath: self.probe_datapath.unwrap_or(self.trace_sink.is_some()),
             trace_sink: self.trace_sink,
+            verdicts: Arc::default(),
         }
     }
 }
@@ -515,6 +516,11 @@ pub struct Driver {
     /// Forward datapath probe samples to the sink as well (defaults to
     /// `true` exactly when a sink is attached).
     pub probe_datapath: bool,
+    /// The verdict store admission answers from (DESIGN.md §4.8.1).
+    /// Every clone of the driver shares it, so a `netpu-serve` server's
+    /// admission and its workers, and a `netpu-fleet` cache, pay a
+    /// stream's analysis once.
+    pub verdicts: Arc<VerdictStore>,
 }
 
 impl Default for Driver {
@@ -598,16 +604,17 @@ impl Driver {
     /// [`strict_equiv`](DriverBuilder::strict_equiv) the pre-flight
     /// adds the translation-validation third tier (NPC021–NPC026)
     /// against `source`; otherwise the claim is ignored and the call is
-    /// identical to `run_loadable`. The `netpu-fleet` compiled-model
-    /// cache admits through this, so a strict-equiv fleet certifies
-    /// every model exactly once, at cache-admission time.
+    /// identical to `run_loadable`. Also returns the admission analysis,
+    /// whose timing certificate the `netpu-fleet` compiled-model cache
+    /// reads its swap economics from.
     pub fn run_loadable_against(
         &self,
         loadable: &Loadable,
         source: &QuantMlp,
-    ) -> Result<MeasuredRun, DriverError> {
-        let (run, _) = self.run_core_against(loadable, None, Some(source))?;
-        Ok(run)
+    ) -> Result<(MeasuredRun, Arc<Analysis>), DriverError> {
+        let analysis = self.admit(loadable, Some(source))?;
+        let (run, _) = self.stream_admitted(loadable, None, &analysis)?;
+        Ok((run, analysis))
     }
 
     /// Streams a pre-packaged burst of inferences through one DMA
@@ -653,6 +660,30 @@ impl Driver {
         self.run_core_against(loadable, trace_capacity, None)
     }
 
+    /// Static pre-flight (DESIGN.md §4.3–4.4, §4.8). Structural errors
+    /// mark streams the accelerator would reject, stall on, or panic
+    /// over and always refuse admission; error-class range findings
+    /// (provable accumulator/comparator unsoundness) refuse only under
+    /// strict admission; and when the request carries its source model
+    /// and `strict_equiv` is on, symbolic inequivalence against that
+    /// source refuses too. Rejected streams never cost simulation or
+    /// DMA time. The gate is the shared `AdmissionVerdict` policy, so
+    /// this decision is identical to the serving layers' and the
+    /// fuzzer's.
+    fn admit(
+        &self,
+        loadable: &Loadable,
+        source: Option<&QuantMlp>,
+    ) -> Result<Arc<Analysis>, DriverError> {
+        let source = source.filter(|_| self.strict_equiv);
+        let analysis = self.verdicts.analyze(&loadable.words, &self.hw, source);
+        analysis
+            .verdict(self.strict_range, source.is_some())
+            .into_result()
+            .map_err(DriverError::Rejected)?;
+        Ok(analysis)
+    }
+
     /// [`run_core`](Driver::run_core), with the request's claimed
     /// source model when the payload carried one — the hook the
     /// `strict_equiv` third admission tier hangs off.
@@ -662,29 +693,18 @@ impl Driver {
         trace_capacity: Option<usize>,
         source: Option<&QuantMlp>,
     ) -> Result<(MeasuredRun, Option<Vec<TraceEvent>>), DriverError> {
-        // Static pre-flight (DESIGN.md §4.3–4.4, §4.8). Structural
-        // errors mark streams the accelerator would reject, stall on,
-        // or panic over and always refuse admission; error-class range
-        // findings (provable accumulator/comparator unsoundness)
-        // refuse only under strict admission; and when the request
-        // carries its source model and `strict_equiv` is on, symbolic
-        // inequivalence against that source refuses too. Either way
-        // rejected streams never cost simulation or DMA time. The gate
-        // itself is the shared `AdmissionVerdict` policy, so this
-        // decision is identical to the serving layers' and the
-        // fuzzer's.
-        let (report, strict_equiv) = match source {
-            Some(model) if self.strict_equiv => (
-                netpu_check::check_words_against(&loadable.words, model, &self.hw),
-                true,
-            ),
-            _ => (netpu_check::check(loadable, &self.hw), false),
-        };
-        if let AdmissionVerdict::Rejected(reason) =
-            AdmissionVerdict::from_report_tiers(report, self.strict_range, strict_equiv)
-        {
-            return Err(DriverError::Rejected(reason));
-        }
+        let analysis = self.admit(loadable, source)?;
+        self.stream_admitted(loadable, trace_capacity, &analysis)
+    }
+
+    /// Streams one admitted loadable, optionally with a bounded event
+    /// trace.
+    fn stream_admitted(
+        &self,
+        loadable: &Loadable,
+        trace_capacity: Option<usize>,
+        analysis: &Analysis,
+    ) -> Result<(MeasuredRun, Option<Vec<TraceEvent>>), DriverError> {
         let sink = self.trace_sink.as_deref();
         let (run, trace) = match (trace_capacity, sink) {
             (None, None) => (
@@ -736,12 +756,12 @@ impl Driver {
                 // next to the simulator's own count, so `xtask replay`
                 // can cross-check the closed-form model (DESIGN.md
                 // §4.9) against every recorded run.
-                if let Some(predicted) = netpu_check::predict_cycles(&loadable.words, &self.hw) {
+                if let Some(timing) = &analysis.timing {
                     sink.record(
                         t_end,
                         netpu_trace::TraceEvent::Meta {
                             key: "timing.predicted_cycles".to_string(),
-                            value: predicted.to_string(),
+                            value: timing.total_cycles().to_string(),
                         },
                     );
                     sink.record(
@@ -1281,6 +1301,34 @@ mod tests {
             .records()
             .iter()
             .any(|r| matches!(r.event, Tev::Probe { .. })));
+    }
+
+    #[test]
+    fn clones_share_the_verdict_store_and_keys_isolate_the_instance() {
+        let wide = Driver::builder().build();
+        let model = ZooModel::TfcW2A2
+            .build_untrained(7, BnMode::Folded)
+            .unwrap();
+        let loadable = compile(&model, &vec![0u8; 784]).unwrap();
+        wide.run_loadable(&loadable).unwrap();
+        // A clone shares the store: the same stream is a lookup.
+        wide.clone().run_loadable(&loadable).unwrap();
+        let stats = wide.verdicts.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+
+        // A clone on a narrower accumulator never reuses the wide
+        // instance's entry: it gets its own range findings.
+        let mut narrow = wide.clone();
+        narrow.hw.accumulator_bits = 8;
+        let Err(DriverError::Rejected(reason)) = narrow.run_loadable(&loadable) else {
+            panic!("the 8-bit instance must refuse the stream");
+        };
+        let report = reason.report().expect("invalid carries the report");
+        assert!(report.fired(netpu_check::RuleId::Npc014), "{report}");
+        assert!(Arc::ptr_eq(&wide.verdicts, &narrow.verdicts));
+        wide.run_loadable(&loadable).unwrap();
+        let stats = wide.verdicts.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Serving counters, latency histogram, and utilization snapshot.
 
 use crate::worker::PoolCounters;
+use netpu_check::StoreStats;
 use netpu_core::SlabBreakdown;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,6 +94,13 @@ pub struct MetricsSnapshot {
     /// Equivalence-flagged submissions actually refused at admission
     /// (strict-equiv servers only; always ≤ `equiv_flagged`).
     pub equiv_rejected: u64,
+    /// Admission lookups answered from the driver's verdict store,
+    /// counting the workers' lookups and those of every driver clone
+    /// sharing the store.
+    pub verdict_hits: u64,
+    /// Admission lookups that ran a fresh analysis: the first sight of
+    /// each distinct stream, plus every stream the store never keeps.
+    pub verdict_misses: u64,
     /// Requests that completed successfully.
     pub completed: u64,
     /// Requests that failed terminally (after exhausting retries).
@@ -136,6 +144,7 @@ impl MetricsSnapshot {
     pub(crate) fn gather(
         counters: &Counters,
         arbiter: &crate::arbiter::DmaArbiter,
+        verdicts: StoreStats,
     ) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -145,6 +154,8 @@ impl MetricsSnapshot {
             range_rejected: load(&counters.range_rejected),
             equiv_flagged: load(&counters.equiv_flagged),
             equiv_rejected: load(&counters.equiv_rejected),
+            verdict_hits: verdicts.hits,
+            verdict_misses: verdicts.misses,
             completed: load(&counters.pool.completed),
             failed: load(&counters.pool.failed),
             retried: load(&counters.retried),
@@ -218,7 +229,7 @@ mod tests {
         c.observe_latency(50.0); // inclusive upper edge
         c.observe_latency(51.0);
         c.observe_latency(1e9); // unbounded tail
-        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1));
+        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1), StoreStats::default());
         assert_eq!(snap.latency_histogram[0], (50.0, 2));
         assert_eq!(snap.latency_histogram[1], (100.0, 1));
         assert_eq!(snap.latency_histogram.last().unwrap().1, 1);
@@ -234,7 +245,7 @@ mod tests {
         for _ in 0..8 {
             a.grant(0.0, 10.0, 15.0);
         }
-        let snap = MetricsSnapshot::gather(&c, &a);
+        let snap = MetricsSnapshot::gather(&c, &a, StoreStats::default());
         // Transfer-bound: dma busy 80 µs over a makespan of ~85 µs.
         assert!((snap.dma_busy_us - 80.0).abs() < 1e-9);
         assert!(snap.dma_utilization() > 0.9);
@@ -247,7 +258,11 @@ mod tests {
 
     #[test]
     fn empty_snapshot_reports_no_rate() {
-        let snap = MetricsSnapshot::gather(&Counters::default(), &DmaArbiter::new(3));
+        let snap = MetricsSnapshot::gather(
+            &Counters::default(),
+            &DmaArbiter::new(3),
+            StoreStats::default(),
+        );
         assert_eq!(snap.measured_fps(), None);
         assert_eq!(snap.board_utilization(), vec![0.0; 3]);
         assert_eq!(snap.dma_utilization(), 0.0);
@@ -260,12 +275,12 @@ mod tests {
             fallback_frames: frames % netpu_core::SLAB_WIDTH,
         };
         let c = Counters::default();
-        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1));
+        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1), StoreStats::default());
         assert_eq!(snap.batch_slab_occupancy(), None);
         c.observe_batch_slabs(bitsliced(130)); // 2 full + tail
         c.observe_batch_slabs(bitsliced(64)); // exactly one full slab, no tail
         c.observe_batch_slabs(bitsliced(3)); // one partial slab
-        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1));
+        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1), StoreStats::default());
         assert_eq!((snap.slabs_full, snap.slabs_partial), (3, 2));
         assert!((snap.batch_slab_occupancy().unwrap() - 0.6).abs() < 1e-12);
     }
@@ -280,7 +295,7 @@ mod tests {
             slabs_full: 0,
             fallback_frames: 130,
         });
-        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1));
+        let snap = MetricsSnapshot::gather(&c, &DmaArbiter::new(1), StoreStats::default());
         assert_eq!((snap.slabs_full, snap.slabs_partial), (0, 3));
         assert_eq!(snap.batch_slab_occupancy(), Some(0.0));
     }

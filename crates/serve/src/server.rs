@@ -214,10 +214,13 @@ impl Server {
         self.admit(Some(source), req)
     }
 
-    /// The one admission path. A loadable payload gets the cheap static
+    /// The one admission path. A loadable payload gets the static
     /// pre-flight before a queue slot is taken, so a stream the
     /// accelerator would reject never reaches a worker; with a claimed
     /// `source` the pre-flight adds the translation-validation tier.
+    /// The pre-flight is a lookup in the driver's verdict store, which
+    /// the workers' own admission then hits too; the flag and reject
+    /// counters still count every submission.
     fn admit(&self, source: Option<&QuantMlp>, req: InferRequest<'static>) -> Submit {
         let shared = &*self.shared;
         let c = &shared.counters;
@@ -237,18 +240,17 @@ impl Server {
         );
         let mut range_flagged = false;
         if let InferPayload::Loadable(loadable) = &req.payload {
-            let hw = &shared.driver.hw;
-            let report = match source {
-                None => netpu_check::check(loadable, hw),
-                Some(source) => netpu_check::check_words_against(&loadable.words, source, hw),
-            };
-            let (range_errors, equiv_errors) =
-                (report.has_range_errors(), report.has_equiv_errors());
+            let driver = &shared.driver;
+            let analysis = driver.verdicts.analyze(&loadable.words, &driver.hw, source);
+            let (range_errors, equiv_errors) = (
+                analysis.report.has_range_errors(),
+                analysis.report.has_equiv_errors(),
+            );
             bump(&c.range_flagged, range_errors);
             bump(&c.equiv_flagged, equiv_errors);
             let strict_range = shared.cfg.strict_range;
             let strict_equiv = source.is_some() && shared.cfg.strict_equiv;
-            match AdmissionVerdict::from_report_tiers(report, strict_range, strict_equiv) {
+            match analysis.verdict(strict_range, strict_equiv) {
                 AdmissionVerdict::Admitted {
                     range_flagged: flagged,
                 } => range_flagged = flagged,
@@ -271,7 +273,11 @@ impl Server {
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         let arbiter = lock_recover(&self.shared.arbiter);
-        MetricsSnapshot::gather(&self.shared.counters, &arbiter)
+        MetricsSnapshot::gather(
+            &self.shared.counters,
+            &arbiter,
+            self.shared.driver.verdicts.stats(),
+        )
     }
 
     /// Closes admission, drains every queued request, joins the
@@ -279,7 +285,11 @@ impl Server {
     pub fn shutdown(self) -> MetricsSnapshot {
         self.workers.shutdown(&*self.shared);
         let arbiter = lock_recover(&self.shared.arbiter);
-        MetricsSnapshot::gather(&self.shared.counters, &arbiter)
+        MetricsSnapshot::gather(
+            &self.shared.counters,
+            &arbiter,
+            self.shared.driver.verdicts.stats(),
+        )
     }
 }
 
@@ -515,6 +525,31 @@ mod tests {
         ticket.wait().unwrap();
         let m = server.shutdown();
         assert_eq!((m.completed, m.range_flagged, m.range_rejected), (1, 1, 0));
+    }
+
+    #[test]
+    fn repeated_submissions_count_per_submission_and_analyze_once() {
+        let mut loadable = compile(&tfc(), &vec![5u8; 784]).unwrap();
+        loadable.set_declared_input_range(10, 5);
+        let server = Server::start(
+            Driver::builder().build(),
+            ServerConfig {
+                strict_range: false,
+                ..ServerConfig::default()
+            },
+        );
+        for pixel in [1u8, 2, 3] {
+            loadable.replace_input(&vec![pixel; 784]).unwrap();
+            let ticket = server
+                .submit(InferRequest::loadable(loadable.clone()))
+                .expect_accepted();
+            ticket.wait().unwrap();
+        }
+        let m = server.shutdown();
+        assert_eq!((m.completed, m.range_flagged, m.range_rejected), (3, 3, 0));
+        // One analysis; every later admission, the workers' included,
+        // is a lookup.
+        assert_eq!((m.verdict_misses, m.verdict_hits), (1, 5));
     }
 
     #[test]

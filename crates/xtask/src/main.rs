@@ -461,9 +461,12 @@ fn compile_timing_stream(
 /// stream (nothing to compare); `Ok(true)` is an exact match; any
 /// mismatch is an error.
 fn certify_timing_stream(words: &[u64], cfg: &netpu_core::HwConfig) -> Result<bool, String> {
-    let Some(predicted) = netpu_check::predict_cycles(words, cfg) else {
+    // Straight from the decode, not through admission: the instance may
+    // reject the stream and the simulator still run it.
+    let Ok(decoded) = netpu_compiler::decode(words) else {
         return Err("compiled stream failed to decode for timing analysis".into());
     };
+    let predicted = netpu_check::timing::analyze(&decoded, cfg).total_cycles();
     let Ok(run) = netpu_core::run_inference_fast(cfg, words.to_vec()) else {
         return Ok(false);
     };
@@ -659,7 +662,7 @@ fn dse_model(variant: netpu_nn::zoo::ZooModel) -> Result<DseOutcome, String> {
         streams.push((packing, loadable.words, decoded.settings));
     }
     let reference = HwConfig::paper_instance();
-    let (_, analysis) = netpu_check::check_words_analyzed(&streams[0].1, &reference);
+    let analysis = netpu_check::analyze(&streams[0].1, &reference, Default::default()).range;
     let min_acc = analysis
         .as_ref()
         .map_or(32, minimal_accumulator_bits)
@@ -699,7 +702,10 @@ fn dse_model(variant: netpu_nn::zoo::ZooModel) -> Result<DseOutcome, String> {
                                         infeasible += 1;
                                         continue;
                                     }
-                                    if netpu_check::check_words(words, &cfg).has_errors() {
+                                    if netpu_check::analyze(words, &cfg, Default::default())
+                                        .report
+                                        .has_errors()
+                                    {
                                         unsound += 1;
                                         continue;
                                     }

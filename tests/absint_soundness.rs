@@ -13,7 +13,7 @@
 //! lenient driver still runs it, because the simulator completes.
 
 use netpu_arith::{Fix, Precision, QuantParams};
-use netpu_check::{check_words_analyzed, RangeAnalysis, RuleId};
+use netpu_check::{analyze, RangeAnalysis, RuleId, Tiers};
 use netpu_compiler::compile;
 use netpu_core::netpu::run_inference_probed;
 use netpu_core::HwConfig;
@@ -61,9 +61,12 @@ fn assert_samples_bounded(samples: &[ProbeSample], analysis: &RangeAnalysis, tag
 
 /// Probes one run of `words` and checks it against the analysis.
 fn assert_sound(words: &[u64], cfg: &HwConfig, tag: &str) {
-    let (report, analysis) = check_words_analyzed(words, cfg);
-    let analysis = analysis.unwrap_or_else(|| {
-        panic!("{tag}: structurally rejected, no analysis:\n{report}");
+    let analyzed = analyze(words, cfg, Tiers::default());
+    let analysis = analyzed.range.unwrap_or_else(|| {
+        panic!(
+            "{tag}: structurally rejected, no analysis:\n{}",
+            analyzed.report
+        );
     });
     let mut probe = DatapathProbe::enabled();
     let run = run_inference_probed(cfg, words.to_vec(), &mut probe)

@@ -9,7 +9,7 @@
 //!   cycle-level model errors **or panics** on a stream, the checker
 //!   reports an error for it — **zero false accepts**.
 
-use netpu_check::check_words;
+use netpu_check::{analyze, Tiers};
 use netpu_compiler::compile;
 use netpu_core::{run_inference_fast, HwConfig};
 use netpu_nn::export::BnMode;
@@ -97,7 +97,7 @@ proptest! {
         let cfg = HwConfig::paper_instance();
 
         let mutated = apply(&loadable.words, &m);
-        let report = check_words(&mutated, &cfg);
+        let report = analyze(&mutated, &cfg, Tiers::default()).report;
         if !report.has_errors() {
             // The checker admitted the stream: the accelerator must run
             // it to completion without an error or a panic.

@@ -47,7 +47,10 @@ fn sweep_miscompiles(model: &QuantMlp, cfg: &HwConfig) -> (usize, usize) {
 
         // The structural + range tiers see an honestly-encoded valid
         // model; most miscompiles sail through them.
-        if check::check_words(&loadable.words, cfg).has_errors() {
+        if check::analyze(&loadable.words, cfg, Default::default())
+            .report
+            .has_errors()
+        {
             caught_by_tier12 += 1;
         }
 
