@@ -1,61 +1,73 @@
 //! §V bottleneck analysis: *"the bottleneck of parameter loading causes
-//! most of the inference latency."* The cycle model's per-layer phase
-//! accounting quantifies that claim for each evaluation model: what
-//! fraction of the latency is weight streaming, parameter ingestion,
-//! neuron initialisation, pipeline drain, and control.
+//! most of the inference latency."* A view over the simulator's
+//! per-layer, per-phase `CycleBreakdown`: every phase lands in exactly
+//! one named column, and the binary exits non-zero when a row does not
+//! sum to the run's cycle count.
 
 use netpu_bench::{ExperimentRecord, TableWriter};
 use netpu_core::netpu::run_inference;
-use netpu_core::HwConfig;
+use netpu_core::{HwConfig, LayerPhase as L, StreamPhase as S};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
+use std::process::ExitCode;
 
-fn main() {
+/// The table's columns, each a named group of breakdown phases.
+const COLUMNS: [(&str, &[S], &[L]); 9] = [
+    ("Weights", &[], &[L::WEIGHT_INGEST, L::WEIGHT_DISPATCH]),
+    (
+        "Params",
+        &[S::HEADER, S::SETTINGS, S::INPUT_INGEST],
+        &[L::PARAMS],
+    ),
+    ("Init", &[], &[L::INIT]),
+    ("Drain", &[], &[L::DRAIN]),
+    ("Output", &[], &[L::WRITE_OUT]),
+    ("Input", &[], &[L::INPUT]),
+    ("Ready", &[], &[L::READY]),
+    ("Reset", &[S::RESET], &[]),
+    ("Stall", &[], &[L::STALL]),
+];
+
+fn main() -> ExitCode {
     let cfg = HwConfig::paper_instance();
     let mut record = ExperimentRecord::new("bottleneck", "Latency phase decomposition");
     println!("Latency decomposition per model (paper instance, 100 MHz):\n");
-    let mut t = TableWriter::new(&[
-        "Model",
-        "Total cyc",
-        "Weights %",
-        "Params %",
-        "Init %",
-        "Drain %",
-        "Output %",
-        "Input %",
-        "Ctrl %",
-    ]);
+    let titles: Vec<String> = COLUMNS.iter().map(|c| format!("{} %", c.0)).collect();
+    let mut headers = vec!["Model", "Total cyc"];
+    headers.extend(titles.iter().map(String::as_str));
+    let mut t = TableWriter::new(&headers);
     for zm in ZooModel::ALL {
         let qm = zm.build_untrained(0xBEEF, BnMode::Folded).unwrap();
         let px = vec![128u8; qm.input.len];
         let run = run_inference(&cfg, netpu_compiler::compile(&qm, &px).unwrap().words).unwrap();
-        let s = &run.stats;
-        let weights: u64 = s.layers.iter().map(|l| l.weight_cycles).sum();
-        let init: u64 = s.layers.iter().map(|l| l.init_cycles).sum();
-        let drain: u64 = s.layers.iter().map(|l| l.drain_cycles).sum();
-        let output: u64 = s.layers.iter().map(|l| l.output_cycles).sum();
-        let input: u64 = s.layers.iter().map(|l| l.input_cycles).sum();
-        let params = s.param_cycles + s.settings_cycles + s.input_ingest_cycles;
-        let ctrl = run
-            .cycles
-            .saturating_sub(weights + init + drain + output + input + params);
+        let b = &run.breakdown;
+        let cells: Vec<u64> = COLUMNS
+            .iter()
+            .map(|(_, stream, layer)| {
+                stream.iter().map(|&p| b[p]).sum::<u64>()
+                    + layer.iter().map(|&p| b.layer_phase_total(p)).sum::<u64>()
+            })
+            .collect();
+        let named: u64 = cells.iter().sum();
+        if named != run.cycles {
+            eprintln!(
+                "{}: named phases sum to {named} cycles, the run took {}",
+                zm.name(),
+                run.cycles
+            );
+            return ExitCode::FAILURE;
+        }
         let pct = |v: u64| format!("{:.1}", 100.0 * v as f64 / run.cycles as f64);
-        t.row(&[
-            zm.name().into(),
-            run.cycles.to_string(),
-            pct(weights),
-            pct(params),
-            pct(init),
-            pct(drain),
-            pct(output),
-            pct(input),
-            pct(ctrl),
-        ]);
-        record.push(serde_json::json!({
-            "model": zm.name(), "cycles": run.cycles,
-            "weights": weights, "params": params, "init": init,
-            "drain": drain, "output": output, "input": input, "ctrl": ctrl,
-        }));
+        let mut row = vec![zm.name().to_string(), run.cycles.to_string()];
+        row.extend(cells.iter().map(|&v| pct(v)));
+        t.row(&row);
+        let mut json = serde_json::Map::new();
+        json.insert("model".into(), zm.name().into());
+        json.insert("cycles".into(), run.cycles.into());
+        for (c, v) in COLUMNS.iter().zip(cells) {
+            json.insert(c.0.to_lowercase(), v.into());
+        }
+        record.push(serde_json::Value::Object(json));
     }
     t.print();
     println!(
@@ -65,4 +77,5 @@ fn main() {
     );
     let path = record.write().expect("write experiment record");
     println!("\nrecord: {}", path.display());
+    ExitCode::SUCCESS
 }

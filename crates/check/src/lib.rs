@@ -85,7 +85,7 @@ pub use absint::{LayerBounds, NeuronBounds, RangeAnalysis};
 pub use diag::{Diagnostic, Report, RuleId, Severity};
 pub use store::{payload_span, StoreStats, VerdictStore};
 pub use symex::{certify, compile_certified, Certificate, CertifyError, CertifyOutcome, Witness};
-pub use timing::{DmaParams, LayerTiming, StreamTiming, TimingPhase, TimingSpec};
+pub use timing::{DmaParams, StreamTiming, TimingSpec};
 pub use verdict::{AdmissionVerdict, RejectReason};
 
 use netpu_compiler::Loadable;

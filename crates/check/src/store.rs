@@ -270,7 +270,7 @@ fn footprint(words: usize, analysis: &Analysis) -> usize {
         .sum();
     let timing = analysis.timing.as_ref().map_or(0, |t| {
         std::mem::size_of_val(t)
-            + std::mem::size_of_val(t.layers.as_slice())
+            + std::mem::size_of_val(t.breakdown.layers.as_slice())
             + std::mem::size_of_val(t.settings.as_slice())
     });
     words * 8 + findings + timing + ENTRY_OVERHEAD_BYTES

@@ -7,14 +7,11 @@
 //! guarantees the top-level FSM never stalls, so the per-inference
 //! cycle count is a *deterministic function* of the decoded layer
 //! settings, the packing mode, and the instance geometry. This module
-//! reconstructs that function phase by phase — header/settings ingest,
-//! input ingest, parameter sections, neuron initialization, weight
-//! ingest and lane dispatch, pipeline drain, write-out, and
-//! inter-section resets — the same decomposition the fast path's
-//! `BulkClocked` implementation skips through dynamically. The
-//! `certify-timing` differential gate (DESIGN.md §4.9) pins the model
-//! to the tick simulator with zero tolerance: predicted cycles equal
-//! simulated cycles, exactly, on every admissible stream.
+//! reconstructs that function phase by phase, as the same
+//! [`CycleBreakdown`] both simulator engines fill edge by edge. The
+//! `certify-timing` differential gate (DESIGN.md §4.9) compares every
+//! layer × phase cell with zero tolerance: against the fast engine on
+//! every pair, and against the tick engine on the zoo pairs.
 //!
 //! On top of the cycle certificate the analysis derives steady-state
 //! batch throughput (pre-packaged bursts pay one inter-loadable reset),
@@ -27,16 +24,17 @@
 //! classification (Info).
 
 use crate::diag::{Report, RuleId, Severity};
-use netpu_arith::{cast, ActivationKind};
+use netpu_arith::cast;
 use netpu_compiler::stream::{
-    input_words, neuron_weight_words_mode, param_words, uses_xnor_path, weight_words_mode,
-    weights_per_word,
+    input_words, neuron_weight_words_mode, param_words, weight_words_mode,
 };
 use netpu_compiler::{Decoded, LayerSetting, LayerType, PackingMode};
-use netpu_core::lpu::{PARAM_READ_WIDTH, PIPELINE_DEPTH};
+use netpu_core::lpu::{
+    dispatch_groups, init_cycles_per_neuron, input_word_cycles, write_out_cycles, PIPELINE_DEPTH,
+};
 use netpu_core::netpu::RESET_CYCLES;
 use netpu_core::resources::netpu_utilization;
-use netpu_core::HwConfig;
+use netpu_core::{CycleBreakdown, HwConfig, LayerCycles, LayerPhase, StreamPhase};
 
 /// Off-chip DMA channel parameters for the §V transfer-latency half of
 /// the analysis. Mirrors the runtime's `DmaModel` formulas exactly (the
@@ -114,124 +112,17 @@ pub struct TimingSpec {
     pub deadline_us: Option<f64>,
 }
 
-/// The pipeline phase a cycle is attributed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimingPhase {
-    /// Parameter-section ingest (biases/BN pairs, activation tables).
-    Params,
-    /// Input-layer quantization of the ingested pixels.
-    Input,
-    /// Neuron Initialization: latching a batch's parameters.
-    Init,
-    /// Weight-word ingest from the Network Input FIFO (1 word/cycle).
-    WeightIngest,
-    /// Extra multiplier-lane dispatch subcycles beyond the ingest edge.
-    WeightDispatch,
-    /// Pipeline drain between a batch's last weight word and write-out.
-    Drain,
-    /// Write-out / MaxOut (plus SoftMax when enabled).
-    WriteOut,
-}
-
-impl TimingPhase {
-    /// Stable lowercase phase name for messages and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimingPhase::Params => "params",
-            TimingPhase::Input => "input",
-            TimingPhase::Init => "init",
-            TimingPhase::WeightIngest => "weight-ingest",
-            TimingPhase::WeightDispatch => "weight-dispatch",
-            TimingPhase::Drain => "drain",
-            TimingPhase::WriteOut => "write-out",
-        }
-    }
-}
-
-/// Closed-form per-layer cycle breakdown, phase by phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LayerTiming {
-    /// Zero-based layer index.
-    pub layer: usize,
-    /// Parameter-section cycles (1 even when the section is empty — the
-    /// section-entry edge still costs a cycle).
-    pub param_cycles: u64,
-    /// The Ready edge starting the layer's processing section.
-    pub ready_cycles: u64,
-    /// Input-layer pixel quantization cycles (input layer only).
-    pub input_cycles: u64,
-    /// Neuron Initialization cycles across all TNPU batches.
-    pub init_cycles: u64,
-    /// Weight-word ingest cycles (= weight words; 1 word per cycle).
-    pub weight_ingest_cycles: u64,
-    /// Extra lane-dispatch subcycles (0 under double buffering when one
-    /// group covers the word).
-    pub weight_dispatch_cycles: u64,
-    /// Pipeline drain cycles across all batches.
-    pub drain_cycles: u64,
-    /// Write-out / MaxOut / SoftMax cycles across all batches.
-    pub output_cycles: u64,
-}
-
-impl LayerTiming {
-    /// Processing-section cycles (everything after the parameter
-    /// section, including the Ready edge).
-    pub fn process_cycles(&self) -> u64 {
-        self.ready_cycles
-            + self.input_cycles
-            + self.init_cycles
-            + self.weight_ingest_cycles
-            + self.weight_dispatch_cycles
-            + self.drain_cycles
-            + self.output_cycles
-    }
-
-    /// All cycles attributed to this layer.
-    pub fn total_cycles(&self) -> u64 {
-        self.param_cycles + self.process_cycles()
-    }
-
-    /// The phase holding the largest share of this layer's cycles — the
-    /// NPC028 bottleneck attribution. Ties break toward the earlier
-    /// pipeline stage, deterministically.
-    pub fn bottleneck(&self) -> (TimingPhase, u64) {
-        let phases = [
-            (TimingPhase::Params, self.param_cycles),
-            (TimingPhase::Input, self.input_cycles),
-            (TimingPhase::Init, self.init_cycles),
-            (TimingPhase::WeightIngest, self.weight_ingest_cycles),
-            (TimingPhase::WeightDispatch, self.weight_dispatch_cycles),
-            (TimingPhase::Drain, self.drain_cycles),
-            (TimingPhase::WriteOut, self.output_cycles),
-        ];
-        let mut best = phases[0];
-        for p in phases {
-            if p.1 > best.1 {
-                best = p;
-            }
-        }
-        best
-    }
-}
-
 /// The full static timing certificate of one loadable on one instance:
-/// an exact per-inference cycle count with its phase decomposition,
-/// plus the derived throughput and §V transfer-latency figures. Keeps
-/// the layer settings it was derived from so the NPC029 folding-slack
-/// search (and the DSE pricer) can re-time alternative foldings without
-/// the original stream.
+/// the exact per-inference cycle breakdown — the same
+/// [`CycleBreakdown`] the simulator fills, cell for cell — plus the
+/// derived throughput and §V transfer-latency figures. Keeps the layer
+/// settings it was derived from so the NPC029 folding-slack search (and
+/// the DSE pricer) can re-time alternative foldings without the
+/// original stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamTiming {
-    /// Header-word ingest (always 1).
-    pub header_cycles: u64,
-    /// Layer-setting ingest cycles (one per layer).
-    pub settings_cycles: u64,
-    /// Dataset-input ingest cycles (8 pixel lanes per word).
-    pub input_ingest_cycles: u64,
-    /// Inter-section reset cycles within one inference.
-    pub reset_cycles: u64,
-    /// Per-layer breakdown, in layer order.
-    pub layers: Vec<LayerTiming>,
+    /// The exact per-layer, per-phase cycles of one inference.
+    pub breakdown: CycleBreakdown,
     /// Total stream words of the loadable.
     pub stream_words: usize,
     /// §V resident prefix: header + settings + input-section words (the
@@ -248,15 +139,7 @@ impl StreamTiming {
     /// `certify-timing` gate, to what `run_inference_fast` (and the
     /// tick path it mirrors) reports for this stream.
     pub fn total_cycles(&self) -> u64 {
-        self.header_cycles
-            + self.settings_cycles
-            + self.input_ingest_cycles
-            + self.reset_cycles
-            + self
-                .layers
-                .iter()
-                .map(LayerTiming::total_cycles)
-                .sum::<u64>()
+        self.breakdown.total()
     }
 
     /// Steady-state cycles per inference inside a pre-packaged burst:
@@ -331,11 +214,15 @@ pub fn analyze_settings(
     let input_len = settings
         .first()
         .map_or(0, |s| cast::usize_from_u32(s.neurons));
-    let layers: Vec<LayerTiming> = settings
+    let mut breakdown = CycleBreakdown::default();
+    breakdown.layers = settings
         .iter()
-        .enumerate()
-        .map(|(k, s)| layer_timing(k, s, packing, cfg))
+        .map(|s| layer_cycles(s, packing, cfg))
         .collect();
+    breakdown[StreamPhase::HEADER] = 1;
+    breakdown[StreamPhase::SETTINGS] = cast::u64_from_usize(n_layers);
+    breakdown[StreamPhase::INPUT_INGEST] = cast::u64_from_usize(input_words(input_len));
+    breakdown[StreamPhase::RESET] = cast::u64_from_usize(n_layers.saturating_sub(1)) * RESET_CYCLES;
     let stream_words = 1
         + n_layers
         + input_words(input_len)
@@ -344,11 +231,7 @@ pub fn analyze_settings(
             .map(|s| param_words(s) + weight_words_mode(s, packing))
             .sum::<usize>();
     StreamTiming {
-        header_cycles: 1,
-        settings_cycles: cast::u64_from_usize(n_layers),
-        input_ingest_cycles: cast::u64_from_usize(input_words(input_len)),
-        reset_cycles: cast::u64_from_usize(n_layers.saturating_sub(1)) * RESET_CYCLES,
-        layers,
+        breakdown,
         stream_words,
         resident_words: 1 + n_layers + input_words(input_len),
         settings: settings.to_vec(),
@@ -356,100 +239,37 @@ pub fn analyze_settings(
     }
 }
 
-/// 32-bit activation-parameter words per neuron (mirrors the LPU's
-/// Neuron Initialization read schedule).
-fn act_u32s(setting: &LayerSetting) -> usize {
-    match setting.activation {
-        ActivationKind::Sign => 1,
-        ActivationKind::MultiThreshold => setting.out_precision.multi_threshold_count(),
-        _ => 2,
-    }
-}
-
-/// Neuron Initialization cycles per neuron: one bias/BN read (FC
-/// layers) plus the activation-table reads through the 128-bit
-/// parameter port.
-fn init_cycles_per_neuron(setting: &LayerSetting) -> u64 {
-    let act_reads = if setting.layer_type == LayerType::Output {
-        0
-    } else {
-        act_u32s(setting).div_ceil(PARAM_READ_WIDTH)
-    };
-    let bias_reads = usize::from(setting.layer_type != LayerType::Input);
-    cast::u64_from_usize(act_reads + bias_reads)
-}
-
 /// Closed-form cycle cost of one layer on `cfg` (parameter section plus
-/// processing section), phase by phase.
-fn layer_timing(
-    layer: usize,
-    s: &LayerSetting,
-    packing: PackingMode,
-    cfg: &HwConfig,
-) -> LayerTiming {
-    let param_cycles = cast::u64_from_usize(param_words(s).max(1));
-    let mut t = LayerTiming {
-        layer,
-        param_cycles,
-        ready_cycles: 1,
-        input_cycles: 0,
-        init_cycles: 0,
-        weight_ingest_cycles: 0,
-        weight_dispatch_cycles: 0,
-        drain_cycles: 0,
-        output_cycles: 0,
-    };
+/// processing section), phase by phase. Stalls stay zero: admissible
+/// streams run stall-free at bandwidth 1.
+fn layer_cycles(s: &LayerSetting, packing: PackingMode, cfg: &HwConfig) -> LayerCycles {
+    let mut t = LayerCycles::default();
+    // An empty parameter section still costs its entry edge.
+    t[LayerPhase::PARAMS] = cast::u64_from_usize(param_words(s).max(1));
+    t[LayerPhase::READY] = 1;
     let neurons = cast::usize_from_u32(s.neurons);
     if s.layer_type == LayerType::Input {
-        // One read cycle, threshold-read cycles for the word's eight
-        // pixels, one write cycle — per 64-bit input word.
-        let per_word = 2 + cast::u64_from_usize((8 * act_u32s(s)).div_ceil(PARAM_READ_WIDTH));
-        t.input_cycles = cast::u64_from_usize(neurons.div_ceil(8)) * per_word;
+        t[LayerPhase::INPUT] = cast::u64_from_usize(neurons.div_ceil(8)) * input_word_cycles(s);
         return t;
     }
-    let input_len = cast::usize_from_u32(s.input_len);
     let chunks = neuron_weight_words_mode(s, packing);
-    let levels_per_word = if uses_xnor_path(s) {
-        64
-    } else {
-        weights_per_word(s, packing)
-    };
-    let levels_per_group = if uses_xnor_path(s) {
-        cfg.mul_lanes * 8
-    } else {
-        cfg.mul_lanes
-    };
-    // Per-neuron dispatch subcycles beyond the ingest edge: each chunk
-    // needs ceil(span / lane-group) dispatch groups; double buffering
-    // hides the first group behind the ingest cycle.
-    let mut dispatch_per_neuron = 0u64;
-    for chunk in 0..chunks {
-        let span = ((chunk + 1) * levels_per_word).min(input_len) - chunk * levels_per_word;
-        let groups = cast::u64_from_usize(span.div_ceil(levels_per_group));
-        dispatch_per_neuron += if cfg.double_buffered_weights {
-            groups - 1
-        } else {
-            groups
-        };
-    }
-    t.weight_ingest_cycles = cast::u64_from_usize(neurons * chunks);
-    t.weight_dispatch_cycles = cast::u64_from_usize(neurons) * dispatch_per_neuron;
+    // Per-neuron dispatch subcycles beyond the ingest edge; double
+    // buffering hides each word's first group behind its ingest cycle.
+    let hidden = usize::from(cfg.double_buffered_weights);
+    let dispatch_per_neuron: usize = (0..chunks)
+        .map(|chunk| dispatch_groups(s, packing, cfg.mul_lanes, chunk) - hidden)
+        .sum();
+    t[LayerPhase::WEIGHT_INGEST] = cast::u64_from_usize(neurons * chunks);
+    t[LayerPhase::WEIGHT_DISPATCH] = cast::u64_from_usize(neurons * dispatch_per_neuron);
     // Batch phases: neurons advance through the TNPUs `tnpus_per_lpu`
     // at a time; each batch pays initialization, drain, and write-out.
     let icpn = init_cycles_per_neuron(s);
-    let softmax = u64::from(cfg.softmax_output);
     let mut start = 0usize;
     while start < neurons {
         let batch = (start + cfg.tnpus_per_lpu).min(neurons) - start;
-        let b = cast::u64_from_usize(batch);
-        t.init_cycles += (icpn * b).max(1);
-        t.drain_cycles += PIPELINE_DEPTH;
-        t.output_cycles += if s.layer_type == LayerType::Output {
-            b * (1 + softmax)
-        } else {
-            cast::u64_from_usize(batch.div_ceil(8))
-        }
-        .max(1);
+        t[LayerPhase::INIT] += (icpn * cast::u64_from_usize(batch)).max(1);
+        t[LayerPhase::DRAIN] += PIPELINE_DEPTH;
+        t[LayerPhase::WRITE_OUT] += write_out_cycles(s, batch, cfg.softmax_output);
         start += batch;
     }
     t
@@ -479,17 +299,17 @@ pub fn report_timing(t: &StreamTiming, cfg: &HwConfig, spec: &TimingSpec, report
         ),
     );
     // NPC028 — per-layer bottleneck attribution.
-    for layer in &t.layers {
-        let (phase, cycles) = layer.bottleneck();
+    for (k, layer) in t.breakdown.layers.iter().enumerate() {
+        let (phase, cycles) = bottleneck(layer);
         report.push(
             RuleId::Npc028,
             Severity::Info,
             None,
-            Some(layer.layer),
+            Some(k),
             format!(
                 "pipeline bottleneck: {} ({cycles} of {} layer cycles)",
                 phase.name(),
-                layer.total_cycles(),
+                layer.total(),
             ),
         );
     }
@@ -544,6 +364,19 @@ pub fn report_timing(t: &StreamTiming, cfg: &HwConfig, spec: &TimingSpec, report
     );
 }
 
+/// The phase holding the largest share of a layer's cycles — the NPC028
+/// bottleneck attribution. Ties break toward the earlier pipeline
+/// stage, deterministically.
+fn bottleneck(layer: &LayerCycles) -> (LayerPhase, u64) {
+    let mut best = (LayerPhase::PARAMS, layer[LayerPhase::PARAMS]);
+    for phase in LayerPhase::all() {
+        if layer[phase] > best.1 {
+            best = (phase, layer[phase]);
+        }
+    }
+    best
+}
+
 /// Searches the `(tnpus_per_lpu, mul_lanes)` sub-foldings of `cfg` for
 /// the cheapest one whose predicted cycle count equals the baseline's.
 /// Returns the folded config and its LUT/DSP savings, or `None` when
@@ -594,7 +427,7 @@ pub fn folding_slack(t: &StreamTiming, cfg: &HwConfig) -> Option<(HwConfig, u64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netpu_compiler::{batch_stream, compile, compile_packed, decode};
+    use netpu_compiler::{compile, compile_packed, decode};
     use netpu_core::run_inference_fast;
     use netpu_nn::export::BnMode;
     use netpu_nn::zoo::{random_model, ZooModel};
@@ -617,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn predicted_cycles_match_simulator_on_zoo() {
+    fn predicted_breakdown_matches_simulator_on_zoo() {
         for cfg in configs() {
             for zoo in ZooModel::ALL {
                 for mode in [BnMode::Folded, BnMode::Hardware] {
@@ -626,7 +459,7 @@ mod tests {
                     let loadable = compile(&model, &pixels).unwrap();
                     let t = analyze(&decode(&loadable.words).unwrap(), &cfg);
                     let run = run_inference_fast(&cfg, loadable.words.clone()).unwrap();
-                    assert_eq!(t.total_cycles(), run.cycles, "{zoo:?}/{mode:?} on {cfg:?}");
+                    assert_eq!(t.breakdown, run.breakdown, "{zoo:?}/{mode:?} on {cfg:?}");
                     assert_eq!(t.stream_words, loadable.words.len());
                     let resident = loadable.layout.header.len()
                         + loadable.layout.settings.len()
@@ -639,45 +472,26 @@ mod tests {
 
     #[test]
     fn predicted_cycles_match_simulator_on_random_models() {
-        for seed in 0..40u64 {
-            let model = random_model(seed);
-            let pixels = vec![0u8; model.input.len];
-            let loadable = compile(&model, &pixels).unwrap();
-            let cfg = HwConfig::paper_instance();
-            let predicted = crate::predict_cycles(&loadable.words, &cfg).unwrap();
-            let run = run_inference_fast(&cfg, loadable.words).unwrap();
-            assert_eq!(predicted, run.cycles, "random model seed {seed}");
-        }
-    }
-
-    #[test]
-    fn predicted_cycles_match_simulator_under_dense_packing() {
-        let cfg = HwConfig {
+        let dense = HwConfig {
             dense_weight_packing: true,
             ..HwConfig::paper_instance()
         };
-        for seed in 0..10u64 {
-            let model = random_model(seed);
-            let pixels = vec![0u8; model.input.len];
-            let loadable = compile_packed(&model, &pixels, PackingMode::Dense).unwrap();
-            let predicted = crate::predict_cycles(&loadable.words, &cfg).unwrap();
-            let run = run_inference_fast(&cfg, loadable.words).unwrap();
-            assert_eq!(predicted, run.cycles, "dense random model seed {seed}");
+        for (packing, cfg, seeds) in [
+            (PackingMode::Lanes8, HwConfig::paper_instance(), 40u64),
+            (PackingMode::Dense, dense, 10),
+        ] {
+            for seed in 0..seeds {
+                let model = random_model(seed);
+                let pixels = vec![0u8; model.input.len];
+                let loadable = compile_packed(&model, &pixels, packing).unwrap();
+                let predicted = crate::predict_cycles(&loadable.words, &cfg).unwrap();
+                let run = run_inference_fast(&cfg, loadable.words).unwrap();
+                assert_eq!(
+                    predicted, run.cycles,
+                    "{packing:?} random model seed {seed}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn burst_cycles_match_simulator_on_batch_stream() {
-        let cfg = HwConfig::paper_instance();
-        let model = ZooModel::TfcW1A1
-            .build_untrained(3, BnMode::Folded)
-            .unwrap();
-        let inputs: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; model.input.len]).collect();
-        let words = batch_stream(&model, &inputs, PackingMode::Lanes8).unwrap();
-        let single = compile(&model, &inputs[0]).unwrap();
-        let t = analyze(&decode(&single.words).unwrap(), &cfg);
-        let run = run_inference_fast(&cfg, words).unwrap();
-        assert_eq!(t.burst_cycles(3), run.cycles);
     }
 
     #[test]

@@ -638,7 +638,7 @@ fn npc028_per_layer_bottleneck_attribution() {
     assert!(r.fired(RuleId::Npc028), "{r}");
     assert!(!r.has_errors());
     // Every decoded layer has a dominant phase to attribute.
-    assert!(!t.expect("certificate").layers.is_empty());
+    assert!(!t.expect("certificate").breakdown.layers.is_empty());
 }
 
 #[test]

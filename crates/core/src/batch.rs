@@ -176,7 +176,7 @@ pub fn run_batch_fast(
                 probabilities: cfg
                     .softmax_output
                     .then(|| netpu_arith::softmax::softmax(&out.scores)),
-                stats: template.stats.clone(),
+                breakdown: template.breakdown.clone(),
             }
         })
         .collect())

@@ -12,6 +12,8 @@
 //!   (Fig. 4).
 //! * [`netpu`] — the top Network Processing Unit: recycling LPU ring,
 //!   stream-driven control (§III.B.3), MaxOut output.
+//! * [`cycles`] — the per-layer, per-phase cycle breakdown both
+//!   simulator engines and the static timing certificate emit.
 //! * [`batch`] — the batch fast path: cycle counts from one
 //!   phase-skipping run, values from the batch-major bitsliced kernel.
 //! * [`resources`] — the compositional FPGA resource model calibrated
@@ -23,6 +25,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod cycles;
 pub mod genconfig;
 pub mod lpu;
 pub mod netpu;
@@ -31,6 +34,7 @@ pub mod tnpu;
 
 pub use batch::{run_batch_fast, BatchEngine, SlabBreakdown, SLAB_WIDTH};
 pub use config::{ConfigError, HwConfig, MulImpl};
+pub use cycles::{CycleBreakdown, LayerCycles, LayerPhase, StreamPhase};
 pub use netpu::{
     run_inference, run_inference_fast, run_inference_observed, InferenceRun, NetPu, NetPuError,
 };

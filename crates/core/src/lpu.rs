@@ -19,6 +19,7 @@
 //! ingest cycle (the paper's stated future-work optimization).
 
 use crate::config::HwConfig;
+use crate::cycles::{LayerCycles, LayerPhase};
 use crate::tnpu::{LayerCfg, MaxOut, NeuronActivation, NeuronParams, Tnpu, TnpuOut};
 use netpu_arith::{cast, ActivationKind, Fix, QuantParams};
 use netpu_compiler::stream::{
@@ -27,7 +28,6 @@ use netpu_compiler::stream::{
 use netpu_compiler::{LayerSetting, LayerType, PackingMode};
 use netpu_sim::engine::Tick;
 use netpu_sim::{Cycle, DatapathProbe, Fifo, ProbeStage, StreamSource, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// The Table III data-buffer cluster geometry: `(name, width, depth)`.
 pub const BUFFER_CLUSTER: [(&str, u32, usize); 10] = [
@@ -50,37 +50,6 @@ pub const PIPELINE_DEPTH: u64 = 4;
 /// Width of the parameter-buffer read port in 32-bit words (the 128-bit
 /// buffers of Table III deliver four parameter words per cycle).
 pub const PARAM_READ_WIDTH: usize = 4;
-
-/// Per-layer cycle breakdown.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LpuStats {
-    /// Cycles spent in Neuron Initialization.
-    pub init_cycles: u64,
-    /// Cycles spent ingesting/dispatching weight words.
-    pub weight_cycles: u64,
-    /// Cycles stalled waiting on the weight stream.
-    pub stall_cycles: u64,
-    /// Pipeline drain cycles.
-    pub drain_cycles: u64,
-    /// Output write / MaxOut cycles.
-    pub output_cycles: u64,
-    /// Input-layer processing cycles.
-    pub input_cycles: u64,
-    /// Weight words consumed.
-    pub weight_words: u64,
-}
-
-impl LpuStats {
-    /// Total busy cycles.
-    pub fn total(&self) -> u64 {
-        self.init_cycles
-            + self.weight_cycles
-            + self.stall_cycles
-            + self.drain_cycles
-            + self.output_cycles
-            + self.input_cycles
-    }
-}
 
 /// The result a finished layer hands back to the NetPU.
 #[derive(Clone, Debug, PartialEq)]
@@ -210,9 +179,62 @@ pub fn decode_neuron_params(setting: &LayerSetting, words: &[u64]) -> Vec<Neuron
         .collect()
 }
 
+/// Input-layer cycles per 64-bit input word: one read cycle,
+/// threshold-read cycles for its eight pixels, one write cycle.
+pub fn input_word_cycles(setting: &LayerSetting) -> u64 {
+    2 + cast::u64_from_usize((8 * act_u32s(setting)).div_ceil(PARAM_READ_WIDTH))
+}
+
+/// Write-out cycles of a `batch`-neuron batch (at least one): MaxOut
+/// compares scores one per cycle and the SoftMax unit adds one exp
+/// evaluation each; hidden levels pack eight per output-buffer word.
+pub fn write_out_cycles(setting: &LayerSetting, batch: usize, softmax: bool) -> u64 {
+    if setting.layer_type == LayerType::Output {
+        cast::u64_from_usize(batch) * (1 + u64::from(softmax))
+    } else {
+        cast::u64_from_usize(batch.div_ceil(8))
+    }
+    .max(1)
+}
+
+/// Input levels one weight word covers: 64 XNOR channels, or the
+/// packed weights per word.
+fn levels_per_word(setting: &LayerSetting, packing: PackingMode) -> usize {
+    if uses_xnor_path(setting) {
+        64
+    } else {
+        weights_per_word(setting, packing)
+    }
+}
+
+/// Input levels one dispatch subcycle pushes through `lanes` multiplier
+/// lanes: `lanes` integer products, or `lanes × 8` XNOR channels.
+fn levels_per_group(setting: &LayerSetting, lanes: usize) -> usize {
+    if uses_xnor_path(setting) {
+        lanes * 8
+    } else {
+        lanes
+    }
+}
+
+/// Dispatch subcycles a neuron's weight word `chunk` needs on `lanes`
+/// multiplier lanes: 1 for the paper's lane packing, more when a dense
+/// word carries more weights than lanes.
+pub fn dispatch_groups(
+    setting: &LayerSetting,
+    packing: PackingMode,
+    lanes: usize,
+    chunk: usize,
+) -> usize {
+    let lpw = levels_per_word(setting, packing);
+    let hi = ((chunk + 1) * lpw).min(cast::usize_from_u32(setting.input_len));
+    hi.saturating_sub(chunk * lpw)
+        .div_ceil(levels_per_group(setting, lanes))
+}
+
 /// Neuron Initialization cycles for one neuron: one buffer read for the
 /// bias/BN word plus 128-bit-wide reads for the activation parameters.
-fn init_cycles_per_neuron(setting: &LayerSetting) -> u64 {
+pub fn init_cycles_per_neuron(setting: &LayerSetting) -> u64 {
     let act_reads = if setting.layer_type == LayerType::Output {
         0
     } else {
@@ -287,8 +309,9 @@ pub struct Lpu {
     scores: Vec<Fix>,
     maxout: MaxOut,
     state: State,
-    /// Cycle breakdown for the current layer.
-    pub stats: LpuStats,
+    /// Cycle breakdown of the current layer. The LPU counts its own
+    /// processing edges; the NetPU adds the parameter-section edges.
+    pub cycles: LayerCycles,
 }
 
 impl Lpu {
@@ -317,7 +340,7 @@ impl Lpu {
             scores: Vec::new(),
             maxout: MaxOut::default(),
             state: State::Idle,
-            stats: LpuStats::default(),
+            cycles: LayerCycles::default(),
         }
     }
 
@@ -367,7 +390,7 @@ impl Lpu {
         self.scores.clear();
         self.maxout.reset();
         self.have_inputs = false;
-        self.stats = LpuStats::default();
+        self.cycles = LayerCycles::default();
         self.state = if expected_param_words == 0 {
             State::Ready
         } else {
@@ -385,9 +408,7 @@ impl Lpu {
         };
         self.param_words.push(word);
         if remaining == 1 {
-            let Some(setting) = self.setting else {
-                panic!("LPU {} has no layer begun", self.id)
-            };
+            let setting = self.setting();
             self.params = decode_neuron_params(&setting, &self.param_words);
             self.state = State::Ready;
             true
@@ -402,9 +423,7 @@ impl Lpu {
     /// Loads the previous layer's outputs (MAC-domain values) into the
     /// Layer Input / Input Reload buffers.
     pub fn set_inputs(&mut self, values: Vec<i32>) {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
+        let setting = self.setting();
         let expect = if setting.layer_type == LayerType::Input {
             cast::usize_from_u32(setting.neurons)
         } else {
@@ -416,47 +435,25 @@ impl Lpu {
         self.packed_inputs_stale = true;
     }
 
-    /// Input levels consumed per weight word for the current layer.
+    /// The current layer's setting.
+    fn setting(&self) -> LayerSetting {
+        let Some(setting) = self.setting else {
+            panic!("LPU {} has no layer begun", self.id)
+        };
+        setting
+    }
+
     fn levels_per_word(&self) -> usize {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
-        if uses_xnor_path(&setting) {
-            64
-        } else {
-            weights_per_word(&setting, self.packing)
-        }
+        levels_per_word(&self.setting(), self.packing)
     }
 
-    /// Input levels a single dispatch subcycle can push through the
-    /// multiplier lanes: `lanes` integer products, or `lanes × 8` XNOR
-    /// channels.
     fn levels_per_group(&self) -> usize {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
-        let lanes = self.tnpus[0].lanes();
-        if uses_xnor_path(&setting) {
-            lanes * 8
-        } else {
-            lanes
-        }
+        levels_per_group(&self.setting(), self.tnpus[0].lanes())
     }
 
-    /// Dispatch subcycles needed for input chunk `chunk` of the current
-    /// layer (1 for the paper's lane packing; >1 when a dense word
-    /// carries more weights than multiplier lanes).
     fn dispatch_groups(&self, chunk: usize) -> u32 {
-        let span = self.chunk_span(chunk);
-        cast::u32_sat_usize(span.div_ceil(self.levels_per_group()))
-    }
-
-    /// Number of input levels covered by chunk `chunk`.
-    fn chunk_span(&self, chunk: usize) -> usize {
-        let lpw = self.levels_per_word();
-        let lo = chunk * lpw;
-        let hi = ((chunk + 1) * lpw).min(self.inputs.len());
-        hi.saturating_sub(lo)
+        let groups = dispatch_groups(&self.setting(), self.packing, self.tnpus[0].lanes(), chunk);
+        cast::u32_sat_usize(groups)
     }
 
     /// Advances one clock cycle of steps 2–3. `stream` is the Network
@@ -471,16 +468,13 @@ impl Lpu {
         tracer: &mut Tracer,
         probe: &mut DatapathProbe,
     ) -> Tick {
-        let setting = match self.setting {
-            Some(s) => s,
-            None => return Tick::Stall,
+        let Some(setting) = self.setting else {
+            self.cycles[LayerPhase::STALL] += 1;
+            return Tick::Stall;
         };
         match self.state {
-            State::Idle | State::AwaitParams { .. } | State::Done => Tick::Stall,
-            State::Ready => {
-                if !self.have_inputs {
-                    return Tick::Stall;
-                }
+            State::Ready if self.have_inputs => {
+                self.cycles[LayerPhase::READY] += 1;
                 if setting.layer_type == LayerType::Input {
                     self.state = State::InputLayer {
                         word: 0,
@@ -497,12 +491,13 @@ impl Lpu {
                 }
                 Tick::Progress
             }
+            State::Idle | State::AwaitParams { .. } | State::Ready | State::Done => {
+                self.cycles[LayerPhase::STALL] += 1;
+                Tick::Stall
+            }
             State::InputLayer { word, subcycle } => {
-                // Each 64-bit input word: one read cycle, threshold-read
-                // cycles for its eight pixels, one write cycle.
-                let per_word_cost =
-                    2 + cast::u64_from_usize((8 * act_u32s(&setting)).div_ceil(PARAM_READ_WIDTH));
-                self.stats.input_cycles += 1;
+                let per_word_cost = input_word_cycles(&setting);
+                self.cycles[LayerPhase::INPUT] += 1;
                 if subcycle + 1 < per_word_cost {
                     self.state = State::InputLayer {
                         word,
@@ -537,7 +532,7 @@ impl Lpu {
                 Tick::Progress
             }
             State::BatchInit { batch_start, left } => {
-                self.stats.init_cycles += 1;
+                self.cycles[LayerPhase::INIT] += 1;
                 if left > 1 {
                     self.state = State::BatchInit {
                         batch_start,
@@ -575,8 +570,7 @@ impl Lpu {
                             let pushed = self.weight_fifo.push(w);
                             debug_assert!(pushed, "weight FIFO overflow");
                             self.pending_word = self.weight_fifo.pop().unwrap_or(w);
-                            self.stats.weight_words += 1;
-                            self.stats.weight_cycles += 1;
+                            self.cycles[LayerPhase::WEIGHT_INGEST] += 1;
                             if self.double_buffered {
                                 self.dispatch_group(t, chunk, 0);
                                 self.after_group(batch_start, t, chunk, 1, cycle, tracer);
@@ -591,45 +585,34 @@ impl Lpu {
                             Tick::Progress
                         }
                         None => {
-                            self.stats.stall_cycles += 1;
+                            self.cycles[LayerPhase::STALL] += 1;
                             Tick::Stall
                         }
                     }
                 } else {
-                    self.stats.weight_cycles += 1;
+                    self.cycles[LayerPhase::WEIGHT_DISPATCH] += 1;
                     self.dispatch_group(t, chunk, subcycle - 1);
                     self.after_group(batch_start, t, chunk, subcycle, cycle, tracer);
                     Tick::Progress
                 }
             }
             State::Drain { batch_start, left } => {
-                self.stats.drain_cycles += 1;
+                self.cycles[LayerPhase::DRAIN] += 1;
                 if left > 1 {
                     self.state = State::Drain {
                         batch_start,
                         left: left - 1,
                     };
                 } else {
-                    let n = cast::usize_from_u32(setting.neurons);
-                    let end = (batch_start + self.tnpus.len()).min(n);
-                    let write_cost = if setting.layer_type == LayerType::Output {
-                        // MaxOut compares scores one per cycle; the
-                        // SoftMax unit adds one exp evaluation each.
-                        cast::u64_from_usize(end - batch_start)
-                            * (1 + u64::from(self.softmax_output))
-                    } else {
-                        // Levels pack eight per output-buffer word.
-                        cast::u64_from_usize((end - batch_start).div_ceil(8))
-                    };
                     self.state = State::WriteOut {
                         batch_start,
-                        left: write_cost.max(1),
+                        left: self.write_out_cost(batch_start),
                     };
                 }
                 Tick::Progress
             }
             State::WriteOut { batch_start, left } => {
-                self.stats.output_cycles += 1;
+                self.cycles[LayerPhase::WRITE_OUT] += 1;
                 if left > 1 {
                     self.state = State::WriteOut {
                         batch_start,
@@ -658,7 +641,8 @@ impl Lpu {
                     tracer.record(cycle, "lpu", || {
                         format!(
                             "lpu{} layer done after {} weight words",
-                            self.id, self.stats.weight_words
+                            self.id,
+                            self.cycles[LayerPhase::WEIGHT_INGEST]
                         )
                     });
                 } else {
@@ -687,7 +671,7 @@ impl Lpu {
     /// streaming whole weight words per loop iteration.
     ///
     /// Cycle-exact with the tick path: the same state transitions happen
-    /// on the same edges, every [`LpuStats`] field advances identically,
+    /// on the same edges, every [`LayerCycles`] cell advances identically,
     /// and stream words are consumed on the same cycles (via
     /// [`StreamSource::take_unmetered`]; the caller settles idle-cycle
     /// accounting from the returned [`LpuBulk`]). A stall — empty stream
@@ -717,9 +701,9 @@ impl Lpu {
             tail: 1,
             tick: Tick::Stall,
         };
-        let setting = match self.setting {
-            Some(s) => s,
-            None => return STALL,
+        let Some(setting) = self.setting else {
+            self.cycles[LayerPhase::STALL] += 1;
+            return STALL;
         };
         loop {
             let left = budget - advanced;
@@ -727,21 +711,8 @@ impl Lpu {
                 return progress(advanced, words, tail);
             }
             match self.state {
-                State::Idle | State::AwaitParams { .. } | State::Done => {
-                    return if advanced > 0 {
-                        progress(advanced, words, tail)
-                    } else {
-                        STALL
-                    };
-                }
-                State::Ready => {
-                    if !self.have_inputs {
-                        return if advanced > 0 {
-                            progress(advanced, words, tail)
-                        } else {
-                            STALL
-                        };
-                    }
+                State::Ready if self.have_inputs => {
+                    self.cycles[LayerPhase::READY] += 1;
                     if setting.layer_type == LayerType::Input {
                         self.state = State::InputLayer {
                             word: 0,
@@ -760,15 +731,21 @@ impl Lpu {
                     advanced += 1;
                     tail += 1;
                 }
+                State::Idle | State::AwaitParams { .. } | State::Ready | State::Done => {
+                    return if advanced > 0 {
+                        progress(advanced, words, tail)
+                    } else {
+                        self.cycles[LayerPhase::STALL] += 1;
+                        STALL
+                    };
+                }
                 State::InputLayer { word, subcycle } => {
-                    let per = 2 + cast::u64_from_usize(
-                        (8 * act_u32s(&setting)).div_ceil(PARAM_READ_WIDTH),
-                    );
+                    let per = input_word_cycles(&setting);
                     let n = cast::usize_from_u32(setting.neurons);
                     let n_words = cast::u64_from_usize(n.div_ceil(8));
                     let pos = cast::u64_from_usize(word) * per + subcycle;
                     let k = (n_words * per - pos).min(left);
-                    self.stats.input_cycles += k;
+                    self.cycles[LayerPhase::INPUT] += k;
                     advanced += k;
                     tail += k;
                     let pos = pos + k;
@@ -803,7 +780,7 @@ impl Lpu {
                     left: need,
                 } => {
                     let k = need.min(left);
-                    self.stats.init_cycles += k;
+                    self.cycles[LayerPhase::INIT] += k;
                     advanced += k;
                     tail += k;
                     if k < need {
@@ -840,7 +817,7 @@ impl Lpu {
                     // one 64-bit word), whole words cost a fixed
                     // `cost` cycles each and the remaining words of the
                     // batch can be consumed in one tight loop — per-word
-                    // stats identical, FIFO counters settled in bulk.
+                    // cycle cells identical, FIFO counters settled in bulk.
                     if subcycle == 0 && self.levels_per_group() >= self.levels_per_word() {
                         let cost = if self.double_buffered { 1u64 } else { 2u64 };
                         let chunks = neuron_weight_words_mode(&setting, self.packing);
@@ -896,8 +873,8 @@ impl Lpu {
                                 self.pending_word = last;
                             }
                             self.weight_fifo.settle_push_pops(m);
-                            self.stats.weight_words += m;
-                            self.stats.weight_cycles += m * cost;
+                            self.cycles[LayerPhase::WEIGHT_INGEST] += m;
+                            self.cycles[LayerPhase::WEIGHT_DISPATCH] += m * (cost - 1);
                             advanced += m * cost;
                             words += m;
                             tail = cost - 1;
@@ -922,12 +899,11 @@ impl Lpu {
                             return if advanced > 0 {
                                 progress(advanced, words, tail)
                             } else {
-                                self.stats.stall_cycles += 1;
+                                self.cycles[LayerPhase::STALL] += 1;
                                 STALL
                             };
                         };
                         self.pending_word = self.weight_fifo.push_pop(w).unwrap_or(w);
-                        self.stats.weight_words += 1;
                         words += 1;
                         let cost = if self.double_buffered {
                             u64::from(groups)
@@ -935,7 +911,8 @@ impl Lpu {
                             1 + u64::from(groups)
                         };
                         let k = cost.min(left);
-                        self.stats.weight_cycles += k;
+                        self.cycles[LayerPhase::WEIGHT_INGEST] += 1;
+                        self.cycles[LayerPhase::WEIGHT_DISPATCH] += k - 1;
                         advanced += k;
                         tail = k - 1;
                         // The ingest edge dispatches group 0 only when
@@ -960,7 +937,7 @@ impl Lpu {
                         // budget): groups subcycle−1 … groups−1 remain.
                         let remaining = u64::from(groups - (subcycle - 1));
                         let k = remaining.min(left);
-                        self.stats.weight_cycles += k;
+                        self.cycles[LayerPhase::WEIGHT_DISPATCH] += k;
                         advanced += k;
                         tail += k;
                         for group in (subcycle - 1)..(subcycle - 1 + cast::u32_sat(k)) {
@@ -983,7 +960,7 @@ impl Lpu {
                     left: need,
                 } => {
                     let k = need.min(left);
-                    self.stats.drain_cycles += k;
+                    self.cycles[LayerPhase::DRAIN] += k;
                     advanced += k;
                     tail += k;
                     if k < need {
@@ -992,17 +969,9 @@ impl Lpu {
                             left: need - k,
                         };
                     } else {
-                        let n = cast::usize_from_u32(setting.neurons);
-                        let end = (batch_start + self.tnpus.len()).min(n);
-                        let write_cost = if setting.layer_type == LayerType::Output {
-                            cast::u64_from_usize(end - batch_start)
-                                * (1 + u64::from(self.softmax_output))
-                        } else {
-                            cast::u64_from_usize((end - batch_start).div_ceil(8))
-                        };
                         self.state = State::WriteOut {
                             batch_start,
-                            left: write_cost.max(1),
+                            left: self.write_out_cost(batch_start),
                         };
                     }
                 }
@@ -1011,7 +980,7 @@ impl Lpu {
                     left: need,
                 } => {
                     let k = need.min(left);
-                    self.stats.output_cycles += k;
+                    self.cycles[LayerPhase::WRITE_OUT] += k;
                     advanced += k;
                     tail += k;
                     if k < need {
@@ -1041,7 +1010,8 @@ impl Lpu {
                         tracer.record(cycle + advanced - 1, "lpu", || {
                             format!(
                                 "lpu{} layer done after {} weight words",
-                                self.id, self.stats.weight_words
+                                self.id,
+                                self.cycles[LayerPhase::WEIGHT_INGEST]
                             )
                         });
                         return progress(advanced, words, tail);
@@ -1057,12 +1027,21 @@ impl Lpu {
 
     /// Neuron Initialization cost for the batch starting at `start`.
     fn batch_init_cost(&self, start: usize) -> u64 {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
-        let n = cast::usize_from_u32(setting.neurons);
-        let batch = (start + self.tnpus.len()).min(n) - start;
+        let (setting, batch) = self.batch_at(start);
         (init_cycles_per_neuron(&setting) * cast::u64_from_usize(batch)).max(1)
+    }
+
+    /// Write-out cost for the batch starting at `start`.
+    fn write_out_cost(&self, start: usize) -> u64 {
+        let (setting, batch) = self.batch_at(start);
+        write_out_cycles(&setting, batch, self.softmax_output)
+    }
+
+    /// The current setting and the size of the batch starting at `start`.
+    fn batch_at(&self, start: usize) -> (LayerSetting, usize) {
+        let setting = self.setting();
+        let n = cast::usize_from_u32(setting.neurons);
+        (setting, (start + self.tnpus.len()).min(n) - start)
     }
 
     /// Runs one dispatch group of the pending weight word through the
@@ -1070,9 +1049,7 @@ impl Lpu {
     /// (or `mul_lanes × 8` XNOR channels) against the matching slice of
     /// the Input Reload buffer.
     fn dispatch_group(&mut self, t: usize, chunk: usize, group: u32) {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
+        let setting = self.setting();
         let lpw = self.levels_per_word();
         let lpg = self.levels_per_group();
         let word_lo = chunk * lpw;
@@ -1101,9 +1078,7 @@ impl Lpu {
     /// XOR+popcount; integer-path weights land in a reused scratch
     /// buffer. Numerically identical to the tick path.
     fn dispatch_group_fast(&mut self, t: usize, chunk: usize, group: u32) {
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
+        let setting = self.setting();
         let lpw = self.levels_per_word();
         let lpg = self.levels_per_group();
         let word_lo = chunk * lpw;
@@ -1153,9 +1128,7 @@ impl Lpu {
             };
             return;
         }
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
+        let setting = self.setting();
         let chunks = neuron_weight_words_mode(&setting, self.packing);
         let n = cast::usize_from_u32(setting.neurons);
         let end = (batch_start + self.tnpus.len()).min(n);
@@ -1183,9 +1156,7 @@ impl Lpu {
     /// Collects the finished layer's result.
     pub fn take_output(&mut self) -> LayerOutput {
         assert!(self.is_done(), "LPU {} not done", self.id);
-        let Some(setting) = self.setting else {
-            panic!("LPU {} has no layer begun", self.id)
-        };
+        let setting = self.setting();
         if setting.layer_type == LayerType::Output {
             let (Some(class), Some(score)) = (self.maxout.result(), self.maxout.best_score())
             else {

@@ -17,7 +17,8 @@
 //! FSM either routes one stream word or advances the active LPU.
 
 use crate::config::{ConfigError, HwConfig};
-use crate::lpu::{LayerOutput, Lpu, LpuStats};
+use crate::cycles::{CycleBreakdown, LayerPhase, StreamPhase};
+use crate::lpu::{LayerOutput, Lpu};
 use netpu_arith::{cast, Fix};
 use netpu_compiler::stream::{input_words, param_words, StreamError};
 use netpu_compiler::{LayerSetting, LayerType, PackingMode};
@@ -27,38 +28,9 @@ use netpu_sim::{
     BulkClocked, Clocked, Cycle, DatapathProbe, SimError, Simulator, StreamSink, StreamSource,
     Tracer,
 };
-use serde::{Deserialize, Serialize};
 
 /// Cycles to reset a finished LPU for its next layer.
 pub const RESET_CYCLES: u64 = 2;
-
-/// Top-level cycle accounting.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct NetPuStats {
-    /// Header + layer-setting ingestion cycles.
-    pub settings_cycles: u64,
-    /// Dataset-input ingestion cycles.
-    pub input_ingest_cycles: u64,
-    /// Parameter-section ingestion cycles (all layers).
-    pub param_cycles: u64,
-    /// LPU processing cycles (all layers).
-    pub process_cycles: u64,
-    /// LPU reset cycles.
-    pub reset_cycles: u64,
-    /// Per-layer LPU breakdowns, in layer order.
-    pub layers: Vec<LpuStats>,
-}
-
-impl NetPuStats {
-    /// Total accounted cycles.
-    pub fn total(&self) -> u64 {
-        self.settings_cycles
-            + self.input_ingest_cycles
-            + self.param_cycles
-            + self.process_cycles
-            + self.reset_cycles
-    }
-}
 
 /// Errors raised while driving the accelerator.
 #[derive(Clone, PartialEq, Debug)]
@@ -133,8 +105,8 @@ pub struct NetPu {
     results: Vec<(usize, Fix, Cycle)>,
     scores: Vec<Fix>,
     error: Option<StreamError>,
-    /// Cycle accounting.
-    pub stats: NetPuStats,
+    /// Cycle accounting: every edge lands in one cell.
+    pub breakdown: CycleBreakdown,
 }
 
 impl NetPu {
@@ -158,7 +130,7 @@ impl NetPu {
             results: Vec::new(),
             scores: Vec::new(),
             error: None,
-            stats: NetPuStats::default(),
+            breakdown: CycleBreakdown::default(),
         })
     }
 
@@ -289,7 +261,7 @@ impl NetPu {
                 });
             }
         }
-        self.stats.layers.push(self.lpus[id].stats);
+        self.breakdown.layers.push(self.lpus[id].cycles);
     }
 
     /// Stream idle cycles accumulated so far (cycles in which the
@@ -313,9 +285,9 @@ impl NetPu {
     /// input-ingest and reset states fall back to single edges (they are
     /// a vanishing fraction of an inference); parameter sections ingest
     /// in bulk straight from the stream; processing sections delegate to
-    /// [`Lpu::bulk_tick`]. Cycle counts, every [`NetPuStats`] /
-    /// [`LpuStats`] field, sink timestamps and stream idle accounting
-    /// match the tick path exactly.
+    /// [`Lpu::bulk_tick`]. Cycle counts, every [`CycleBreakdown`] cell,
+    /// sink timestamps and stream idle accounting match the tick path
+    /// exactly.
     fn bulk_step(&mut self, cycle: Cycle, budget: Cycle) -> (Cycle, Tick) {
         let TopState::Sections { idx, entered } = self.state else {
             return self.single_step(cycle);
@@ -340,7 +312,7 @@ impl NetPu {
                 for &w in self.stream.take_words(k) {
                     complete = self.lpus[id].ingest_param_word(w);
                 }
-                self.stats.param_cycles += cast::u64_from_usize(k);
+                self.lpus[id].cycles[LayerPhase::PARAMS] += cast::u64_from_usize(k);
                 self.state = if complete {
                     TopState::Sections {
                         idx: idx + 1,
@@ -361,7 +333,6 @@ impl NetPu {
                     &mut self.tracer,
                     &mut self.probe,
                 );
-                self.stats.process_cycles += r.advanced;
                 // Idle settlement: edges strictly between takes always
                 // saw pending data; trailing edges only count when the
                 // stream still holds words now.
@@ -404,9 +375,9 @@ impl Clocked for NetPu {
         let tick = match std::mem::replace(&mut self.state, TopState::Failed) {
             TopState::Header => {
                 self.state = TopState::Header;
+                self.breakdown[StreamPhase::HEADER] += 1;
                 match self.stream.take() {
                     Some(w) => {
-                        self.stats.settings_cycles += 1;
                         if cast::lo16(w) != netpu_compiler::stream::MAGIC
                             || cast::lo8(w >> 16) != netpu_compiler::stream::VERSION
                         {
@@ -436,9 +407,9 @@ impl Clocked for NetPu {
             }
             TopState::Settings { idx } => {
                 self.state = TopState::Settings { idx };
+                self.breakdown[StreamPhase::SETTINGS] += 1;
                 match self.stream.take() {
                     Some(w) => {
-                        self.stats.settings_cycles += 1;
                         let s = match LayerSetting::decode(w) {
                             Ok(s) => s,
                             Err(e) => return self.fail(StreamError::BadSetting(e)),
@@ -467,9 +438,9 @@ impl Clocked for NetPu {
             }
             TopState::InputIngest { idx } => {
                 self.state = TopState::InputIngest { idx };
+                self.breakdown[StreamPhase::INPUT_INGEST] += 1;
                 match self.stream.take() {
                     Some(w) => {
-                        self.stats.input_ingest_cycles += 1;
                         let len = cast::usize_from_u32(self.settings[0].neurons);
                         for i in 0..8 {
                             let p = 8 * idx + i;
@@ -497,7 +468,9 @@ impl Clocked for NetPu {
                         if !entered {
                             if !self.lpus[id].is_idle() {
                                 // The stream interleave guarantees the
-                                // target LPU is free for L ≥ 2.
+                                // target LPU is free for L ≥ 2; the edge
+                                // is charged to the layer holding it.
+                                self.lpus[id].cycles[LayerPhase::STALL] += 1;
                                 self.state = TopState::Sections { idx, entered };
                                 return Tick::Stall;
                             }
@@ -515,6 +488,9 @@ impl Clocked for NetPu {
                                 self.lpus[id].set_inputs(std::mem::take(&mut self.pixels));
                             }
                             if expect == 0 {
+                                // The section-entry edge of an empty
+                                // parameter section.
+                                self.lpus[id].cycles[LayerPhase::PARAMS] += 1;
                                 self.state = TopState::Sections {
                                     idx: idx + 1,
                                     entered: false,
@@ -524,7 +500,7 @@ impl Clocked for NetPu {
                         }
                         match self.stream.take() {
                             Some(w) => {
-                                self.stats.param_cycles += 1;
+                                self.lpus[id].cycles[LayerPhase::PARAMS] += 1;
                                 let complete = self.lpus[id].ingest_param_word(w);
                                 self.state = if complete {
                                     TopState::Sections {
@@ -537,6 +513,7 @@ impl Clocked for NetPu {
                                 Tick::Progress
                             }
                             None => {
+                                self.lpus[id].cycles[LayerPhase::STALL] += 1;
                                 self.state = TopState::Sections { idx, entered: true };
                                 Tick::Stall
                             }
@@ -551,7 +528,6 @@ impl Clocked for NetPu {
                             &mut self.tracer,
                             &mut self.probe,
                         );
-                        self.stats.process_cycles += 1;
                         if self.lpus[id].is_done() {
                             self.route_layer_output(layer, cycle);
                             if layer + 1 == self.settings.len() {
@@ -587,7 +563,7 @@ impl Clocked for NetPu {
                 }
             }
             TopState::Resetting { idx, left } => {
-                self.stats.reset_cycles += 1;
+                self.breakdown[StreamPhase::RESET] += 1;
                 self.state = if left > 1 {
                     TopState::Resetting {
                         idx,
@@ -626,8 +602,8 @@ pub struct InferenceRun {
     pub latency_us: f64,
     /// SoftMax probabilities (instances with `softmax_output` only).
     pub probabilities: Option<Vec<f64>>,
-    /// Cycle breakdown.
-    pub stats: NetPuStats,
+    /// Per-layer, per-phase cycle breakdown; sums to `cycles`.
+    pub breakdown: CycleBreakdown,
 }
 
 /// Convenience driver: streams a compiled loadable through a fresh
@@ -653,7 +629,7 @@ pub fn run_inference(cfg: &HwConfig, words: Vec<u64>) -> Result<InferenceRun, Ne
 }
 
 /// [`run_inference`] on the phase-skipping fast path: identical results
-/// (class, score, cycle count and the full [`NetPuStats`] breakdown) at
+/// (class, score, cycle count and the full [`CycleBreakdown`]) at
 /// a fraction of the wall-clock cost. The equivalence is enforced by the
 /// `fast_path` differential test suite.
 pub fn run_inference_fast(cfg: &HwConfig, words: Vec<u64>) -> Result<InferenceRun, NetPuError> {
@@ -675,12 +651,7 @@ pub fn run_inference_hooked(
     words: Vec<u64>,
     tracer: &mut Tracer,
 ) -> Result<InferenceRun, NetPuError> {
-    let stream = StreamSource::new(words, 1);
-    let mut netpu = NetPu::new(*cfg, stream)?.with_tracer(std::mem::take(tracer));
-    let outcome = run_to_completion_fast(&mut netpu);
-    *tracer = netpu.take_tracer();
-    let cycles = outcome?;
-    finish_run(&netpu, cycles, cfg)
+    run_inference_observed(cfg, words, tracer, &mut DatapathProbe::disabled())
 }
 
 /// [`run_inference_fast`] with a caller-supplied [`DatapathProbe`]
@@ -696,12 +667,7 @@ pub fn run_inference_probed(
     words: Vec<u64>,
     probe: &mut DatapathProbe,
 ) -> Result<InferenceRun, NetPuError> {
-    let stream = StreamSource::new(words, 1);
-    let mut netpu = NetPu::new(*cfg, stream)?.with_probe(std::mem::take(probe));
-    let outcome = run_to_completion_fast(&mut netpu);
-    *probe = netpu.take_probe();
-    let cycles = outcome?;
-    finish_run(&netpu, cycles, cfg)
+    run_inference_observed(cfg, words, &mut Tracer::disabled(), probe)
 }
 
 /// [`run_inference_fast`] with *both* observation hooks attached in a
@@ -740,7 +706,7 @@ fn finish_run(netpu: &NetPu, cycles: Cycle, cfg: &HwConfig) -> Result<InferenceR
         cycles,
         latency_us: netpu_sim::cycles_to_us(cycles, cfg.clock_mhz),
         probabilities: netpu.probabilities(),
-        stats: netpu.stats.clone(),
+        breakdown: netpu.breakdown.clone(),
     })
 }
 

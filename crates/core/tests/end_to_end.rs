@@ -1,8 +1,8 @@
 //! End-to-end accelerator tests: bit-exactness against the software
 //! reference and structural latency properties.
 
-use netpu_core::netpu::run_inference;
-use netpu_core::{HwConfig, NetPuError};
+use netpu_core::netpu::{run_inference, run_inference_fast};
+use netpu_core::{HwConfig, LayerPhase, NetPuError};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
 use netpu_nn::{dataset, reference};
@@ -208,8 +208,8 @@ fn corrupt_streams_fail_cleanly() {
     }
 }
 
-/// The cycle accounting is complete: phase counts sum to the measured
-/// total (minus the final done edge).
+/// The cycle accounting is complete: on both engines every edge,
+/// including the final done edge, lands in exactly one phase cell.
 #[test]
 fn stats_account_for_every_cycle() {
     let cfg = HwConfig::paper_instance();
@@ -217,18 +217,21 @@ fn stats_account_for_every_cycle() {
         .build_untrained(8, BnMode::Folded)
         .unwrap();
     let px = pixels(6);
-    let run = run_inference(&cfg, netpu_compiler::compile(&model, &px).unwrap().words).unwrap();
-    let accounted = run.stats.total();
-    assert!(
-        accounted <= run.cycles && run.cycles - accounted <= 2,
-        "accounted {accounted} vs total {run:?}"
-    );
-    assert_eq!(run.stats.layers.len(), 5);
-    // Weight cycles dominate for an FC-heavy model.
-    let weight: u64 = run.stats.layers.iter().map(|l| l.weight_cycles).sum();
-    assert!(
-        weight * 2 > run.cycles,
-        "weights {weight} of {}",
-        run.cycles
-    );
+    let words = netpu_compiler::compile(&model, &px).unwrap().words;
+    for run in [
+        run_inference(&cfg, words.clone()).unwrap(),
+        run_inference_fast(&cfg, words).unwrap(),
+    ] {
+        let b = &run.breakdown;
+        assert_eq!(b.total(), run.cycles, "{b:?}");
+        assert_eq!(b.layers.len(), 5);
+        // Weight cycles dominate for an FC-heavy model.
+        let weight = b.layer_phase_total(LayerPhase::WEIGHT_INGEST)
+            + b.layer_phase_total(LayerPhase::WEIGHT_DISPATCH);
+        assert!(
+            weight * 2 > run.cycles,
+            "weights {weight} of {}",
+            run.cycles
+        );
+    }
 }

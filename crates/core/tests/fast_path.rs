@@ -1,9 +1,9 @@
 //! Differential tests for the phase-skipping fast path: for every zoo
 //! model × BN mode × weight-buffering × packing combination,
 //! `run_inference_fast` must agree with the reference tick path on the
-//! cycle count, the classification, and **every** `NetPuStats` /
-//! `LpuStats` field — the fast path is an optimization of the clock
-//! loop, not of the timing model.
+//! cycle count, the classification, and **every** `CycleBreakdown`
+//! cell (each layer × phase, plus the stream-level phases) — the fast
+//! path is an optimization of the clock loop, not of the timing model.
 
 use netpu_compiler::{batch_stream, compile_packed, PackingMode};
 use netpu_core::netpu::{run_to_completion, run_to_completion_fast};
@@ -21,10 +21,10 @@ fn config(double_buffered: bool, packing: PackingMode) -> HwConfig {
     }
 }
 
-/// The full sweep the issue demands. Each combination runs the same
-/// loadable through both paths and compares the whole `InferenceRun`
-/// (class, score, cycles, latency, probabilities, and the per-layer
-/// stats breakdown) for structural equality.
+/// The full sweep. Each combination runs the same loadable through
+/// both paths and compares the whole `InferenceRun` (class, score,
+/// cycles, latency, probabilities, and the per-layer cycle breakdown)
+/// for structural equality.
 #[test]
 fn fast_path_is_cycle_exact_across_the_zoo() {
     let pixels: Vec<u8> = (0..784).map(|i| (i * 7 % 251) as u8).collect();
@@ -90,7 +90,7 @@ fn fast_path_matches_burst_streams_and_idle_accounting() {
 
     assert_eq!(tick_cycles, fast_cycles);
     assert_eq!(tick.results(), fast.results());
-    assert_eq!(tick.stats, fast.stats);
+    assert_eq!(tick.breakdown, fast.breakdown);
     assert_eq!(tick.sink().timed_words(), fast.sink().timed_words());
     assert_eq!(tick.stream_idle_cycles(), fast.stream_idle_cycles());
 }

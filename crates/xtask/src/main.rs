@@ -23,11 +23,10 @@
 //! `certify-timing` is the timing-soundness release gate (DESIGN.md
 //! §4.9): it prices the same zoo + random-model corpus with the
 //! closed-form cycle model (`netpu_check::timing`) against every
-//! fuzzer sweep instance, and fails on any disagreement with the cycle
-//! count of the phase-skipping fast simulator
-//! (`netpu_core::run_inference_fast`) — zero tolerance, no `±` band.
-//! The fast path is itself pinned cycle-exact against the tick engine
-//! by `crates/core/tests/fast_path.rs`.
+//! fuzzer sweep instance and compares every layer × phase cell of the
+//! certified breakdown with zero tolerance: against the fast engine
+//! (`netpu_core::run_inference_fast`) on all pairs, and against the
+//! tick engine (`netpu_core::run_inference`) on the zoo pairs.
 //!
 //! `dse` is the offline design-space exploration: it enumerates
 //! `HwConfig` × folding × packing × accumulator-width candidates,
@@ -372,24 +371,27 @@ fn certify_timing(models: usize) -> ExitCode {
 }
 
 /// The timing-certification differential gate: proves the closed-form
-/// cycle model (`netpu_check::timing`, DESIGN.md §4.9) **exact** —
-/// zero tolerance, not a bound — against the cycle count of the
-/// phase-skipping fast simulator (`run_inference_fast`, which
-/// `crates/core/tests/fast_path.rs` pins cycle-exact against the tick
-/// engine) across the full zoo (both BN modes, both weight packings),
-/// `models` deterministic random models, and every fuzzer sweep
-/// instance, plus a pre-packaged burst. A `(stream, instance)` pair
-/// the instance statically rejects is skipped (there is no simulated
-/// cycle count to compare against); every admitted pair must match to
-/// the cycle.
+/// cycle model (`netpu_check::timing`, DESIGN.md §4.9) **exact** in
+/// every layer × phase cell, zero tolerance: against the fast engine on
+/// all pairs, and against the tick engine as well on the zoo pairs. The
+/// corpus is the zoo (both BN modes and packings) plus `models` random
+/// models, each on every fuzzer sweep instance, plus a pre-packaged
+/// burst. A pair the instance rejects is skipped (nothing simulated to
+/// compare against); every admitted pair must match in every cell.
 fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
     use netpu_compiler::PackingMode;
     use netpu_nn::export::BnMode;
     use netpu_nn::zoo::{random_model, ZooModel};
 
     let configs = netpu_fuzz::sweep_configs();
-    let mut compared = 0usize;
-    let mut skipped = 0usize;
+    let (mut compared, mut skipped, mut cells) = (0usize, 0usize, 0usize);
+    let mut tally = |outcome: Option<usize>| match outcome {
+        Some(c) => {
+            compared += 1;
+            cells += c;
+        }
+        None => skipped += 1,
+    };
     let mut zoo_streams = 0usize;
     if zoo {
         for (i, variant) in ZooModel::ALL.into_iter().enumerate() {
@@ -400,12 +402,9 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
                 };
                 for packing in [PackingMode::Lanes8, PackingMode::Dense] {
                     let words = compile_timing_stream(&model, 99, packing)?;
+                    let stream = format!("{}/{mode:?}/{packing:?}", variant.name());
                     for cfg in &configs {
-                        if certify_timing_stream(&words, cfg)? {
-                            compared += 1;
-                        } else {
-                            skipped += 1;
-                        }
+                        tally(certify_timing_stream(&stream, &words, cfg, true)?);
                     }
                     zoo_streams += 1;
                 }
@@ -420,22 +419,20 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
         let seed = u64::try_from(seed).unwrap_or(0);
         let model = random_model(seed);
         let words = compile_timing_stream(&model, seed ^ 0xA5A5, PackingMode::Lanes8)?;
+        let stream = format!("random model {seed}");
         for cfg in &configs {
-            if certify_timing_stream(&words, cfg)? {
-                compared += 1;
-            } else {
-                skipped += 1;
-            }
+            tally(certify_timing_stream(&stream, &words, cfg, false)?);
         }
     }
     if compared == 0 {
         return Err("no (stream, instance) pair was actually compared".into());
     }
     Ok(format!(
-        "xtask certify-timing: {compared} (stream, instance) pairs cycle-exact against the \
-         fast simulator ({zoo_streams} zoo streams + {models} random models x {} sweep \
-         instances; {skipped} pairs skipped where the instance rejects the stream), \
-         zero tolerance; burst model exact",
+        "xtask certify-timing: {compared} (stream, instance) pairs cycle-exact in every \
+         layer x phase cell ({cells} cells: fast engine on all pairs, tick engine on the zoo \
+         pairs; {zoo_streams} zoo streams + {models} random models x {} sweep instances; \
+         {skipped} pairs skipped where the instance rejects the stream), zero tolerance; \
+         burst model exact",
         configs.len()
     ))
 }
@@ -456,29 +453,72 @@ fn compile_timing_stream(
     Ok(loadable.words)
 }
 
-/// Proves one stream's statically predicted cycle count equals the fast
-/// simulator's on `cfg`. `Ok(false)` means the instance rejects the
-/// stream (nothing to compare); `Ok(true)` is an exact match; any
-/// mismatch is an error.
-fn certify_timing_stream(words: &[u64], cfg: &netpu_core::HwConfig) -> Result<bool, String> {
+/// Proves one stream's certified cycle breakdown equal, cell by cell,
+/// to the fast engine's on `cfg` and, with `tick`, to the tick
+/// engine's. `Ok(None)` means the instance rejects the stream (nothing
+/// to compare); otherwise the number of cells compared. Any mismatch
+/// is an error naming the stream, the instance, the engine, and the
+/// first differing layer and phase.
+fn certify_timing_stream(
+    stream: &str,
+    words: &[u64],
+    cfg: &netpu_core::HwConfig,
+    tick: bool,
+) -> Result<Option<usize>, String> {
     // Straight from the decode, not through admission: the instance may
     // reject the stream and the simulator still run it.
-    let Ok(decoded) = netpu_compiler::decode(words) else {
-        return Err("compiled stream failed to decode for timing analysis".into());
+    let decoded = netpu_compiler::decode(words).map_err(|e| format!("{stream}: {e}"))?;
+    let certified = netpu_check::timing::analyze(&decoded, cfg).breakdown;
+    let Ok(fast) = netpu_core::run_inference_fast(cfg, words.to_vec()) else {
+        return Ok(None);
     };
-    let predicted = netpu_check::timing::analyze(&decoded, cfg).total_cycles();
-    let Ok(run) = netpu_core::run_inference_fast(cfg, words.to_vec()) else {
-        return Ok(false);
+    let broken = |engine: &str, e: String| {
+        format!(
+            "timing certificate broken on {stream} at {} against the {engine} engine: {e}",
+            netpu_fuzz::config_tag(cfg)
+        )
     };
-    if run.cycles != predicted {
+    let mut cells = compare_breakdowns(&certified, &fast.breakdown, fast.cycles)
+        .map_err(|e| broken("fast", e))?;
+    if tick {
+        let run = netpu_core::run_inference(cfg, words.to_vec())
+            .map_err(|e| broken("tick", format!("simulation failed: {e}")))?;
+        cells += compare_breakdowns(&certified, &run.breakdown, run.cycles)
+            .map_err(|e| broken("tick", e))?;
+    }
+    Ok(Some(cells))
+}
+
+/// Compares a certified breakdown with a simulated one, cell by cell,
+/// zero tolerance, then checks that the simulated cells sum to the
+/// run's cycle count. Returns the number of cells compared, or names
+/// the first cell that differs.
+fn compare_breakdowns(
+    certified: &netpu_core::CycleBreakdown,
+    simulated: &netpu_core::CycleBreakdown,
+    cycles: u64,
+) -> Result<usize, String> {
+    let (c, s) = (certified.layers.len(), simulated.layers.len());
+    if c != s {
+        return Err(format!("certificate has {c} layers, simulator {s}"));
+    }
+    let mut cells = 0;
+    for ((layer, phase, c), (_, _, s)) in certified.cells().zip(simulated.cells()) {
+        if c != s {
+            let at = layer.map_or("stream".to_string(), |k| format!("layer {k}"));
+            return Err(format!(
+                "{at} phase {phase}: certificate {c} cycles, simulator {s}"
+            ));
+        }
+        cells += 1;
+    }
+    let total = simulated.total();
+    if total != cycles {
         return Err(format!(
-            "timing certificate broken on {}: predicted {predicted} cycles, \
-             simulator counted {}",
-            netpu_fuzz::config_tag(cfg),
-            run.cycles
+            "simulated cells sum to {total} cycles, the run took {cycles}"
         ));
     }
-    Ok(true)
+    Ok(cells)
 }
 
 /// Proves the burst extrapolation (`StreamTiming::burst_cycles`) exact
@@ -1566,7 +1606,41 @@ mod tests {
     fn certify_timing_sweep_is_cycle_exact_on_random_models() {
         let summary = certify_timing_sweep(false, 4).expect("timing certifies");
         assert!(summary.contains("cycle-exact"), "{summary}");
+        assert!(summary.contains("every layer x phase cell"), "{summary}");
         assert!(summary.contains("zero tolerance"), "{summary}");
+    }
+
+    #[test]
+    fn timing_gate_names_the_layer_and_phase_of_a_one_cycle_difference() {
+        use netpu_core::{LayerPhase, StreamPhase};
+        let model = netpu_nn::zoo::ZooModel::TfcW1A1
+            .build_untrained(7, netpu_nn::export::BnMode::Folded)
+            .expect("zoo model builds");
+        let words = compile_timing_stream(&model, 1, netpu_compiler::PackingMode::Lanes8)
+            .expect("stream compiles");
+        let decoded = netpu_compiler::decode(&words).expect("stream decodes");
+        let hw = netpu_core::HwConfig::paper_instance();
+        let certified = netpu_check::timing::analyze(&decoded, &hw).breakdown;
+        let cells = compare_breakdowns(&certified, &certified, certified.total());
+        assert_eq!(cells, Ok(4 + 9 * certified.layers.len()));
+
+        let refusal = |simulated: &netpu_core::CycleBreakdown| {
+            compare_breakdowns(&certified, simulated, simulated.total())
+                .expect_err("a one-cycle difference is refused")
+        };
+        let mut simulated = certified.clone();
+        simulated.layers[2][LayerPhase::DRAIN] += 1;
+        let err = refusal(&simulated);
+        assert!(err.contains("layer 2 phase drain"), "{err}");
+        let mut simulated = certified.clone();
+        simulated[StreamPhase::RESET] += 1;
+        let err = refusal(&simulated);
+        assert!(err.contains("stream phase reset"), "{err}");
+
+        // Cells that do not sum to the run's cycle count are refused too.
+        let err = compare_breakdowns(&certified, &certified, certified.total() + 1)
+            .expect_err("an unaccounted cycle is refused");
+        assert!(err.contains("sum to"), "{err}");
     }
 
     #[test]

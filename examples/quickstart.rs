@@ -6,7 +6,7 @@
 //! ```
 
 use netpu::compiler;
-use netpu::core::{netpu::run_inference, HwConfig};
+use netpu::core::{netpu::run_inference, HwConfig, LayerPhase};
 use netpu::nn::dataset;
 use netpu::nn::export::BnMode;
 use netpu::nn::float::{ActSpec, FloatMlp, LayerSpec, MlpSpec};
@@ -88,12 +88,13 @@ fn main() {
         "accelerator: class {} (truth {}), {} cycles = {:.2} us at 100 MHz",
         run.class, example.label, run.cycles, run.latency_us
     );
-    let weight_cycles: u64 = run.stats.layers.iter().map(|l| l.weight_cycles).sum();
+    let b = &run.breakdown;
     println!(
         "cycle breakdown: {} weight-stream, {} param-ingest, {} init, {} drain",
-        weight_cycles,
-        run.stats.param_cycles,
-        run.stats.layers.iter().map(|l| l.init_cycles).sum::<u64>(),
-        run.stats.layers.iter().map(|l| l.drain_cycles).sum::<u64>(),
+        b.layer_phase_total(LayerPhase::WEIGHT_INGEST)
+            + b.layer_phase_total(LayerPhase::WEIGHT_DISPATCH),
+        b.layer_phase_total(LayerPhase::PARAMS),
+        b.layer_phase_total(LayerPhase::INIT),
+        b.layer_phase_total(LayerPhase::DRAIN),
     );
 }

@@ -38,14 +38,14 @@ echo "== translation validation: certify zoo + 1000 random streams (release) =="
 # every emitted certificate must re-validate from scratch.
 cargo run -q --release -p xtask -- certify 1000
 
-echo "== timing certification: cycle-exact model vs fast simulator over zoo + 1000 random streams x all sweep instances (release) =="
-# The timing-soundness gate (DESIGN.md §4.9): the closed-form cycle
-# model must equal the cycle count of the fast simulator
-# (run_inference_fast, pinned cycle-exact against the tick engine by
-# crates/core/tests/fast_path.rs) — zero tolerance — on
-# the full zoo (both BN modes, both packings), 1000 deterministic
-# random models, and every fuzzer sweep instance, plus the burst
-# extrapolation.
+echo "== timing certification: every layer x phase cell, zero tolerance; fast engine on all pairs, tick engine on the zoo pairs (zoo + 1000 random streams x all sweep instances, release) =="
+# The timing-soundness gate (DESIGN.md §4.9): the closed-form
+# certificate's CycleBreakdown must equal the simulated one in every
+# layer x phase cell, zero tolerance — against the fast engine
+# (run_inference_fast) on all pairs and the tick engine (run_inference)
+# on the zoo pairs — on the full zoo (both BN modes, both packings),
+# 1000 deterministic random models, and every fuzzer sweep instance,
+# plus the burst extrapolation.
 cargo run -q --release -p xtask -- certify-timing 1000
 
 echo "== design-space exploration smoke (frontier artifact reproducibility, release) =="

@@ -170,7 +170,7 @@ proptest! {
         prop_assert_eq!(single.cycles, tick_cycles.unwrap());
         for run in &batch_runs {
             prop_assert_eq!(run.cycles, single.cycles);
-            prop_assert_eq!(run.stats.clone(), single.stats.clone());
+            prop_assert_eq!(run.breakdown.clone(), single.breakdown.clone());
         }
         prop_assert_eq!(&batch_runs[0], &single);
     }

@@ -144,7 +144,7 @@ fn deep_models_exercise_lpu_recycling() {
     let loadable = compiler::compile(&qm, &pixels).unwrap();
     let run = run_inference(&cfg, loadable.words).unwrap();
     assert_eq!(run.class, reference::infer(&qm, &pixels));
-    assert_eq!(run.stats.layers.len(), 8);
+    assert_eq!(run.breakdown.layers.len(), 8);
 }
 
 #[test]

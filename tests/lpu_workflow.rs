@@ -3,7 +3,7 @@
 //! statistics the NetPU reports per layer.
 
 use netpu::compiler;
-use netpu::core::{netpu::run_inference, HwConfig};
+use netpu::core::{netpu::run_inference, HwConfig, LayerPhase, StreamPhase};
 use netpu::nn::export::BnMode;
 use netpu::nn::zoo::ZooModel;
 use netpu_compiler::stream::{model_settings, weight_words};
@@ -21,9 +21,10 @@ fn run(model: ZooModel, cfg: &HwConfig) -> (netpu::core::netpu::InferenceRun, Ve
 fn weight_words_consumed_match_stream_sections() {
     let cfg = HwConfig::paper_instance();
     let (result, expected) = run(ZooModel::TfcW2A2, &cfg);
-    for (layer, (stats, expect)) in result.stats.layers.iter().zip(&expected).enumerate() {
+    for (layer, (cycles, expect)) in result.breakdown.layers.iter().zip(&expected).enumerate() {
         assert_eq!(
-            stats.weight_words, *expect as u64,
+            cycles[LayerPhase::WEIGHT_INGEST],
+            *expect as u64,
             "layer {layer} weight words"
         );
     }
@@ -35,8 +36,10 @@ fn weight_words_consumed_match_stream_sections() {
 fn weight_cycles_are_twice_the_words() {
     let cfg = HwConfig::paper_instance();
     let (result, _) = run(ZooModel::TfcW2A2, &cfg);
-    for (layer, stats) in result.stats.layers.iter().enumerate().skip(1) {
-        assert_eq!(stats.weight_cycles, 2 * stats.weight_words, "layer {layer}");
+    for (layer, cycles) in result.breakdown.layers.iter().enumerate().skip(1) {
+        let words = cycles[LayerPhase::WEIGHT_INGEST];
+        let weight_cycles = words + cycles[LayerPhase::WEIGHT_DISPATCH];
+        assert_eq!(weight_cycles, 2 * words, "layer {layer}");
     }
 }
 
@@ -55,18 +58,14 @@ fn init_cycles_scale_with_batches() {
     let (r_few, _) = run(ZooModel::TfcW2A2, &few);
     let (r_many, _) = run(ZooModel::TfcW2A2, &many);
     // Hidden layer 1 has 64 neurons: 32 batches at 2 TNPUs vs 8 at 8.
-    let init_few = r_few.stats.layers[1].init_cycles;
-    let init_many = r_many.stats.layers[1].init_cycles;
+    let (few, many) = (&r_few.breakdown.layers[1], &r_many.breakdown.layers[1]);
+    let (init_few, init_many) = (few[LayerPhase::INIT], many[LayerPhase::INIT]);
     // Per-neuron parameter loads are identical; only drain/write
     // overheads differ per batch, so totals are equal here — but drain
     // cycles must scale with batch count.
     assert_eq!(init_few, init_many);
-    assert!(
-        r_few.stats.layers[1].drain_cycles > r_many.stats.layers[1].drain_cycles,
-        "{} !> {}",
-        r_few.stats.layers[1].drain_cycles,
-        r_many.stats.layers[1].drain_cycles
-    );
+    let (drain_few, drain_many) = (few[LayerPhase::DRAIN], many[LayerPhase::DRAIN]);
+    assert!(drain_few > drain_many, "{drain_few} !> {drain_many}");
 }
 
 /// The input layer (yellow path) streams no weights and reports its
@@ -75,14 +74,14 @@ fn init_cycles_scale_with_batches() {
 fn input_layer_runs_without_weights() {
     let cfg = HwConfig::paper_instance();
     let (result, _) = run(ZooModel::TfcW1A1, &cfg);
-    let input_stats = &result.stats.layers[0];
-    assert_eq!(input_stats.weight_words, 0);
-    assert_eq!(input_stats.weight_cycles, 0);
-    assert!(input_stats.input_cycles > 0);
+    let input = &result.breakdown.layers[0];
+    assert_eq!(input[LayerPhase::WEIGHT_INGEST], 0);
+    assert_eq!(input[LayerPhase::WEIGHT_DISPATCH], 0);
+    assert!(input[LayerPhase::INPUT] > 0);
     // FC layers do the opposite.
-    for stats in &result.stats.layers[1..] {
-        assert_eq!(stats.input_cycles, 0);
-        assert!(stats.weight_words > 0);
+    for cycles in &result.breakdown.layers[1..] {
+        assert_eq!(cycles[LayerPhase::INPUT], 0);
+        assert!(cycles[LayerPhase::WEIGHT_INGEST] > 0);
     }
 }
 
@@ -92,22 +91,24 @@ fn input_layer_runs_without_weights() {
 fn no_stalls_at_full_stream_bandwidth() {
     let cfg = HwConfig::paper_instance();
     let (result, _) = run(ZooModel::SfcW1A1, &cfg);
-    for (layer, stats) in result.stats.layers.iter().enumerate() {
-        assert_eq!(stats.stall_cycles, 0, "layer {layer} stalled");
+    for (layer, cycles) in result.breakdown.layers.iter().enumerate() {
+        assert_eq!(cycles[LayerPhase::STALL], 0, "layer {layer} stalled");
     }
 }
 
-/// Total latency decomposes into the documented phases.
+/// Total latency decomposes into the documented phases, with every
+/// cycle in exactly one cell.
 #[test]
 fn phase_decomposition_is_complete() {
     let cfg = HwConfig::paper_instance();
     let (result, _) = run(ZooModel::TfcW1A1, &cfg);
-    let s = &result.stats;
-    let lpu_total: u64 = s.layers.iter().map(|l| l.total()).sum();
-    // Process cycles at the top level cover the LPU busy cycles plus
-    // done-detection edges (one per layer).
-    assert!(s.process_cycles >= lpu_total);
-    assert!(s.process_cycles <= lpu_total + 2 * s.layers.len() as u64);
-    assert!(s.settings_cycles >= 6); // header + 5 layer settings
-    assert!(s.input_ingest_cycles == 98); // 784 pixels / 8 lanes
+    let b = &result.breakdown;
+    assert_eq!(b.total(), result.cycles);
+    assert_eq!(b.layers.len(), 5);
+    // One Ready edge per layer, one reset between sections.
+    assert_eq!(b.layer_phase_total(LayerPhase::READY), 5);
+    assert_eq!(b[StreamPhase::RESET], 4 * 2);
+    assert_eq!(b[StreamPhase::HEADER], 1);
+    assert_eq!(b[StreamPhase::SETTINGS], 5);
+    assert_eq!(b[StreamPhase::INPUT_INGEST], 98); // 784 pixels / 8 lanes
 }
