@@ -21,7 +21,7 @@
 //!   reordering over per-board weight residency, amortizing the weight
 //!   stream the way the paper's runtime-reconfiguration design intends.
 //! * [`replay`] — the deterministic virtual-time traffic harness
-//!   behind `BENCH_serve.json`'s fleet rows.
+//!   behind the committed `artifacts/serve/fleet_replay.tsv` report.
 
 pub mod cache;
 pub mod metrics;

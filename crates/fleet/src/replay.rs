@@ -10,7 +10,8 @@
 //! [`ReplayReport`] bit for bit on any host; the determinism suite
 //! asserts exactly that.
 //!
-//! What it exists to show (BENCH_serve.json rows): tail latency
+//! What it exists to show (`artifacts/serve/fleet_replay.tsv`, written
+//! by `xtask serve-report`): tail latency
 //! (p50/p99/p999), per-tenant fairness under token-bucket throttling,
 //! compiled-cache hit rate, and — the headline — swaps-per-request
 //! under [`DispatchPolicy::SwapAware`] versus

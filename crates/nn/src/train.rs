@@ -56,7 +56,7 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
     /// Training accuracy after the final epoch.
     pub final_train_accuracy: f64,
-    /// `true` when the patience criterion ended training early.
+    /// `true` when early stopping (patience ran out) ended training.
     pub stopped_early: bool,
 }
 

@@ -1,8 +1,9 @@
 //! Workspace automation (`cargo run -p xtask -- lint`,
 //! `cargo run -p xtask -- replay <trace.bin>`,
 //! `cargo run -p xtask -- certify [models]`,
-//! `cargo run -p xtask -- certify-timing [models]`, and
-//! `cargo run -p xtask -- dse [--smoke] [--write]`).
+//! `cargo run -p xtask -- certify-timing [models]`,
+//! `cargo run -p xtask -- dse [--smoke] [--write]`, and
+//! `cargo run -p xtask -- serve-report [--write]`).
 //!
 //! `replay` decodes a recorded binary trace, verifies its internal
 //! consistency against the arbiter recurrence (`netpu_trace::verify`),
@@ -35,6 +36,13 @@
 //! simulating them, and emits the Pareto frontier as a committed
 //! reproducible artifact under `artifacts/dse/` (`--write` refreshes,
 //! the default mode fails if the committed artifact is stale).
+//!
+//! `serve-report` renders the two virtual-time serving reports behind
+//! the paper's §V system-scale loading claim — the `Server` board sweep
+//! against `ClusterThroughput` and the acceptance-scale fleet replay
+//! under naive FIFO and swap-aware dispatch — as committed TSVs under
+//! `artifacts/serve/`, with the same staleness check and `--write` as
+//! `dse`.
 //!
 //! `lint` enforces source-level gates that rustc and clippy cannot
 //! express at the granularity the workspace wants:
@@ -112,23 +120,26 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("replay") => match args.next() {
-            Some(path) => replay(Path::new(&path)),
+            Some(path) => finish("replay", replay_file(Path::new(&path))),
             None => {
                 eprintln!("usage: cargo run -p xtask -- replay <trace.bin>");
                 ExitCode::FAILURE
             }
         },
         Some("certify") => match args.next().map(|n| n.parse::<usize>()) {
-            None => certify(DEFAULT_CERTIFY_MODELS),
-            Some(Ok(models)) => certify(models),
+            None => finish("certify", certify_sweep(true, DEFAULT_CERTIFY_MODELS)),
+            Some(Ok(models)) => finish("certify", certify_sweep(true, models)),
             Some(Err(_)) => {
                 eprintln!("usage: cargo run -p xtask -- certify [models]");
                 ExitCode::FAILURE
             }
         },
         Some("certify-timing") => match args.next().map(|n| n.parse::<usize>()) {
-            None => certify_timing(DEFAULT_CERTIFY_MODELS),
-            Some(Ok(models)) => certify_timing(models),
+            None => finish(
+                "certify-timing",
+                certify_timing_sweep(true, DEFAULT_CERTIFY_MODELS),
+            ),
+            Some(Ok(models)) => finish("certify-timing", certify_timing_sweep(true, models)),
             Some(Err(_)) => {
                 eprintln!("usage: cargo run -p xtask -- certify-timing [models]");
                 ExitCode::FAILURE
@@ -146,7 +157,7 @@ fn main() -> ExitCode {
                 }
             }
             match bad {
-                None => dse(smoke, write),
+                None => finish("dse", dse_run(smoke, write)),
                 Some(flag) => {
                     eprintln!(
                         "usage: cargo run -p xtask -- dse [--smoke] [--write]   (got {flag:?})"
@@ -155,10 +166,24 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Some("serve-report") => {
+            let flags: Vec<String> = args.collect();
+            match flags.as_slice() {
+                [] => finish("serve-report", serve_report_run(false)),
+                [flag] if flag == "--write" => finish("serve-report", serve_report_run(true)),
+                _ => {
+                    eprintln!(
+                        "usage: cargo run -p xtask -- serve-report [--write]   (got {flags:?})"
+                    );
+                    ExitCode::FAILURE
+                }
+            }
+        }
         other => {
             eprintln!(
                 "usage: cargo run -p xtask -- lint | replay <trace.bin> | certify [models] | \
-                 certify-timing [models] | dse [--smoke] [--write]   (got {:?})",
+                 certify-timing [models] | dse [--smoke] [--write] | serve-report [--write]   \
+                 (got {:?})",
                 other.unwrap_or("<nothing>")
             );
             ExitCode::FAILURE
@@ -166,14 +191,16 @@ fn main() -> ExitCode {
     }
 }
 
-fn replay(path: &Path) -> ExitCode {
-    match replay_file(path) {
+/// Prints a gate's summary on success, or its error prefixed with the
+/// subcommand on failure, and maps the outcome to the exit code.
+fn finish(command: &str, outcome: Result<String, String>) -> ExitCode {
+    match outcome {
         Ok(summary) => {
             println!("{summary}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("xtask replay: {e}");
+            eprintln!("xtask {command}: {e}");
             ExitCode::FAILURE
         }
     }
@@ -276,19 +303,6 @@ fn replay_file(path: &Path) -> Result<String, String> {
 /// Random-model sweep size of a bare `xtask certify`.
 const DEFAULT_CERTIFY_MODELS: usize = 1000;
 
-fn certify(models: usize) -> ExitCode {
-    match certify_sweep(true, models) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask certify: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Compiles and certifies the zoo (when `zoo` is set) plus `models`
 /// deterministic random models, failing on the first false
 /// inequivalence or certificate that does not re-validate. Returns the
@@ -355,19 +369,6 @@ fn certify_stream(
     widths.0 = widths.0.min(cert.min_accumulator_bits);
     widths.1 = widths.1.max(cert.min_accumulator_bits);
     Ok(())
-}
-
-fn certify_timing(models: usize) -> ExitCode {
-    match certify_timing_sweep(true, models) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask certify-timing: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// The timing-certification differential gate: proves the closed-form
@@ -556,17 +557,30 @@ fn certify_burst_timing() -> Result<(), String> {
     Ok(())
 }
 
-fn dse(smoke: bool, write: bool) -> ExitCode {
-    match dse_run(smoke, write) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
+/// The one staleness policy for committed artifacts. Under `--write`
+/// it (re)writes `path` with `rendered`; otherwise the committed file
+/// must equal `rendered` byte for byte, and the error names the file
+/// and the `xtask <command> --write` that refreshes it.
+fn check_artifact(path: &Path, rendered: &str, write: bool, command: &str) -> Result<(), String> {
+    if write {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         }
-        Err(e) => {
-            eprintln!("xtask dse: {e}");
-            ExitCode::FAILURE
-        }
+        return fs::write(path, rendered).map_err(|e| format!("{}: {e}", path.display()));
     }
+    let committed = fs::read_to_string(path).map_err(|e| {
+        format!(
+            "{}: {e} (generate it with `xtask {command} --write`)",
+            path.display()
+        )
+    })?;
+    if committed != rendered {
+        return Err(format!(
+            "{}: committed artifact is stale; regenerate with `xtask {command} --write`",
+            path.display()
+        ));
+    }
+    Ok(())
 }
 
 /// Relative directory the committed DSE frontier artifacts live in.
@@ -651,25 +665,7 @@ fn dse_run(smoke: bool, write: bool) -> Result<String, String> {
         let path = root
             .join(DSE_ARTIFACT_DIR)
             .join(format!("{}.tsv", variant.name().to_lowercase()));
-        if write {
-            if let Some(dir) = path.parent() {
-                fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-            }
-            fs::write(&path, &artifact).map_err(|e| format!("{}: {e}", path.display()))?;
-        } else {
-            let committed = fs::read_to_string(&path).map_err(|e| {
-                format!(
-                    "{}: {e} (generate the frontier artifact with `xtask dse --write`)",
-                    path.display()
-                )
-            })?;
-            if committed != artifact {
-                return Err(format!(
-                    "{}: committed frontier is stale; regenerate with `xtask dse --write`",
-                    path.display()
-                ));
-            }
-        }
+        check_artifact(&path, &artifact, write, "dse")?;
         lines.push(dse_comparison(variant, &outcome, &path, &root));
     }
     Ok(format!("xtask dse:\n{}", lines.join("\n")))
@@ -963,6 +959,204 @@ fn dse_comparison(
         rel(root, path)
     );
     out
+}
+
+/// Relative directory the committed serving reports live in.
+const SERVE_ARTIFACT_DIR: &str = "artifacts/serve";
+
+/// Renders both virtual-time serving reports, checks each against its
+/// committed artifact (or regenerates it under `--write`), and prints
+/// each report's headline.
+fn serve_report_run(write: bool) -> Result<String, String> {
+    let root = workspace_root();
+    let mut lines = vec!["xtask serve-report:".to_string()];
+    for (name, artifact, headline) in serve_artifacts()? {
+        let path = root.join(SERVE_ARTIFACT_DIR).join(name);
+        check_artifact(&path, &artifact, write, "serve-report")?;
+        lines.push(format!("  {}: {headline}", rel(&root, &path)));
+    }
+    Ok(lines.join("\n"))
+}
+
+/// The committed serving reports as (file name, TSV text, headline).
+/// Both run in virtual time, so each is a pure function of the code.
+fn serve_artifacts() -> Result<[(&'static str, String, String); 2], String> {
+    let driver = netpu_runtime::Driver::builder().build();
+    let (sweep, sweep_headline) = serve_board_sweep(&driver)?;
+    let (replay, replay_headline) = serve_fleet_replay(&driver)?;
+    Ok([
+        ("board_sweep.tsv", sweep, sweep_headline),
+        ("fleet_replay.tsv", replay, replay_headline),
+    ])
+}
+
+/// One report row as (column, cell) pairs. Every `f64` cell is written
+/// with `{}`, Rust's shortest round-trip form, so it parses back to the
+/// same bits.
+type TsvRow = Vec<(&'static str, String)>;
+
+/// Renders `rows` as TSV under one `# ` comment line, the header taken
+/// from the first row's column names.
+fn render_tsv(comment: &str, rows: &[TsvRow]) -> String {
+    let mut out = format!("# {comment}\n");
+    if let Some(first) = rows.first() {
+        let header: Vec<&str> = first.iter().map(|(column, _)| *column).collect();
+        let _ = writeln!(out, "{}", header.join("\t"));
+    }
+    for row in rows {
+        let cells: Vec<&str> = row.iter().map(|(_, cell)| cell.as_str()).collect();
+        let _ = writeln!(out, "{}", cells.join("\t"));
+    }
+    out
+}
+
+/// `Server` throughput against the analytic `ClusterThroughput` bound
+/// (the paper's §V shared-DMA loading bottleneck at system scale): for
+/// 1, 2, 4 and 8 boards, 128 TFC-W1A1 requests all queued up front.
+fn serve_board_sweep(driver: &netpu_runtime::Driver) -> Result<(String, String), String> {
+    use netpu_nn::export::BnMode;
+    use netpu_nn::zoo::ZooModel;
+    use netpu_runtime::{Cluster, InferRequest};
+    use netpu_serve::{Server, ServerConfig, Submit};
+    const REQUESTS: usize = 128;
+
+    let model = ZooModel::TfcW1A1
+        .build_untrained(1, BnMode::Folded)
+        .map_err(|e| format!("TFC-w1a1: {e}"))?;
+    let loadable = netpu_compiler::compile(&model, &vec![100u8; model.input.len])
+        .map_err(|e| format!("TFC-w1a1 compile: {e}"))?;
+    let mut rows = Vec::new();
+    let mut worst_error = 0.0f64;
+    for boards in [1usize, 2, 4, 8] {
+        let analytic = Cluster::new(boards, driver.clone())
+            .throughput(&model)
+            .map_err(|e| format!("{boards} boards: analytic bound: {e}"))?;
+        let server = Server::start(
+            driver.clone(),
+            ServerConfig {
+                boards,
+                queue_capacity: REQUESTS,
+                ..ServerConfig::default()
+            },
+        );
+        let mut tickets = Vec::with_capacity(REQUESTS);
+        for _ in 0..REQUESTS {
+            match server.submit(InferRequest::loadable(loadable.clone())) {
+                Submit::Accepted(ticket) => tickets.push(ticket),
+                Submit::Denied(reason) => {
+                    return Err(format!("{boards} boards: request denied: {reason}"))
+                }
+            }
+        }
+        for ticket in tickets {
+            ticket
+                .wait()
+                .map_err(|e| format!("{boards} boards: request failed: {e}"))?;
+        }
+        let m = server.shutdown();
+        let measured = m
+            .measured_fps()
+            .ok_or_else(|| format!("{boards} boards: no completed frames"))?;
+        let binding = if analytic.fps == analytic.transfer_bound_fps {
+            "transfer"
+        } else {
+            "compute"
+        };
+        let relative_error = (measured - analytic.fps).abs() / analytic.fps;
+        worst_error = worst_error.max(relative_error);
+        let board_utilization: Vec<String> =
+            m.board_utilization().iter().map(f64::to_string).collect();
+        rows.push(vec![
+            ("name", format!("tfc_w1a1_{boards}_boards")),
+            ("boards", boards.to_string()),
+            ("requests", REQUESTS.to_string()),
+            ("measured_fps", measured.to_string()),
+            ("analytic_fps", analytic.fps.to_string()),
+            ("compute_bound_fps", analytic.compute_bound_fps.to_string()),
+            (
+                "transfer_bound_fps",
+                analytic.transfer_bound_fps.to_string(),
+            ),
+            ("binding", binding.to_string()),
+            ("relative_error", relative_error.to_string()),
+            ("dma_utilization", m.dma_utilization().to_string()),
+            ("board_utilization", board_utilization.join(",")),
+            ("makespan_us", m.makespan_us.to_string()),
+        ]);
+    }
+    let comment = format!(
+        "xtask serve-report: Server vs ClusterThroughput, {REQUESTS} saturated TFC-w1a1 \
+         requests (build_untrained seed 1, BN folded, every pixel 100)"
+    );
+    let headline = format!(
+        "1-8 boards measured within {:.2}% of ClusterThroughput",
+        worst_error * 100.0
+    );
+    Ok((render_tsv(&comment, &rows), headline))
+}
+
+/// The acceptance-scale fleet replay (`ReplayConfig::acceptance()`)
+/// under naive FIFO and swap-aware dispatch: swaps per request is the
+/// §V weight-stream loading cost the swap-aware scheduler amortizes.
+fn serve_fleet_replay(driver: &netpu_runtime::Driver) -> Result<(String, String), String> {
+    use netpu_fleet::{run_replay, DispatchPolicy, ReplayConfig};
+
+    let cfg = ReplayConfig::acceptance();
+    let naive = run_replay(driver, &cfg.clone().with_policy(DispatchPolicy::NaiveFifo))
+        .map_err(|e| format!("naive FIFO replay: {e}"))?;
+    let aware = run_replay(driver, &cfg.with_policy(DispatchPolicy::SwapAware))
+        .map_err(|e| format!("swap-aware replay: {e}"))?;
+    let rows: Vec<TsvRow> = [&naive, &aware]
+        .iter()
+        .map(|r| {
+            vec![
+                ("name", format!("fleet_replay_{}", r.policy)),
+                ("policy", r.policy.clone()),
+                ("seed", r.seed.to_string()),
+                ("boards", r.boards.to_string()),
+                ("shards", r.shards.to_string()),
+                ("models", r.models.to_string()),
+                ("offered", r.offered.to_string()),
+                ("throttled", r.throttled.to_string()),
+                ("completed", r.completed.to_string()),
+                ("deadline_missed", r.deadline_missed.to_string()),
+                ("p50_us", r.p50_us.to_string()),
+                ("p99_us", r.p99_us.to_string()),
+                ("p999_us", r.p999_us.to_string()),
+                ("mean_us", r.mean_us.to_string()),
+                ("jain_fairness", r.jain_fairness.to_string()),
+                ("cache_hit_rate", r.cache_hit_rate.to_string()),
+                ("cache_evictions", r.cache_evictions.to_string()),
+                ("swaps", r.swaps.to_string()),
+                ("swaps_per_request", r.swaps_per_request.to_string()),
+                ("resident_hit_rate", r.resident_hit_rate.to_string()),
+                ("makespan_us", r.makespan_us.to_string()),
+                ("measured_fps", r.measured_fps.to_string()),
+                ("analytic_fps_bound", r.analytic_fps_bound.to_string()),
+                ("bound_ratio", r.bound_ratio.to_string()),
+                ("dma_utilization", r.dma_utilization.to_string()),
+            ]
+        })
+        .collect();
+    let comment = format!(
+        "xtask serve-report: fleet replay, ReplayConfig::acceptance() ({} boards, {} shards, \
+         {} models, {} tenants, {} requests, seed {}), naive FIFO vs swap-aware",
+        aware.boards,
+        aware.shards,
+        aware.models,
+        aware.tenants.len(),
+        aware.offered,
+        aware.seed
+    );
+    let headline = format!(
+        "swaps/request {:.4} ({}) -> {:.4} ({}), cache hit rate {:.4}",
+        naive.swaps_per_request,
+        naive.policy,
+        aware.swaps_per_request,
+        aware.policy,
+        aware.cache_hit_rate
+    );
+    Ok((render_tsv(&comment, &rows), headline))
 }
 
 fn lint() -> ExitCode {
@@ -1688,17 +1882,59 @@ mod tests {
     }
 
     #[test]
-    fn dse_committed_artifacts_are_current() {
-        // The committed TFC frontier must regenerate byte-identically
-        // (the CI `dse --smoke` stage re-checks this from the binary).
+    fn committed_artifacts_are_current() {
+        // The committed TFC frontier and both serving reports must
+        // regenerate byte-identically (the CI `dse --smoke` and
+        // `serve-report` stages re-check them from the binary).
         let root = workspace_root();
-        let outcome = dse_model(netpu_nn::zoo::ZooModel::TfcW1A1).expect("search runs");
-        let committed = fs::read_to_string(root.join(DSE_ARTIFACT_DIR).join("tfc-w1a1.tsv"))
-            .expect("committed TFC frontier artifact exists");
-        assert_eq!(
-            committed,
-            dse_artifact(netpu_nn::zoo::ZooModel::TfcW1A1, &outcome),
-            "artifacts/dse/tfc-w1a1.tsv is stale; regenerate with `xtask dse --write`"
-        );
+        let variant = netpu_nn::zoo::ZooModel::TfcW1A1;
+        let outcome = dse_model(variant).expect("search runs");
+        let mut artifacts = vec![(
+            root.join(DSE_ARTIFACT_DIR).join("tfc-w1a1.tsv"),
+            dse_artifact(variant, &outcome),
+            "dse",
+        )];
+        for (name, text, _) in serve_artifacts().expect("serving reports render") {
+            artifacts.push((
+                root.join(SERVE_ARTIFACT_DIR).join(name),
+                text,
+                "serve-report",
+            ));
+        }
+        for (path, rendered, command) in artifacts {
+            check_artifact(&path, &rendered, false, command)
+                .expect("committed artifact is current");
+        }
+    }
+
+    #[test]
+    fn artifact_gate_names_the_stale_file_and_the_write_command() {
+        let committed = fs::read_to_string(
+            workspace_root()
+                .join(SERVE_ARTIFACT_DIR)
+                .join("fleet_replay.tsv"),
+        )
+        .expect("committed fleet replay report exists");
+        // Bump the last digit of the first data row's p50.
+        let row = committed.lines().nth(2).expect("a data row");
+        let p50 = row.split('\t').nth(10).expect("p50 column");
+        let last = p50.chars().last().expect("non-empty cell");
+        let bumped = char::from_digit((last.to_digit(10).expect("digit") + 1) % 10, 10)
+            .expect("decimal digit");
+        let edited_p50 = format!("{}{bumped}", &p50[..p50.len() - 1]);
+        let edited = committed.replacen(p50, &edited_p50, 1);
+        assert_ne!(edited, committed);
+
+        let dir = std::env::temp_dir().join(format!("xtask-artifact-gate-{}", std::process::id()));
+        let path = dir.join("fleet_replay.tsv");
+        check_artifact(&path, &edited, true, "serve-report").expect("write the edited copy");
+        let err = check_artifact(&path, &committed, false, "serve-report")
+            .expect_err("an edited value must fail the gate");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("`xtask serve-report --write`"), "{err}");
+        // `--write` refreshes the file, after which the gate passes.
+        check_artifact(&path, &committed, true, "serve-report").expect("rewrite");
+        check_artifact(&path, &committed, false, "serve-report").expect("current after --write");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,9 @@
-//! Fast batch-throughput smoke check for CI (no criterion): the
-//! batch-major bitsliced fast path must stay bit-exact against the
-//! per-frame phase-skipping simulation and conservatively faster than
-//! the scalar per-frame path. The full trajectory lives in the
-//! `sim_fastpath` bench (`BENCH_sim.json`); this is the cheap guard
-//! that fails CI if the batch kernel silently degrades.
+//! Fast batch-throughput smoke check for CI: the batch-major bitsliced
+//! fast path must stay bit-exact against the per-frame phase-skipping
+//! simulation and conservatively faster than the scalar per-frame
+//! path. It is the cheap guard that fails CI if the batch kernel
+//! silently degrades; `perfbench/` measures the kernels' absolute cost
+//! per frame.
 
 use netpu::core::{run_batch_fast, run_inference_fast, BatchEngine, HwConfig};
 use netpu::nn::export::BnMode;

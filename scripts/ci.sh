@@ -54,16 +54,21 @@ echo "== design-space exploration smoke (frontier artifact reproducibility, rele
 # longer reproduced/dominated.
 cargo run -q --release -p xtask -- dse --smoke
 
+echo "== serving reports (board sweep + fleet replay artifact reproducibility, release) =="
+# Re-runs the virtual-time Server board sweep and the acceptance-scale
+# fleet replay and fails if artifacts/serve/*.tsv differ from the
+# committed reports (the section V loading-bottleneck evidence).
+cargo run -q --release -p xtask -- serve-report
+
 echo "== serving layer (release) =="
 cargo test -q --release -p netpu-serve
 
 echo "== batch throughput smoke (bitsliced kernel, release) =="
 cargo run -q --release --example batch_throughput
 
-echo "== fleet traffic-replay smoke (seeded, deterministic, release) =="
-# The example runs the live sharded server, then replays the seeded
-# smoke workload under both dispatch policies and asserts determinism,
-# the compiled-cache hit rate, and the swap-aware reduction.
+echo "== live fleet smoke (sharded FleetServer, admit-once, release) =="
+# The example serves four models to three tenants over 2 shards x 2
+# boards and asserts each model is compiled and admitted exactly once.
 cargo run -q --release --example fleet
 
 echo "== API doc-tests (release) =="
