@@ -83,7 +83,7 @@ mod verdict;
 
 pub use absint::{LayerBounds, NeuronBounds, RangeAnalysis};
 pub use diag::{Diagnostic, Report, RuleId, Severity};
-pub use store::{payload_span, StoreStats, VerdictStore};
+pub use store::{payload_span, StoreStats, StoredStream, VerdictStore};
 pub use symex::{certify, compile_certified, Certificate, CertifyError, CertifyOutcome, Witness};
 pub use timing::{DmaParams, StreamTiming, TimingSpec};
 pub use verdict::{AdmissionVerdict, RejectReason};

@@ -20,28 +20,32 @@
 //! the end of the stream, and those that declare a non-empty input
 //! range some pixel falls outside: NPC020 reads the payload.
 //!
-//! **Value.** The findings and the timing certificate, never a decoded
-//! model or kernel. The verdict itself is not stored: callers apply
-//! their strict/lenient policy to the stored findings on every lookup
-//! ([`Analysis::verdict`]), so drivers with different policies can
-//! share one store.
+//! **Value.** The findings and the timing certificate. The verdict
+//! itself is not stored: callers apply their strict/lenient policy to
+//! the stored findings on every lookup ([`Analysis::verdict`]), so
+//! drivers with different policies can share one store. Each entry
+//! also has a value slot of the store's type `V`, filled at most once
+//! by the first caller that asks for the stream's values
+//! ([`VerdictStore::value`]); `netpu-runtime` keeps there the stream's
+//! value kernel, which reads its weights from the entry's own words,
+//! and the outcome of its one simulator cross-check.
 //!
-//! **Budget.** Entries are charged their masked words, findings and
-//! certificate. Past the budget the least recently used quarter is
-//! dropped. An empty store allocates nothing.
+//! **Budget.** Entries are charged their masked words, findings,
+//! certificate and, once filled, what their value slot reports. Past
+//! the budget the least recently used quarter is dropped. An empty
+//! store allocates nothing.
 
 use crate::{analyze, Analysis, Tiers};
 use netpu_arith::cast;
 use netpu_arith::quant::LANES_PER_WORD;
-use netpu_compiler::stream::{input_words, MAGIC, VERSION};
-use netpu_compiler::{declared_input_range, LayerSetting};
+use netpu_compiler::{declared_input_range, input_section};
 use netpu_core::HwConfig;
 use netpu_nn::QuantMlp;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Budget of a [`VerdictStore`], bytes.
 const BUDGET_BYTES: usize = 64 << 20;
@@ -49,26 +53,47 @@ const BUDGET_BYTES: usize = 64 << 20;
 /// Bookkeeping charged per entry on top of its words and findings.
 const ENTRY_OVERHEAD_BYTES: usize = 256;
 
-/// One stored analysis and the key it answers for.
-struct Entry {
-    /// The stream, its input section zeroed.
-    masked: Box<[u64]>,
+/// One stream a [`VerdictStore`] answered for: its analysis, its words
+/// and its value slot. Kept in the store, or, for a stream the store
+/// does not keep, held only by the caller.
+pub struct StoredStream<V = ()> {
+    /// The stream; its input section zeroed when kept.
+    words: Arc<[u64]>,
     cfg: HwConfig,
     source: Option<u128>,
     analysis: Arc<Analysis>,
-    bytes: usize,
+    /// The bucket a kept entry is filed under.
+    hash: Option<u64>,
+    bytes: AtomicUsize,
     last_used: AtomicU64,
+    value: OnceLock<V>,
 }
 
-impl Entry {
+impl<V> StoredStream<V> {
+    /// The stream's analysis.
+    pub fn analysis(&self) -> &Arc<Analysis> {
+        &self.analysis
+    }
+
+    /// The stream's words. A kept entry holds them with the input
+    /// section zeroed; others as the caller gave them.
+    pub fn words(&self) -> &Arc<[u64]> {
+        &self.words
+    }
+
+    /// The instance the stream was analyzed for.
+    pub fn cfg(&self) -> &HwConfig {
+        &self.cfg
+    }
+
     /// The span starts past the header and the first setting word, so
     /// equal prefixes mean equal spans.
     fn answers(&self, key: &Key<'_>) -> bool {
         self.source == key.source
             && self.cfg == *key.cfg
-            && self.masked.len() == key.words.len()
-            && self.masked[..key.span.start] == key.words[..key.span.start]
-            && self.masked[key.span.end..] == key.words[key.span.end..]
+            && self.words.len() == key.words.len()
+            && self.words[..key.span.start] == key.words[..key.span.start]
+            && self.words[key.span.end..] == key.words[key.span.end..]
     }
 }
 
@@ -80,10 +105,16 @@ struct Key<'a> {
     source: Option<u128>,
 }
 
-#[derive(Default)]
-struct Inner {
-    buckets: HashMap<u64, Vec<Arc<Entry>>>,
+struct Inner<V> {
+    buckets: HashMap<u64, Vec<Arc<StoredStream<V>>>>,
     bytes: usize,
+}
+
+/// What a lookup found: a kept entry, or a fresh analysis of a stream
+/// the store does not keep.
+enum Answer<V> {
+    Kept(Arc<StoredStream<V>>),
+    Fresh(Arc<Analysis>),
 }
 
 /// Point-in-time [`VerdictStore`] statistics.
@@ -93,29 +124,34 @@ pub struct StoreStats {
     pub hits: u64,
     /// Lookups that ran a fresh [`analyze`], stored or not.
     pub misses: u64,
+    /// Value slots filled ([`VerdictStore::value`]): one per stream
+    /// whose values were asked for while the store held it.
+    pub values: u64,
     /// Stored analyses.
     pub entries: usize,
     /// Bytes charged against the budget.
     pub bytes: usize,
 }
 
-/// A content-addressed, thread-safe store of stream analyses (see the
-/// module docs for the key, the exclusions and the budget).
-pub struct VerdictStore {
+/// A content-addressed, thread-safe store of stream analyses, each
+/// with a value slot of type `V` (see the module docs for the key, the
+/// exclusions and the budget).
+pub struct VerdictStore<V = ()> {
     budget_bytes: usize,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<V>>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    values: AtomicU64,
 }
 
 impl Default for VerdictStore {
     fn default() -> VerdictStore {
-        VerdictStore::with_budget(BUDGET_BYTES)
+        VerdictStore::new()
     }
 }
 
-impl std::fmt::Debug for VerdictStore {
+impl<V> std::fmt::Debug for VerdictStore<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerdictStore")
             .field("budget_bytes", &self.budget_bytes)
@@ -124,15 +160,25 @@ impl std::fmt::Debug for VerdictStore {
     }
 }
 
-impl VerdictStore {
+impl<V> VerdictStore<V> {
+    /// An empty store with the default budget.
+    #[allow(clippy::new_without_default)] // `Default` is `VerdictStore<()>`'s
+    pub fn new() -> VerdictStore<V> {
+        VerdictStore::with_budget(BUDGET_BYTES)
+    }
+
     /// An empty store holding at most about `budget_bytes`.
-    fn with_budget(budget_bytes: usize) -> VerdictStore {
+    fn with_budget(budget_bytes: usize) -> VerdictStore<V> {
         VerdictStore {
             budget_bytes,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                buckets: HashMap::new(),
+                bytes: 0,
+            }),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            values: AtomicU64::new(0),
         }
     }
 
@@ -147,13 +193,79 @@ impl VerdictStore {
         cfg: &HwConfig,
         source: Option<&QuantMlp>,
     ) -> Arc<Analysis> {
-        let tiers = Tiers { source };
+        match self.answer(words, cfg, source) {
+            Answer::Kept(stream) => Arc::clone(&stream.analysis),
+            Answer::Fresh(analysis) => analysis,
+        }
+    }
+
+    /// [`analyze`](Self::analyze), returning the whole entry: the
+    /// analysis, the stored words and the value slot. A stream the store
+    /// does not keep comes back in an entry of its own.
+    pub fn lookup(
+        &self,
+        words: &[u64],
+        cfg: &HwConfig,
+        source: Option<&QuantMlp>,
+    ) -> Arc<StoredStream<V>> {
+        match self.answer(words, cfg, source) {
+            Answer::Kept(stream) => stream,
+            Answer::Fresh(analysis) => Arc::new(StoredStream {
+                words: words.into(),
+                cfg: *cfg,
+                source: source.map(model_digest),
+                analysis,
+                hash: None,
+                bytes: AtomicUsize::new(0),
+                last_used: AtomicU64::new(0),
+                value: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// `stream`'s value: made by `build` on the first call for the
+    /// stream (concurrent callers wait for it), then kept in its entry.
+    /// `build` also reports the value's heap bytes, which a kept entry
+    /// is charged from then on.
+    pub fn value<'s>(
+        &self,
+        stream: &'s StoredStream<V>,
+        build: impl FnOnce(&StoredStream<V>) -> (V, usize),
+    ) -> &'s V {
+        stream.value.get_or_init(|| {
+            let (value, bytes) = build(stream);
+            self.values.fetch_add(1, Ordering::Relaxed);
+            self.charge(stream, bytes);
+            value
+        })
+    }
+
+    /// Current statistics.
+    pub fn stats(&self) -> StoreStats {
+        let inner = lock(&self.inner);
+        StoreStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            values: self.values.load(Ordering::Relaxed),
+            entries: inner.buckets.values().map(Vec::len).sum(),
+            bytes: inner.bytes,
+        }
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn answer(&self, words: &[u64], cfg: &HwConfig, source: Option<&QuantMlp>) -> Answer<V> {
+        let fresh = || {
+            Arc::new(Analysis {
+                range: None,
+                ..analyze(words, cfg, Tiers { source })
+            })
+        };
         let Some(span) = payload_span(words) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(Analysis {
-                range: None,
-                ..analyze(words, cfg, tiers)
-            });
+            return Answer::Fresh(fresh());
         };
         let key = Key {
             words,
@@ -167,71 +279,92 @@ impl VerdictStore {
             .get(&hash)
             .cloned()
             .unwrap_or_default();
-        if let Some(entry) = candidates.iter().find(|e| e.answers(&key)) {
+        if let Some(entry) = candidates.into_iter().find(|e| e.answers(&key)) {
             entry.last_used.store(self.tick(), Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&entry.analysis);
+            return Answer::Kept(entry);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let analysis = Arc::new(Analysis {
-            range: None,
-            ..analyze(words, cfg, tiers)
-        });
-        self.insert(hash, key, &analysis);
-        analysis
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> StoreStats {
-        let inner = lock(&self.inner);
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: inner.buckets.values().map(Vec::len).sum(),
-            bytes: inner.bytes,
+        let analysis = fresh();
+        match self.insert(hash, key, &analysis) {
+            Some(entry) => Answer::Kept(entry),
+            None => Answer::Fresh(analysis),
         }
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn insert(&self, hash: u64, key: Key<'_>, analysis: &Arc<Analysis>) {
+    /// Keeps `analysis` under `key`, or returns the entry a racing miss
+    /// on the same stream kept first; `None` when the entry alone
+    /// exceeds the budget.
+    fn insert(
+        &self,
+        hash: u64,
+        key: Key<'_>,
+        analysis: &Arc<Analysis>,
+    ) -> Option<Arc<StoredStream<V>>> {
         let bytes = footprint(key.words.len(), analysis);
         if bytes > self.budget_bytes {
-            return;
+            return None;
         }
-        let mut masked: Box<[u64]> = key.words.into();
-        masked[key.span.clone()].fill(0);
-        let entry = Arc::new(Entry {
-            masked,
+        let masked: Arc<[u64]> = key
+            .words
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| if key.span.contains(&i) { 0 } else { w })
+            .collect();
+        let entry = Arc::new(StoredStream {
+            words: masked,
             cfg: *key.cfg,
             source: key.source,
             analysis: Arc::clone(analysis),
-            bytes,
+            hash: Some(hash),
+            bytes: AtomicUsize::new(bytes),
             last_used: AtomicU64::new(self.tick()),
+            value: OnceLock::new(),
         });
         let mut inner = lock(&self.inner);
-        // A racing miss on the same stream may have stored it already.
-        if inner
+        if let Some(first) = inner
             .buckets
             .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|e| e.answers(&key)))
+            .and_then(|bucket| bucket.iter().find(|e| e.answers(&key)))
         {
-            return;
+            return Some(Arc::clone(first));
         }
         if inner.bytes + bytes > self.budget_bytes {
             evict_oldest(&mut inner, self.budget_bytes / 4 * 3);
         }
         inner.bytes += bytes;
-        inner.buckets.entry(hash).or_default().push(entry);
+        inner
+            .buckets
+            .entry(hash)
+            .or_default()
+            .push(Arc::clone(&entry));
+        Some(entry)
+    }
+
+    /// Charges a filled value slot to `stream`'s entry while the store
+    /// keeps it.
+    fn charge(&self, stream: &StoredStream<V>, bytes: usize) {
+        let Some(hash) = stream.hash else { return };
+        let mut inner = lock(&self.inner);
+        let kept = inner
+            .buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|e| std::ptr::eq(&**e, stream)));
+        if !kept {
+            return;
+        }
+        stream.bytes.fetch_add(bytes, Ordering::Relaxed);
+        inner.bytes += bytes;
+        if inner.bytes > self.budget_bytes {
+            evict_oldest(&mut inner, self.budget_bytes / 4 * 3);
+        }
     }
 }
 
 /// Drops least recently used entries until at most `target` bytes
 /// remain.
-fn evict_oldest(inner: &mut Inner, target: usize) {
-    let mut by_age: Vec<(u64, u64, Arc<Entry>)> = inner
+fn evict_oldest<V>(inner: &mut Inner<V>, target: usize) {
+    let mut by_age: Vec<(u64, u64, Arc<StoredStream<V>>)> = inner
         .buckets
         .iter()
         .flat_map(|(&hash, bucket)| {
@@ -250,12 +383,12 @@ fn evict_oldest(inner: &mut Inner, target: usize) {
             if bucket.is_empty() {
                 inner.buckets.remove(&hash);
             }
-            inner.bytes -= victim.bytes;
+            inner.bytes -= victim.bytes.load(Ordering::Relaxed);
         }
     }
 }
 
-fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+fn lock<V>(m: &Mutex<Inner<V>>) -> MutexGuard<'_, Inner<V>> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -283,19 +416,10 @@ fn footprint(words: usize, analysis: &Analysis) -> usize {
 /// stream, or the header declares a non-empty input range that some
 /// pixel falls outside (NPC020 then depends on the pixels).
 pub fn payload_span(words: &[u64]) -> Option<Range<usize>> {
-    let &header = words.first()?;
-    if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
-        return None;
-    }
-    let layers = cast::usize_sat((header >> 24) & 0xFFFF);
-    if layers == 0 {
-        return None;
-    }
-    let first = LayerSetting::decode(*words.get(1)?).ok()?;
-    let pixels = cast::usize_from_u32(first.neurons);
-    let span = 1 + layers..1 + layers + input_words(pixels);
-    let input = words.get(span.clone())?;
-    if let Some((lo, hi)) = declared_input_range(header) {
+    let span = input_section(words).ok()?;
+    let input = &words[span.clone()];
+    if let Some((lo, hi)) = declared_input_range(words[0]) {
+        let pixels = input_pixels(words)?;
         let narrow = lo <= hi && (lo > 0 || hi < u8::MAX);
         let uncovered = |i: usize| {
             let p = cast::lo8(input[i / LANES_PER_WORD] >> (8 * (i % LANES_PER_WORD)));
@@ -306,6 +430,12 @@ pub fn payload_span(words: &[u64]) -> Option<Range<usize>> {
         }
     }
     Some(span)
+}
+
+/// The first layer's pixel count.
+fn input_pixels(words: &[u64]) -> Option<usize> {
+    let first = netpu_compiler::LayerSetting::decode(*words.get(1)?).ok()?;
+    Some(cast::usize_from_u32(first.neurons))
 }
 
 const K0: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -419,7 +549,7 @@ mod tests {
     #[test]
     fn the_budget_bounds_the_store_and_an_empty_store_holds_nothing() {
         let budget = 16 << 10;
-        let store = VerdictStore::with_budget(budget);
+        let store = VerdictStore::<()>::with_budget(budget);
         assert_eq!(store.stats().bytes, 0);
         assert_eq!(lock(&store.inner).buckets.capacity(), 0);
         let cfg = HwConfig::paper_instance();
@@ -432,5 +562,34 @@ mod tests {
         let stats = store.stats();
         assert!(stats.entries < 64, "nothing was evicted: {stats:?}");
         assert_eq!(stats.misses, 64);
+    }
+
+    #[test]
+    fn a_value_slot_fills_once_and_is_charged_to_its_entry() {
+        let store = VerdictStore::<u64>::new();
+        let cfg = HwConfig::paper_instance();
+        let source = random_model(3);
+        let loadable = netpu_compiler::compile(&source, &vec![9u8; source.input.len]).unwrap();
+        let stream = store.lookup(&loadable.words, &cfg, None);
+        // The kept entry holds the words with the input section zeroed.
+        let span = payload_span(&loadable.words).unwrap();
+        assert!(stream.words()[span.clone()].iter().all(|&w| w == 0));
+        assert_eq!(stream.words()[span.end..], loadable.words[span.end..]);
+        let before = store.stats().bytes;
+        assert_eq!(*store.value(&stream, |_| (7, 100)), 7);
+        // A second lookup finds the same entry; its slot is not rebuilt.
+        let again = store.lookup(&loadable.words, &cfg, None);
+        assert_eq!(*store.value(&again, |_| unreachable!("built twice")), 7);
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.values), (1, 1, 1));
+        assert_eq!(stats.bytes, before + 100);
+        // A stream the store does not keep gets a slot of its own,
+        // charged to nothing.
+        let mut bad = loadable.words.clone();
+        bad[0] ^= 1;
+        let transient = store.lookup(&bad, &cfg, None);
+        assert_eq!(transient.words()[..], bad[..]);
+        store.value(&transient, |_| (1, 1 << 40));
+        assert_eq!(store.stats().bytes, before + 100);
     }
 }

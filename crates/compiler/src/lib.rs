@@ -31,6 +31,7 @@ pub mod stream;
 pub use file::FileError;
 pub use settings::{LayerSetting, LayerType, SettingError};
 pub use stream::{
-    batch_stream, compile, compile_packed, declared_input_range, decode, decode_packed, Decoded,
-    Loadable, PackedDecode, PackingMode, SectionKind, StreamError, StreamLayout,
+    batch_stream, compile, compile_packed, declared_input_range, decode, decode_packed,
+    input_section, splice_input, value_kernel, Decoded, Loadable, PackedDecode, PackingMode,
+    SectionKind, StreamError, StreamLayout,
 };

@@ -16,10 +16,11 @@
 use crate::settings::{LayerSetting, LayerType, SettingError};
 use netpu_arith::quant::{self, LANES_PER_WORD};
 use netpu_arith::{cast, ActivationKind, Fix, Precision, QuantParams};
+use netpu_nn::kernel::{PackedMlp, WeightField, WeightRows};
 use netpu_nn::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
-use netpu_nn::reference::{PackedLayerRows, PackedMlp};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Stream magic in the header word ("NP").
 pub const MAGIC: u16 = 0x4E50;
@@ -605,33 +606,9 @@ impl Loadable {
     }
 
     /// Replaces the dataset-input section in place for a new inference
-    /// without re-encoding the model sections.
+    /// without re-encoding the model sections ([`splice_input`]).
     pub fn replace_input(&mut self, pixels: &[u8]) -> Result<(), StreamError> {
-        let range = self.layout.input.clone();
-        let expected = range.len() * LANES_PER_WORD;
-        // The final word may be partially used; recover the true length
-        // from the first layer setting.
-        let setting = LayerSetting::decode(self.words[self.layout.settings.start])
-            .map_err(StreamError::BadSetting)?;
-        let len = cast::usize_from_u32(setting.neurons);
-        if pixels.len() != len {
-            return Err(StreamError::InputLength {
-                expected: len,
-                got: pixels.len(),
-            });
-        }
-        debug_assert!(len <= expected);
-        for (w, chunk) in self.words[range]
-            .iter_mut()
-            .zip(pixels.chunks(LANES_PER_WORD))
-        {
-            let mut word = 0u64;
-            for (i, &p) in chunk.iter().enumerate() {
-                word |= u64::from(p) << (8 * i);
-            }
-            *w = word;
-        }
-        Ok(())
+        splice_input(&mut self.words, pixels)
     }
 
     /// Overwrites the header's declared input range: the host's claim
@@ -645,6 +622,53 @@ impl Loadable {
         *header |=
             RANGE_FLAG | (u64::from(lo) << RANGE_MIN_SHIFT) | (u64::from(hi) << RANGE_MAX_SHIFT);
     }
+}
+
+/// The word span of a stream's dataset-input section, read from the
+/// stream's own header (layer count) and first setting word (pixel
+/// count), never from host-side layout metadata.
+pub fn input_section(words: &[u64]) -> Result<Range<usize>, StreamError> {
+    let &header = words.first().ok_or(StreamError::Truncated { at: 0 })?;
+    if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
+        return Err(StreamError::BadHeader(header));
+    }
+    let layers = cast::usize_sat((header >> 24) & 0xFFFF);
+    if layers == 0 {
+        return Err(StreamError::BadLayerSequence);
+    }
+    let &first = words
+        .get(1)
+        .ok_or(StreamError::Truncated { at: words.len() })?;
+    let pixels = LayerSetting::decode(first).map_err(StreamError::BadSetting)?;
+    let start = 1 + layers;
+    let span = start..start + input_words(cast::usize_from_u32(pixels.neurons));
+    if span.end > words.len() {
+        return Err(StreamError::Truncated { at: words.len() });
+    }
+    Ok(span)
+}
+
+/// Writes `pixels` into the stream's dataset-input section
+/// ([`input_section`]), 8-bit lanes, zero past the last pixel. The
+/// pixel count must be the first layer's.
+pub fn splice_input(words: &mut [u64], pixels: &[u8]) -> Result<(), StreamError> {
+    let span = input_section(words)?;
+    let setting = LayerSetting::decode(words[1]).map_err(StreamError::BadSetting)?;
+    let len = cast::usize_from_u32(setting.neurons);
+    if pixels.len() != len {
+        return Err(StreamError::InputLength {
+            expected: len,
+            got: pixels.len(),
+        });
+    }
+    for (w, chunk) in words[span].iter_mut().zip(pixels.chunks(LANES_PER_WORD)) {
+        let mut word = 0u64;
+        for (i, &p) in chunk.iter().enumerate() {
+            word |= u64::from(p) << (8 * i);
+        }
+        *w = word;
+    }
+    Ok(())
 }
 
 /// Builds a multi-inference stream: `inputs.len()` complete loadables
@@ -694,14 +718,20 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u64], StreamError> {
+        let span = self.span(n)?;
+        Ok(&self.words[span])
+    }
+
+    /// The next `n` words' positions, consumed.
+    fn span(&mut self, n: usize) -> Result<Range<usize>, StreamError> {
         if self.pos + n > self.words.len() {
             return Err(StreamError::Truncated {
                 at: self.words.len(),
             });
         }
-        let s = &self.words[self.pos..self.pos + n];
+        let span = self.pos..self.pos + n;
         self.pos += n;
-        Ok(s)
+        Ok(span)
     }
 }
 
@@ -809,13 +839,17 @@ fn section<'a>(slot: &Option<&'a [u64]>, layer: usize) -> Result<&'a [u64], Stre
 /// Decodes a transmission stream back into a model + input. The inverse
 /// of [`compile`] up to the untransmitted model name.
 pub fn decode(words: &[u64]) -> Result<Decoded, StreamError> {
-    let (decoded, _) = decode_parts(words, false)?;
+    let (decoded, _) = decode_parts(words, Expand::All)?;
     decoded
         .model
         .validate()
         .map_err(StreamError::InvalidModel)?;
     Ok(decoded)
 }
+
+/// Per FC layer (hidden layers, then the output layer), the packed ±1
+/// rows of an XNOR-path layer, `None` for any other.
+pub type PackedLayerRows = Vec<Option<Vec<u64>>>;
 
 /// A stream decoded by [`decode_packed`].
 #[derive(Clone, Debug, PartialEq)]
@@ -824,16 +858,12 @@ pub struct PackedDecode {
     /// `weights`: their weights are in `rows`.
     pub decoded: Decoded,
     /// Per FC layer (hidden layers, then the output layer), the packed
-    /// ±1 rows of an XNOR-path layer, `None` for any other.
+    /// ±1 rows of an XNOR-path layer (`⌈in_len/64⌉` words per neuron,
+    /// bit set for +1), `None` for any other.
     pub rows: PackedLayerRows,
 }
 
 impl PackedDecode {
-    /// The decoded model as a bit-exact inference kernel that owns it.
-    pub fn into_kernel(self) -> Result<PackedMlp<'static>, StreamError> {
-        PackedMlp::from_rows(self.decoded.model, self.rows).map_err(StreamError::InvalidModel)
-    }
-
     /// What [`decode`] returns for the stream, without reading it
     /// again: the XNOR-path layers' packed rows expanded to `i32`
     /// weights, and the model validated as [`decode`] validates it.
@@ -860,38 +890,99 @@ impl PackedDecode {
 }
 
 /// [`decode`] without building the `i32` weights of XNOR-path layers.
-/// Their weight sections already hold the ±1 rows in the packed layout
-/// [`PackedMlp::from_rows`] takes (`⌈in_len/64⌉` words per neuron, bit
-/// set for +1), so those words are copied as they are: for LFC-w1a1,
-/// 0.37 MB instead of 11.6 MB. Other layers decode to `i32` weights as
-/// in [`decode`]. The model is validated as [`decode`] validates it.
+/// Their weight sections already hold the ±1 rows in the packed layout,
+/// so those words are copied as they are: for LFC-w1a1, 0.37 MB instead
+/// of 11.6 MB. Other layers decode to `i32` weights as in [`decode`].
+/// The model is validated as [`decode`] validates it.
 pub fn decode_packed(words: &[u64]) -> Result<PackedDecode, StreamError> {
-    let (decoded, rows) = decode_parts(words, true)?;
+    let (decoded, sections) = decode_parts(words, Expand::IntegerPath)?;
     decoded
         .model
         .validate_packed()
         .map_err(StreamError::InvalidModel)?;
+    let rows = sections
+        .into_iter()
+        .zip(&decoded.settings[1..])
+        .map(|(section, s)| uses_xnor_path(s).then(|| words[section].to_vec()))
+        .collect();
     Ok(PackedDecode { decoded, rows })
 }
 
-/// One FC layer's weights: the stream's packed rows for an XNOR-path
-/// layer when `packed` (empty `i32` weights), else `i32` weights.
+/// The stream's bit-exact value kernel, reading every FC layer's
+/// weights in place from `words`: XNOR-path layers as their ±1 rows,
+/// integer-path layers as the stream's weight fields (8-bit lanes, or
+/// native width under [`PackingMode::Dense`]). No weight is decoded or
+/// copied; the kernel shares `words`. The rest of the model is decoded
+/// and validated as [`decode`] does.
+pub fn value_kernel(words: Arc<[u64]>) -> Result<PackedMlp<'static>, StreamError> {
+    let (decoded, sections) = decode_parts(&words, Expand::Nothing)?;
+    let mode = decoded.packing;
+    let rows = sections
+        .into_iter()
+        .zip(&decoded.settings[1..])
+        .enumerate()
+        .map(|(k, (section, s))| {
+            let field = if uses_xnor_path(s) {
+                WeightField::Xnor
+            } else {
+                let width = weight_field_bits(s, mode);
+                match (s.weight_precision.is_binary(), width) {
+                    (true, 8) => WeightField::Signed { width, bits: 8 },
+                    (true, _) => WeightField::Bipolar,
+                    (false, _) => WeightField::Signed {
+                        width,
+                        bits: u32::from(s.weight_precision.bits()),
+                    },
+                }
+            };
+            let neurons = cast::usize_from_u32(s.neurons);
+            let in_len = cast::usize_from_u32(s.input_len);
+            WeightRows::new(Arc::clone(&words), section, neurons, in_len, field).ok_or(
+                StreamError::InvalidModel(netpu_nn::qmodel::ModelError::WeightShape {
+                    layer: k + 1,
+                }),
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    PackedMlp::from_words(decoded.model, rows).map_err(StreamError::InvalidModel)
+}
+
+/// Which FC layers a decode expands to `i32` weights; the others come
+/// back with empty `weights`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Expand {
+    All,
+    IntegerPath,
+    Nothing,
+}
+
+/// One FC layer's `i32` weights, or none when `expand` leaves the layer
+/// in its section.
 fn fc_weights(
     setting: &LayerSetting,
     words: &[u64],
     mode: PackingMode,
-    packed: bool,
-) -> (Vec<i32>, Option<Vec<u64>>) {
-    if packed && uses_xnor_path(setting) {
-        (Vec::new(), Some(words.to_vec()))
+    expand: Expand,
+) -> Vec<i32> {
+    let here = match expand {
+        Expand::All => true,
+        Expand::IntegerPath => !uses_xnor_path(setting),
+        Expand::Nothing => false,
+    };
+    if here {
+        decode_weights(setting, words, mode)
     } else {
-        (decode_weights(setting, words, mode), None)
+        Vec::new()
     }
 }
 
-/// The decode both entry points share, unvalidated. With `packed`, the
-/// XNOR-path layers' weights come back as rows, one entry per FC layer.
-fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows), StreamError> {
+/// The decode every entry point shares, unvalidated. Also returns each
+/// FC layer's weight section (hidden layers, then the output layer) as
+/// a word range.
+fn decode_parts(
+    words: &[u64],
+    expand: Expand,
+) -> Result<(Decoded, Vec<Range<usize>>), StreamError> {
     let mut r = Reader { words, pos: 0 };
     let header = r.take(1)?[0];
     if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
@@ -928,15 +1019,16 @@ fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows
         ));
     }
 
-    // Replay the interleave, collecting per-layer payload slices.
+    // Replay the interleave, collecting per-layer payload slices and
+    // weight sections.
     let mut params: Vec<Option<&[u64]>> = vec![None; n];
-    let mut weight_payloads: Vec<Option<&[u64]>> = vec![None; n];
+    let mut sections: Vec<Range<usize>> = vec![0..0; n];
     params[0] = Some(r.take(param_words(&settings[0]))?);
     for k in 1..n {
         params[k] = Some(r.take(param_words(&settings[k]))?);
-        weight_payloads[k - 1] = Some(r.take(weight_words_mode(&settings[k - 1], mode))?);
+        sections[k - 1] = r.span(weight_words_mode(&settings[k - 1], mode))?;
     }
-    weight_payloads[n - 1] = Some(r.take(weight_words_mode(&settings[n - 1], mode))?);
+    sections[n - 1] = r.span(weight_words_mode(&settings[n - 1], mode))?;
 
     // Reconstruct the model.
     let input = InputLayer {
@@ -945,7 +1037,6 @@ fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows
         activation: decode_activation(&settings[0], section(&params[0], 0)?, 0)?,
     };
     let mut hidden = Vec::with_capacity(n - 2);
-    let mut rows = Vec::with_capacity(n - 1);
     for k in 1..n - 1 {
         let s = &settings[k];
         let layer_params = section(&params[k], k)?;
@@ -955,8 +1046,7 @@ fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows
         };
         let (bias, bn) = decode_bias_bn(s, &mut reader)?;
         let act_words = reader.take(layer_params.len() - reader.pos)?;
-        let (weights, packed_rows) = fc_weights(s, section(&weight_payloads[k], k)?, mode, packed);
-        rows.push(packed_rows);
+        let weights = fc_weights(s, &words[sections[k].clone()], mode, expand);
         hidden.push(HiddenLayer {
             in_len: cast::usize_from_u32(s.input_len),
             neurons: cast::usize_from_u32(s.neurons),
@@ -975,9 +1065,7 @@ fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows
         pos: 0,
     };
     let (bias, bn) = decode_bias_bn(s, &mut reader)?;
-    let (weights, packed_rows) =
-        fc_weights(s, section(&weight_payloads[n - 1], n - 1)?, mode, packed);
-    rows.push(packed_rows);
+    let weights = fc_weights(s, &words[sections[n - 1].clone()], mode, expand);
     let output = OutputLayer {
         in_len: cast::usize_from_u32(s.input_len),
         neurons: cast::usize_from_u32(s.neurons),
@@ -1001,5 +1089,6 @@ fn decode_parts(words: &[u64], packed: bool) -> Result<(Decoded, PackedLayerRows
         packing: mode,
         input_range: declared_input_range(header),
     };
-    Ok((decoded, rows))
+    sections.remove(0);
+    Ok((decoded, sections))
 }

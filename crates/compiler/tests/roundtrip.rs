@@ -198,7 +198,7 @@ fn packed_decode_infers_like_the_full_decode() {
             assert_eq!(packed.decoded.settings, full.settings);
             assert_eq!(packed.decoded.pixels, full.pixels);
             assert_eq!(packed.to_decoded(), Ok(full.clone()), "model {k} {mode:?}");
-            let kernel = packed.into_kernel().unwrap();
+            let kernel = stream::value_kernel(loadable.words.clone().into()).unwrap();
             assert_eq!(
                 kernel.infer_traced(&pixels),
                 netpu_nn::reference::infer_traced(&full.model, &pixels),

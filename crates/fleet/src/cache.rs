@@ -1,43 +1,38 @@
 //! The compiled-loadable cache: full admission exactly once per model.
 //!
 //! Every request entering the fleet references a model by id. The first
-//! request for a model pays the whole compile + admission pipeline
-//! (`netpu-check` NPC001–NPC020 structural and abstract-interpretation
-//! range checks, plus — on a strict-equiv driver — NPC021–NPC026
-//! translation validation against the source model) and one
-//! cycle-accurate simulation; every later request reuses the
-//! [`AdmittedModel`] from the cache and never re-runs admission. The
-//! analysis itself lives in the driver's verdict store, which outlives
-//! an eviction: a model that returns is compiled and simulated again
-//! but its stream is not re-analyzed.
+//! request for a model pays compilation and one lookup in the driver's
+//! verdict store ([`Driver::admit_values`]); every later request reuses
+//! the [`AdmittedModel`] from the cache and never re-runs admission.
+//! The store entry is the single record of an admitted stream: its
+//! findings (`netpu-check` NPC001–NPC020, plus NPC021–NPC026
+//! translation validation on a strict-equiv driver), its timing
+//! certificate, its words and its [`ValueKernel`], which reads its
+//! weights in place from those words. The entry outlives an eviction
+//! from this cache, so a model that returns pays compilation and a
+//! lookup: no analysis, no simulation and no weight decode.
 //!
 //! An admitted model splits a request's answer in two. Cycles and
 //! latency are input-independent for a loaded model, so they come from
-//! the admission run and the static timing certificate. Values come
-//! from the [`ValueKernel`]: the admitted stream decoded once at
-//! admission for bit-exact XNOR+popcount inference. The kernel serves
-//! what the *stream* encodes, not the request's source model, and
-//! admission checks it against the simulator's class and score on the
-//! zero input.
+//! the timing certificate. Values come from the kernel, which serves
+//! what the *stream* encodes, not the request's source model; the
+//! driver cross-checked it once against the simulator when the stream
+//! was first admitted.
 //!
 //! The cache is byte-budgeted LRU over the stream words: admitting a
 //! model past the budget evicts the least-recently-used residents
-//! first. Kernel memory sits outside that budget. A kernel keeps one
-//! bit per binary weight (about 0.37 MB for LFC-w1a1, copied from the
-//! stream's XNOR weight sections) and `i32` weights only for
-//! non-binary layers; it is freed with its entry.
+//! first. The words themselves, and the kernel's thresholds and biases,
+//! are held and charged by the verdict store.
 //!
 //! [`LruCore`] — the budget/recency bookkeeping — is public on its own
 //! so the property suite can drive arbitrary admit/evict/lookup
 //! sequences against a reference model without paying for real
 //! compilation (see `tests/cache_proptest.rs`).
 
-use netpu_arith::{cast, Fix};
-use netpu_check::RejectReason;
-use netpu_compiler::{compile, Loadable, StreamError};
-use netpu_nn::reference::PackedMlp;
+use netpu_arith::cast;
+use netpu_compiler::compile;
 use netpu_nn::QuantMlp;
-use netpu_runtime::{Driver, DriverError, MeasuredRun};
+use netpu_runtime::{Driver, DriverError, MeasuredRun, ValueKernel};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -185,43 +180,6 @@ impl<V> LruCore<V> {
     }
 }
 
-/// The value side of an admitted model: the admitted stream decoded
-/// for bit-exact inference ([`netpu_compiler::decode_packed`], which
-/// keeps binary layers as packed rows and never builds their `i32`
-/// weights).
-pub struct ValueKernel {
-    packed: PackedMlp<'static>,
-}
-
-impl ValueKernel {
-    /// Wraps the packed decode of an admitted stream.
-    pub fn new(packed: PackedMlp<'static>) -> ValueKernel {
-        ValueKernel { packed }
-    }
-
-    /// The class and winning score the admitted stream computes on
-    /// `pixels`. A wrong input length fails exactly as splicing it into
-    /// the stream would ([`Loadable::replace_input`]).
-    pub fn infer(&self, pixels: &[u8]) -> Result<(usize, Fix), DriverError> {
-        let expected = self.packed.input_len();
-        if pixels.len() != expected {
-            return Err(DriverError::Compile(StreamError::InputLength {
-                expected,
-                got: pixels.len(),
-            }));
-        }
-        Ok(self.packed.infer(pixels))
-    }
-}
-
-impl std::fmt::Debug for ValueKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ValueKernel")
-            .field("input_len", &self.packed.input_len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// A model that has passed full admission, with the swap-cost figures
 /// the scheduler needs and the kernel that computes its values.
 ///
@@ -235,12 +193,12 @@ impl std::fmt::Debug for ValueKernel {
 pub struct AdmittedModel {
     /// Fleet-wide model id (the cache key).
     pub id: u64,
-    /// The admitted stream (input section spliced per request).
-    pub loadable: Loadable,
-    /// The admission run's measurements (input-independent timing).
+    /// The zero-input inference priced from the timing certificate
+    /// (input-independent timing).
     pub run: MeasuredRun,
-    /// Bit-exact value kernel of the admitted stream.
-    pub kernel: Arc<ValueKernel>,
+    /// The admitted stream's value kernel, shared with its verdict-store
+    /// entry.
+    pub kernel: ValueKernel,
     /// DMA occupancy streaming the whole loadable, µs.
     pub transfer_us: f64,
     /// DMA occupancy streaming only header + settings + input, µs.
@@ -250,12 +208,16 @@ pub struct AdmittedModel {
     pub weight_stream_us: f64,
     /// End-to-end latency when the board already holds the weights, µs.
     pub resident_latency_us: f64,
-    /// Cache footprint: the stream words, bytes. The kernel's memory
-    /// is not counted.
+    /// Cache footprint: the stream words, bytes.
     pub bytes: u64,
 }
 
 impl AdmittedModel {
+    /// The admitted stream's words, input section zeroed.
+    pub fn words(&self) -> &[u64] {
+        self.kernel.words()
+    }
+
     /// `(dma_transfer_us, total_latency_us)` for a placement, given
     /// whether the chosen board already holds this model's weights.
     pub fn service_cost(&self, resident_hit: bool) -> (f64, f64) {
@@ -377,7 +339,7 @@ impl CompiledModelCache {
             }
         }
         // Admission runs outside the lock: other models stay servable
-        // while this one compiles, checks, and simulates.
+        // while this one is compiled and admitted.
         let outcome = self.admit(id, model);
         let mut inner = lock(&self.inner);
         inner.in_flight.remove(&id);
@@ -431,40 +393,21 @@ impl CompiledModelCache {
         }
     }
 
-    /// Compile + full admission + one simulation + the value kernel.
-    /// The source model is in hand here, so the pre-flight runs through
-    /// [`Driver::run_loadable_against`]: a strict-equiv driver extends
-    /// the two structural/range tiers with translation validation of
-    /// the compiled stream against `model` (NPC021–NPC026). The
-    /// driver's verdict store keeps that analysis past this entry's
-    /// eviction, so a model that comes back pays compile, one lookup
-    /// and one simulation, not the symbolic check again.
+    /// Compile, then one verdict-store lookup through
+    /// [`Driver::admit_values`] (translation validation against `model`
+    /// on a strict-equiv driver, the value kernel and its simulator
+    /// cross-check on the stream's first admission only), then the §V
+    /// swap economics.
     fn admit(&self, id: u64, model: &QuantMlp) -> Result<Arc<AdmittedModel>, DriverError> {
-        let zeros = vec![0u8; model.input.len];
-        let loadable = compile(model, &zeros).map_err(DriverError::Compile)?;
-        let (run, analysis) = self.driver.run_loadable_against(&loadable, model)?;
+        let loadable = compile(model, &vec![0u8; model.input.len]).map_err(DriverError::Compile)?;
+        let (kernel, run) = self.driver.admit_values(&loadable, model)?;
         let clock = self.driver.hw.clock_mhz;
-        // §V swap economics come from the admission's static timing
+        // §V swap economics come from the stream's static timing
         // certificate (`netpu-check::timing`, DESIGN.md §4.9): the
         // certified closed form derives the full-stream/resident word
         // split from the decoded stream + `HwConfig` alone, and `xtask
-        // certify-timing` pins it to the simulator. An admitted stream
-        // is structurally sound, so it has one.
-        let t = analysis.timing.as_ref().ok_or_else(|| {
-            DriverError::Rejected(RejectReason::Invalid {
-                report: analysis.report.clone(),
-            })
-        })?;
-        let packed =
-            netpu_compiler::decode_packed(&loadable.words).map_err(DriverError::Compile)?;
-        let kernel = ValueKernel::new(packed.into_kernel().map_err(DriverError::Compile)?);
-        let zero_input = kernel.infer(&zeros)?;
-        if zero_input != (run.class, run.score) {
-            return Err(DriverError::ValueMismatch {
-                kernel: zero_input,
-                simulator: (run.class, run.score),
-            });
-        }
+        // certify-timing` pins it to the simulator.
+        let t = kernel.timing();
         let transfer_us = self.driver.dma.occupancy_us(t.stream_words, clock);
         let resident_transfer_us = self.driver.dma.occupancy_us(t.resident_words, clock);
         let weight_stream_us = (transfer_us - resident_transfer_us).max(0.0);
@@ -473,28 +416,14 @@ impl CompiledModelCache {
         let bytes = cast::u64_from_usize(loadable.words.len()) * 8;
         Ok(Arc::new(AdmittedModel {
             id,
-            loadable,
             run,
-            kernel: Arc::new(kernel),
+            kernel,
             transfer_us,
             resident_transfer_us,
             weight_stream_us,
             resident_latency_us,
             bytes,
         }))
-    }
-}
-
-#[cfg(test)]
-impl CompiledModelCache {
-    /// Replaces resident `id`'s value kernel: the fault the shadow
-    /// oracle must catch.
-    pub(crate) fn swap_kernel(&self, id: u64, kernel: Arc<ValueKernel>) {
-        let mut inner = lock(&self.inner);
-        let mut entry = AdmittedModel::clone(inner.lru.lookup(id).expect("id is resident"));
-        entry.kernel = kernel;
-        let bytes = entry.bytes;
-        inner.lru.insert(id, Arc::new(entry), bytes);
     }
 }
 
@@ -583,21 +512,22 @@ mod tests {
         let cache = CompiledModelCache::new(Driver::builder().build(), 64 << 20);
         let m = cache.get_or_admit(1, &model).unwrap();
         let reference = Driver::builder().build();
-        let decoded = netpu_compiler::decode(&m.loadable.words).unwrap();
+        let decoded = netpu_compiler::decode(m.words()).unwrap();
         let t = netpu_check::timing::analyze(&decoded, &reference.hw);
+        let loadable = netpu_compiler::compile(&model, &vec![0u8; model.input.len]).unwrap();
         // The certificate reproduces the stream geometry exactly …
-        assert_eq!(t.stream_words, m.loadable.words.len());
+        assert_eq!(t.stream_words, m.words().len());
         assert_eq!(
             t.resident_words,
-            m.loadable.layout.header.len()
-                + m.loadable.layout.settings.len()
-                + m.loadable.layout.input.len()
+            loadable.layout.header.len()
+                + loadable.layout.settings.len()
+                + loadable.layout.input.len()
         );
         // … and the admission run's cycle count to the cycle.
         assert_eq!(t.total_cycles(), m.run.cycles);
         // The stored economics are bit-for-bit the pre-switch formulas.
         let clock = reference.hw.clock_mhz;
-        let transfer = reference.dma.occupancy_us(m.loadable.words.len(), clock);
+        let transfer = reference.dma.occupancy_us(m.words().len(), clock);
         let resident_transfer = reference.dma.occupancy_us(t.resident_words, clock);
         let weight_stream = (transfer - resident_transfer).max(0.0);
         let resident_latency = (m.run.measured_latency_us - weight_stream).max(resident_transfer);
@@ -636,6 +566,61 @@ mod tests {
         assert!(hot_t < cold_t);
         assert!(hot_l < cold_l);
         assert!((cold_t - hot_t - admitted.weight_stream_us).abs() < 1e-9);
+    }
+
+    #[test]
+    fn re_admission_after_eviction_is_a_compile_and_a_lookup() {
+        let driver = Driver::builder().strict_equiv(true).build();
+        let a = ZooModel::TfcW2A2
+            .build_untrained(1, BnMode::Folded)
+            .unwrap();
+        let b = ZooModel::TfcW2A2
+            .build_untrained(2, BnMode::Folded)
+            .unwrap();
+        let zeros = vec![0u8; a.input.len];
+        let one_model = compile(&a, &zeros).unwrap().len() as u64 * 8;
+        let cache = CompiledModelCache::new(driver.clone(), one_model * 3 / 2);
+        let first = cache.get_or_admit(1, &a).unwrap();
+        cache.get_or_admit(2, &b).unwrap();
+        assert!(!cache.contains(1), "model 1 was not evicted");
+        let again = cache.get_or_admit(1, &a).unwrap();
+        assert_eq!(cache.stats().misses, 3);
+        // The store analyzed, built a kernel for and cross-checked each
+        // stream once; the re-admission was one lookup of the same
+        // entry, its words and kernel shared rather than rebuilt.
+        let store = driver.verdicts.stats();
+        assert_eq!((store.misses, store.hits, store.values), (2, 1, 2));
+        assert_eq!(first.words().as_ptr(), again.words().as_ptr());
+        assert_eq!(first.run, again.run);
+        assert_eq!(first.transfer_us.to_bits(), again.transfer_us.to_bits());
+        let px = vec![130u8; a.input.len];
+        assert_eq!(again.kernel.infer(&px), first.kernel.infer(&px));
+    }
+
+    #[test]
+    fn a_failed_cross_check_keeps_refusing_re_admission() {
+        let driver = Driver::builder().build();
+        let model = ZooModel::TfcW1A1
+            .build_untrained(4, BnMode::Folded)
+            .unwrap();
+        // The stream's entry records a failed simulator cross-check.
+        let words = compile(&model, &vec![0u8; model.input.len]).unwrap().words;
+        let stream = driver.verdicts.lookup(&words, &driver.hw, None);
+        let failure = DriverError::CycleMismatch {
+            certificate: 1,
+            simulator: 2,
+        };
+        driver
+            .verdicts
+            .value(&stream, |_| (Err(failure.clone()), 0));
+        let cache = CompiledModelCache::new(driver.clone(), 64 << 20);
+        for _ in 0..3 {
+            assert_eq!(cache.get_or_admit(1, &model).unwrap_err(), failure);
+        }
+        assert!(!cache.contains(1));
+        assert_eq!(cache.stats().rejected, 3);
+        // Refused from the record: no kernel was built again.
+        assert_eq!(driver.verdicts.stats().values, 1);
     }
 
     #[test]

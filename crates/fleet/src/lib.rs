@@ -6,10 +6,10 @@
 //! boards, where the scarce resource is the §V weight-stream loading
 //! path. Four pieces (DESIGN.md §4.6):
 //!
-//! * [`cache`] — the Arc-shared [`CompiledModelCache`]: compile + full
-//!   two-tier admission (NPC001–NPC020) exactly once per model id,
-//!   byte-budgeted LRU eviction, and a bit-exact [`ValueKernel`] per
-//!   admitted stream.
+//! * [`cache`] — the Arc-shared [`CompiledModelCache`]: compile + one
+//!   verdict-store admission exactly once per model id, byte-budgeted
+//!   LRU eviction, and the admitted stream's bit-exact [`ValueKernel`],
+//!   which lives in the driver's verdict store.
 //! * [`shard`] — the live dispatch core: FNV-routed bounded shard
 //!   queues over per-shard board pools, token-bucket tenant fairness,
 //!   explicit backpressure; values from the kernel, cycles from the
@@ -30,13 +30,13 @@ pub mod sched;
 pub mod shard;
 pub mod tenant;
 
-pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore, ValueKernel};
+pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore};
 pub use metrics::{FleetMetrics, ShardStats};
+pub use netpu_runtime::{ValueKernel, SHADOW_EVERY};
 pub use netpu_serve::{AdmissionVerdict, RejectReason, TraceSink};
 pub use replay::{run_replay, ReplayConfig, ReplayReport, TenantRow};
 pub use sched::{BoardPool, Candidate, DispatchPolicy, Placement};
 pub use shard::{
     route, FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetSubmit, FleetTicket,
-    SHADOW_EVERY,
 };
 pub use tenant::{TenantLimiter, TenantPolicy, TokenBucket};

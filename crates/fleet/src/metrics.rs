@@ -63,10 +63,11 @@ pub struct FleetMetrics {
     /// attempt (the rest were rejected with `WORKER_CRASH`).
     pub crash_requeued: u64,
     /// Requests whose kernel-served value the simulator re-checked
-    /// (one in [`SHADOW_EVERY`](crate::shard::SHADOW_EVERY)).
+    /// (one in [`SHADOW_EVERY`](crate::SHADOW_EVERY)).
     pub shadow_checks: u64,
-    /// Shadow checks where the simulator disagreed; each such request
-    /// failed with `DriverError::ValueMismatch`.
+    /// Shadow checks where the simulator disagreed with the kernel's
+    /// value or the certificate's cycles; each such request failed with
+    /// `DriverError::ValueMismatch` or `DriverError::CycleMismatch`.
     pub shadow_mismatches: u64,
     /// Compiled-model cache statistics.
     pub cache: CacheStats,

@@ -17,38 +17,34 @@
 //! its shard's queue, resolves the model through the shared
 //! [`CompiledModelCache`] (full admission exactly once per model
 //! fleet-wide), takes the class from the admitted model's bit-exact
-//! [`ValueKernel`](crate::cache::ValueKernel), and charges the
+//! [`ValueKernel`](netpu_runtime::ValueKernel), and charges the
 //! placement to the shard's virtual-time board pool. Cycles and latency
-//! never depend on the input, so they come from the admission run and
-//! the timing certificate; no request re-simulates the stream.
+//! never depend on the input, so they come from the timing
+//! certificate; no request re-simulates the stream.
 //!
 //! The simulator stays on as a sampled oracle. Every request whose
-//! fleet-wide id is a multiple of [`SHADOW_EVERY`] also splices its
-//! input into the admitted stream and runs the cycle-accurate fast
-//! path. If the simulator's class or winning score differs from the
-//! kernel's, the request fails closed with
-//! [`DriverError::ValueMismatch`], counted in
+//! fleet-wide id is a multiple of [`SHADOW_EVERY`] is also run through
+//! [`ValueKernel::shadow`](netpu_runtime::ValueKernel::shadow): its
+//! input spliced into a copy of the admitted words and simulated. If
+//! the simulator's class or winning score differs from the kernel's,
+//! or its cycle count from the certificate's, the request fails closed
+//! with [`DriverError::ValueMismatch`] or
+//! [`DriverError::CycleMismatch`], counted in
 //! [`FleetMetrics::shadow_mismatches`].
 
 use crate::cache::CompiledModelCache;
 use crate::metrics::{FleetCounters, FleetMetrics, ShardStats};
 use crate::sched::{BoardPool, DispatchPolicy};
 use crate::tenant::{TenantLimiter, TenantPolicy};
-use netpu_arith::{cast, Fix};
-use netpu_compiler::Loadable;
-use netpu_core::netpu::run_inference_fast;
+use netpu_arith::cast;
 use netpu_nn::QuantMlp;
-use netpu_runtime::{Driver, DriverError};
+use netpu_runtime::{Driver, DriverError, SHADOW_EVERY};
 use netpu_serve::worker::{self, lock_recover, Job, PoolCounters, Served, Stage, Submission};
 use netpu_serve::{BoundedQueue, FaultInjector, FaultPlan, RejectReason, WorkerPool};
 use netpu_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One request in this many (by fleet-wide request id) is shadowed by
-/// the cycle-accurate simulator.
-pub const SHADOW_EVERY: u64 = 64;
 
 /// Fleet deployment shape.
 #[derive(Clone, Debug)]
@@ -320,7 +316,14 @@ fn serve_one(shared: &Shared, shard: usize, job: &FleetJob) -> Result<FleetRespo
     let (admitted, cache_hit) = shared.cache.resolve(job.req.model_id, &job.req.model)?;
     let (class, score) = admitted.kernel.infer(&job.req.pixels)?;
     if job.id.is_multiple_of(SHADOW_EVERY) {
-        shadow(shared, &admitted.loadable, &job.req.pixels, (class, score))?;
+        let c = &shared.counters;
+        c.bump(&c.shadow_checks);
+        if let Err(e) = admitted.kernel.shadow(&job.req.pixels, (class, score)) {
+            if let DriverError::ValueMismatch { .. } | DriverError::CycleMismatch { .. } = e {
+                c.bump(&c.shadow_mismatches);
+            }
+            return Err(e);
+        }
     }
     let placement = lock_recover(&shared.shards[shard].pool).place(
         shared.cfg.policy,
@@ -345,33 +348,6 @@ fn serve_one(shared: &Shared, shard: usize, job: &FleetJob) -> Result<FleetRespo
         resident_hit: placement.resident_hit,
         swapped: placement.swapped,
     })
-}
-
-/// The sampled oracle: splices `pixels` into the admitted stream, runs
-/// the cycle-accurate fast path, and fails closed when its class or
-/// winning score differs from the kernel's `served` pair.
-fn shadow(
-    shared: &Shared,
-    admitted: &Loadable,
-    pixels: &[u8],
-    served: (usize, Fix),
-) -> Result<(), DriverError> {
-    let c = &shared.counters;
-    c.bump(&c.shadow_checks);
-    let mut loadable = admitted.clone();
-    loadable
-        .replace_input(pixels)
-        .map_err(DriverError::Compile)?;
-    let run = run_inference_fast(&shared.cache.driver().hw, loadable.words)
-        .map_err(DriverError::Accelerator)?;
-    if (run.class, run.score) != served {
-        c.bump(&c.shadow_mismatches);
-        return Err(DriverError::ValueMismatch {
-            kernel: served,
-            simulator: (run.class, run.score),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -549,13 +525,20 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        // Cache the model, then swap its kernel for another model's.
+        // Record another model's kernel in the model's verdict-store
+        // entry before its first admission.
         let cache = &fleet.shared.cache;
+        let impostor = cache.get_or_admit(2, &other).unwrap();
+        let driver = cache.driver();
+        let zeros = vec![0u8; model.input.len];
+        let words = netpu_compiler::compile(&model, &zeros).unwrap().words;
+        let (stream, other_stream) = (
+            driver.verdicts.lookup(&words, &driver.hw, None),
+            driver.verdicts.lookup(impostor.words(), &driver.hw, None),
+        );
+        let slot = driver.verdicts.value(&other_stream, |_| unreachable!());
+        driver.verdicts.value(&stream, |_| (slot.clone(), 0));
         cache.get_or_admit(1, &model).unwrap();
-        let impostor = CompiledModelCache::new(Driver::builder().build(), 64 << 20)
-            .get_or_admit(1, &other)
-            .unwrap();
-        cache.swap_kernel(1, Arc::clone(&impostor.kernel));
         let seed = (0u8..=255)
             .find(|&v| {
                 let px = vec![v; model.input.len];

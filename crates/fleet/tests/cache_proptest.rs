@@ -83,14 +83,8 @@ fn real_model_cache_never_returns_an_unadmitted_loadable() {
     let a_adm = cache.get_or_admit(1, &a).unwrap();
     let b_adm = cache.get_or_admit(2, &b).unwrap();
     // Lookups only surface what was admitted, under the right id.
-    assert_eq!(
-        cache.lookup(1).unwrap().loadable.words,
-        a_adm.loadable.words
-    );
-    assert_eq!(
-        cache.lookup(2).unwrap().loadable.words,
-        b_adm.loadable.words
-    );
+    assert_eq!(cache.lookup(1).unwrap().words(), a_adm.words());
+    assert_eq!(cache.lookup(2).unwrap().words(), b_adm.words());
     assert!(cache.lookup(3).is_none(), "id 3 was never admitted");
     assert!(!cache.contains(99));
 }

@@ -13,6 +13,8 @@
 //! * [`qmodel`] — the hardware-ready [`qmodel::QuantMlp`] consumed by the
 //!   compiler and the accelerator model.
 //! * [`mod@reference`] — bit-exact integer/fixed-point reference inference.
+//! * [`kernel`] — the packed value kernel, reading weights in place from
+//!   stream-layout words.
 //! * [`zoo`] — the six TFC/SFC/LFC evaluation models.
 //! * [`metrics`] — accuracy and confusion matrices.
 //! * [`conv`] — CNN support by lowering conv/avg-pool stages onto the
@@ -26,6 +28,7 @@ pub mod export;
 pub mod float;
 pub mod io;
 mod json;
+pub mod kernel;
 pub mod metrics;
 pub mod qmodel;
 pub mod reference;

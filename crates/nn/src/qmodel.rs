@@ -348,6 +348,18 @@ fn check_activation(
     Ok(())
 }
 
+/// Which FC layers of a model being validated carry their `i32`
+/// weights; the others hold them in packed words outside the model.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Every FC layer.
+    All,
+    /// Every layer off the XNOR path.
+    IntegerPath,
+    /// None.
+    Nothing,
+}
+
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn check_fc(
     layer: usize,
@@ -358,7 +370,7 @@ fn check_fc(
     ip: Precision,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<BnParams>>,
-    packed: bool,
+    held: Held,
 ) -> Result<(), ModelError> {
     if in_len > MAX_LAYER_WIDTH {
         return Err(ModelError::TooWide {
@@ -372,11 +384,14 @@ fn check_fc(
             width: neurons,
         });
     }
-    // A packed XNOR-path layer holds its weights outside the model
-    // (`PackedMlp::from_rows`, which checks their shape); any bit
-    // pattern is a valid ±1 matrix.
-    let held_packed = packed && wp.is_binary() && ip.is_binary();
-    let expected = if held_packed { 0 } else { neurons * in_len };
+    // A layer held in packed words carries none here (the kernel checks
+    // the words' shape); any bit pattern of them is a valid matrix.
+    let held_here = match held {
+        Held::All => true,
+        Held::IntegerPath => !(wp.is_binary() && ip.is_binary()),
+        Held::Nothing => false,
+    };
+    let expected = if held_here { neurons * in_len } else { 0 };
     if weights.len() != expected {
         return Err(ModelError::WeightShape { layer });
     }
@@ -429,18 +444,25 @@ impl QuantMlp {
     /// Validates the whole model: dimensions, precision pairing, weight
     /// and bias ranges, threshold geometry, and architecture ceilings.
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.validate_fc(false)
+        self.validate_fc(Held::All)
     }
 
     /// [`validate`](Self::validate) for a model whose XNOR-path layers
-    /// hold their weights packed outside it (see
-    /// [`PackedMlp::from_rows`](crate::reference::PackedMlp::from_rows)):
-    /// those layers' `weights` must be empty.
+    /// hold their weights packed outside it: those layers' `weights`
+    /// must be empty.
     pub fn validate_packed(&self) -> Result<(), ModelError> {
-        self.validate_fc(true)
+        self.validate_fc(Held::IntegerPath)
     }
 
-    fn validate_fc(&self, packed: bool) -> Result<(), ModelError> {
+    /// [`validate`](Self::validate) for a model whose FC layers all hold
+    /// their weights outside it (see
+    /// [`PackedMlp::from_words`](crate::kernel::PackedMlp::from_words)):
+    /// every layer's `weights` must be empty.
+    pub fn validate_weightless(&self) -> Result<(), ModelError> {
+        self.validate_fc(Held::Nothing)
+    }
+
+    fn validate_fc(&self, held: Held) -> Result<(), ModelError> {
         if self.input.len > MAX_LAYER_WIDTH {
             return Err(ModelError::TooWide {
                 layer: 0,
@@ -477,7 +499,7 @@ impl QuantMlp {
                 h.in_precision,
                 &h.bias,
                 &h.bn,
-                packed,
+                held,
             )?;
             check_activation(layer, &h.activation, h.neurons, h.out_precision)?;
             prev_width = h.neurons;
@@ -504,7 +526,7 @@ impl QuantMlp {
             self.output.in_precision,
             &self.output.bias,
             &self.output.bn,
-            packed,
+            held,
         )
     }
 

@@ -7,9 +7,11 @@
 //! with this module on every layer output, which is what ties the
 //! latency model to a functionally correct datapath.
 
-use crate::qmodel::{HiddenLayer, LayerActivation, ModelError, OutputLayer, QuantMlp};
+use crate::kernel::WeightRows;
+use crate::qmodel::{HiddenLayer, LayerActivation, OutputLayer, QuantMlp};
 use netpu_arith::{bitslice, Fix};
-use std::borrow::Cow;
+
+pub use crate::kernel::PackedMlp;
 
 /// Saturating 32-bit accumulation, as the ACCU submodule's 32-bit output
 /// register behaves (§III.B.1: 32-bit output supports ≥ 2^16 inputs).
@@ -169,279 +171,6 @@ pub fn infer(mlp: &QuantMlp, pixels: &[u8]) -> usize {
     infer_traced(mlp, pixels).class
 }
 
-/// One layer's ±1 weight matrix packed as bipolar bit rows, 64 weights
-/// per word, plus the tail masks the XNOR+popcount dot product needs.
-struct PackedRows {
-    words_per_row: usize,
-    in_len: usize,
-    /// `neurons × words_per_row` weight words, row-major.
-    bits: Vec<u64>,
-    /// Valid-lane mask per word of a row (all-ones except the tail).
-    masks: Vec<u64>,
-}
-
-impl PackedRows {
-    /// Packs a row-major ±1 weight matrix; `None` when any weight is not
-    /// strictly bipolar (the popcount identity only holds for ±1).
-    fn pack(weights: &[i32], neurons: usize, in_len: usize) -> Option<PackedRows> {
-        if in_len == 0 {
-            return None;
-        }
-        let words_per_row = in_len.div_ceil(64);
-        let mut bits = Vec::with_capacity(neurons * words_per_row);
-        let mut bipolar = true;
-        for n in 0..neurons {
-            for chunk in weights[n * in_len..(n + 1) * in_len].chunks(64) {
-                let mut word = 0u64;
-                for (i, &v) in chunk.iter().enumerate() {
-                    bipolar &= v == 1 || v == -1;
-                    word |= u64::from(v > 0) << i;
-                }
-                bits.push(word);
-            }
-        }
-        if !bipolar {
-            return None;
-        }
-        PackedRows::from_bits(bits, neurons, in_len)
-    }
-
-    /// Wraps rows already packed in this layout: `neurons` rows of
-    /// `⌈in_len/64⌉` words, weight `i` in bit `i % 64` of word `i / 64`,
-    /// set for +1; bits past `in_len` are ignored. `None` when `bits`
-    /// has the wrong length.
-    fn from_bits(bits: Vec<u64>, neurons: usize, in_len: usize) -> Option<PackedRows> {
-        let words_per_row = in_len.div_ceil(64);
-        if bits.len() != neurons * words_per_row {
-            return None;
-        }
-        let masks = (0..words_per_row)
-            .map(|j| {
-                let lanes = (in_len - j * 64).min(64);
-                if lanes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes) - 1
-                }
-            })
-            .collect();
-        Some(PackedRows {
-            words_per_row,
-            in_len,
-            bits,
-            masks,
-        })
-    }
-
-    /// `Σ wᵢ·aᵢ` for neuron `n` against the packed input bits, via the
-    /// XNOR+popcount identity `2·popcount(XNOR) − n`. Exactly equal to
-    /// [`neuron_accumulate`] without bias: every prefix of a ±1 dot
-    /// product is bounded by `in_len`, so the saturating accumulator
-    /// never clamps and plain summation is bit-exact.
-    fn dot(&self, n: usize, input_bits: &[u64]) -> i32 {
-        let row = &self.bits[n * self.words_per_row..(n + 1) * self.words_per_row];
-        let mut ones: i64 = 0;
-        for (j, &w) in row.iter().enumerate() {
-            ones += i64::from((!(w ^ input_bits[j]) & self.masks[j]).count_ones());
-        }
-        (2 * ones - self.in_len as i64) as i32
-    }
-}
-
-/// `true` when a layer's MAC is fully binary: bipolar inputs × bipolar
-/// weights, the combination the XNOR path accelerates.
-fn binary_mac(
-    weight_precision: netpu_arith::Precision,
-    in_precision: netpu_arith::Precision,
-) -> bool {
-    weight_precision.is_binary() && in_precision.is_binary()
-}
-
-/// A [`QuantMlp`] prepared for repeated inference: fully binary layers
-/// carry their weights pre-packed for XNOR+popcount dot products, so the
-/// per-frame cost of e.g. the W1A1 zoo models drops by over an order of
-/// magnitude. Layers that are not fully binary (multi-bit weights or
-/// activations) fall back to the general reference path unchanged.
-///
-/// The model is either borrowed ([`PackedMlp::new`]) or owned with its
-/// binary weights held only in packed form ([`PackedMlp::from_rows`]),
-/// which costs one bit per binary weight instead of 32.
-///
-/// Results are **bit-identical** to [`infer_traced`] — this is the same
-/// arithmetic, not an approximation — which the module tests pin down
-/// against the unpacked walk for both packed and fallback layers.
-pub struct PackedMlp<'a> {
-    mlp: Cow<'a, QuantMlp>,
-    hidden: Vec<Option<PackedRows>>,
-    output: Option<PackedRows>,
-}
-
-impl<'a> PackedMlp<'a> {
-    /// Packs every fully binary layer of `mlp` once.
-    pub fn new(mlp: &'a QuantMlp) -> PackedMlp<'a> {
-        let hidden = mlp
-            .hidden
-            .iter()
-            .map(|l| {
-                binary_mac(l.weight_precision, l.in_precision)
-                    .then(|| PackedRows::pack(&l.weights, l.neurons, l.in_len))
-                    .flatten()
-            })
-            .collect();
-        let o = &mlp.output;
-        let output = binary_mac(o.weight_precision, o.in_precision)
-            .then(|| PackedRows::pack(&o.weights, o.neurons, o.in_len))
-            .flatten();
-        PackedMlp {
-            mlp: Cow::Borrowed(mlp),
-            hidden,
-            output,
-        }
-    }
-
-    /// Input pixels per inference.
-    pub fn input_len(&self) -> usize {
-        self.mlp.input.len
-    }
-
-    /// [`infer_traced`] on the prepared model.
-    pub fn infer_traced(&self, pixels: &[u8]) -> InferenceTrace {
-        let mut hidden_levels = Vec::with_capacity(self.mlp.hidden.len() + 1);
-        let scores = self.walk(pixels, |levels| hidden_levels.push(levels.to_vec()));
-        let input_levels = hidden_levels.remove(0);
-        let class = maxout(&scores);
-        InferenceTrace {
-            input_levels,
-            hidden_levels,
-            scores,
-            class,
-        }
-    }
-
-    /// The MaxOut class and its winning score — what the accelerator
-    /// reports — without keeping the per-layer intermediates.
-    pub fn infer(&self, pixels: &[u8]) -> (usize, Fix) {
-        let scores = self.walk(pixels, |_| {});
-        let class = maxout(&scores);
-        (class, scores[class])
-    }
-
-    /// The layer walk: hands the input-layer levels and then each
-    /// hidden layer's levels to `observe`, returns the output scores.
-    fn walk(&self, pixels: &[u8], mut observe: impl FnMut(&[i32])) -> Vec<Fix> {
-        let mut cur = run_input_layer(&self.mlp, pixels);
-        observe(&cur);
-        for (layer, packed) in self.mlp.hidden.iter().zip(&self.hidden) {
-            cur = match packed {
-                Some(rows) => {
-                    let inputs = to_mac_domain(&cur, layer.in_precision);
-                    let x = netpu_arith::quant::pack_binary_channels(&inputs);
-                    (0..layer.neurons)
-                        .map(|n| {
-                            let mut acc = rows.dot(n, &x);
-                            if let Some(b) = layer.bias.as_ref() {
-                                acc = accumulate(acc, b[n] as i64);
-                            }
-                            let bn = layer.bn.as_ref().map(|p| p[n]);
-                            neuron_post(&layer.activation, bn, n, acc, layer.out_precision)
-                        })
-                        .collect()
-                }
-                None => run_hidden_layer(layer, &cur),
-            };
-            observe(&cur);
-        }
-        let o = &self.mlp.output;
-        match &self.output {
-            Some(rows) => {
-                let inputs = to_mac_domain(&cur, o.in_precision);
-                let x = netpu_arith::quant::pack_binary_channels(&inputs);
-                (0..o.neurons)
-                    .map(|n| {
-                        let mut acc = rows.dot(n, &x);
-                        if let Some(b) = o.bias.as_ref() {
-                            acc = accumulate(acc, b[n] as i64);
-                        }
-                        let mut v = Fix::from_i32(acc);
-                        if let Some(p) = o.bn.as_ref() {
-                            v = p[n].apply(v);
-                        }
-                        v
-                    })
-                    .collect()
-            }
-            None => run_output_layer(o, &cur),
-        }
-    }
-}
-
-/// Per FC layer (hidden layers, then the output layer), the packed ±1
-/// weight rows of an XNOR-path layer or `None`: what
-/// [`PackedMlp::from_rows`] takes.
-pub type PackedLayerRows = Vec<Option<Vec<u64>>>;
-
-impl PackedMlp<'static> {
-    /// Takes ownership of a model whose fully binary (XNOR-path) layers
-    /// hold their weights outside it, already packed: `rows` has one
-    /// entry per FC layer (hidden layers, then the output layer), the
-    /// layer's `neurons × ⌈in_len/64⌉` row words for an XNOR-path layer
-    /// (weight `i` of a row in bit `i % 64` of word `i / 64`, set for
-    /// +1) and `None` for any other. XNOR-path layers carry empty
-    /// `weights`, so their `i32` form is never built; other layers keep
-    /// theirs. This is the layout a NetPU-M stream's XNOR weight
-    /// sections already use.
-    ///
-    /// Validates the model ([`QuantMlp::validate`] with the packed
-    /// layers' weights checked by row length) and fails with the
-    /// offending layer otherwise.
-    pub fn from_rows(
-        mlp: QuantMlp,
-        rows: PackedLayerRows,
-    ) -> Result<PackedMlp<'static>, ModelError> {
-        mlp.validate_packed()?;
-        let shapes: Vec<(usize, usize, bool)> = mlp
-            .hidden
-            .iter()
-            .map(|l| {
-                (
-                    l.neurons,
-                    l.in_len,
-                    binary_mac(l.weight_precision, l.in_precision),
-                )
-            })
-            .chain(std::iter::once((
-                mlp.output.neurons,
-                mlp.output.in_len,
-                binary_mac(mlp.output.weight_precision, mlp.output.in_precision),
-            )))
-            .collect();
-        if rows.len() != shapes.len() {
-            let layer = rows.len().min(shapes.len()) + 1;
-            return Err(ModelError::WeightShape { layer });
-        }
-        let mut packed = shapes
-            .into_iter()
-            .zip(rows)
-            .enumerate()
-            .map(
-                |(k, ((neurons, in_len, binary), bits))| match (binary, bits) {
-                    (true, Some(bits)) => PackedRows::from_bits(bits, neurons, in_len)
-                        .map(Some)
-                        .ok_or(ModelError::WeightShape { layer: k + 1 }),
-                    (false, None) => Ok(None),
-                    _ => Err(ModelError::WeightShape { layer: k + 1 }),
-                },
-            )
-            .collect::<Result<Vec<_>, _>>()?;
-        let output = packed.pop().flatten();
-        Ok(PackedMlp {
-            mlp: Cow::Owned(mlp),
-            hidden: packed,
-            output,
-        })
-    }
-}
-
 /// One image's outputs from a bitsliced slab inference: exactly the
 /// observable results of [`infer_traced`] (per-class scores and the
 /// MaxOut class), without the per-layer intermediates.
@@ -458,9 +187,8 @@ pub struct SlabOutput {
 /// XNOR of the channel's 64-image lane against the broadcast weight
 /// bit per channel, weights drawn bit-serially from the packed rows.
 #[inline]
-fn slab_dot(rows: &PackedRows, n: usize, lanes: &[u64], counter: &mut bitslice::LaneCounter) {
-    let row = &rows.bits[n * rows.words_per_row..(n + 1) * rows.words_per_row];
-    counter.accumulate_xnor_row(lanes, row, rows.in_len);
+fn slab_dot(rows: &WeightRows, n: usize, lanes: &[u64], counter: &mut bitslice::LaneCounter) {
+    counter.accumulate_xnor_row(lanes, rows.row(n), rows.in_len());
 }
 
 /// A [`QuantMlp`] prepared for **batch-major bitsliced** inference:
@@ -493,8 +221,8 @@ fn slab_dot(rows: &PackedRows, n: usize, lanes: &[u64], counter: &mut bitslice::
 /// post-accumulator stages reuse [`neuron_post`] per image.
 pub struct BitslicedMlp<'a> {
     mlp: &'a QuantMlp,
-    hidden: Vec<PackedRows>,
-    output: PackedRows,
+    hidden: Vec<WeightRows>,
+    output: WeightRows,
 }
 
 impl<'a> BitslicedMlp<'a> {
@@ -507,9 +235,10 @@ impl<'a> BitslicedMlp<'a> {
         let hidden = mlp
             .hidden
             .iter()
-            .map(|l| PackedRows::pack(&l.weights, l.neurons, l.in_len))
+            .map(|l| WeightRows::pack_xnor(&l.weights, l.neurons, l.in_len))
             .collect::<Option<Vec<_>>>()?;
-        let output = PackedRows::pack(&mlp.output.weights, mlp.output.neurons, mlp.output.in_len)?;
+        let output =
+            WeightRows::pack_xnor(&mlp.output.weights, mlp.output.neurons, mlp.output.in_len)?;
         Some(BitslicedMlp {
             mlp,
             hidden,
@@ -690,130 +419,6 @@ mod tests {
         m.validate().unwrap();
         let t = infer_traced(&m, &[255, 255, 255, 255]);
         assert!(t.hidden_levels[0].iter().all(|&v| (0..=3).contains(&v)));
-    }
-
-    #[test]
-    fn packed_mlp_is_bit_exact_on_binary_models() {
-        // Every fully binary zoo model: the packed XNOR+popcount walk
-        // must reproduce the unpacked reference trace exactly.
-        for kind in [crate::zoo::ZooModel::SfcW1A1, crate::zoo::ZooModel::TfcW1A1] {
-            let m = kind
-                .build_untrained(17, crate::export::BnMode::Folded)
-                .unwrap();
-            let packed = PackedMlp::new(&m);
-            for seed in 0u8..4 {
-                let pixels: Vec<u8> = (0..m.input.len)
-                    .map(|i| ((i as u32 * 31 + seed as u32 * 7) % 256) as u8)
-                    .collect();
-                assert_eq!(packed.infer_traced(&pixels), infer_traced(&m, &pixels));
-            }
-        }
-    }
-
-    #[test]
-    fn packed_mlp_falls_back_on_multibit_layers() {
-        // TfcW2A2 is not binary: no layer packs, results still agree.
-        let m = crate::zoo::ZooModel::TfcW2A2
-            .build_untrained(9, crate::export::BnMode::Hardware)
-            .unwrap();
-        let packed = PackedMlp::new(&m);
-        assert!(packed.hidden.iter().all(Option::is_none));
-        assert!(packed.output.is_none());
-        let pixels: Vec<u8> = (0..784).map(|i| (i % 253) as u8).collect();
-        assert_eq!(packed.infer_traced(&pixels), infer_traced(&m, &pixels));
-    }
-
-    /// `mlp` with every XNOR-path layer's weights moved out into packed
-    /// rows, the input [`PackedMlp::from_rows`] takes.
-    fn split_rows(mut mlp: QuantMlp) -> (QuantMlp, PackedLayerRows) {
-        let mut rows = Vec::new();
-        let layers = mlp.hidden.iter_mut().map(|l| {
-            (
-                &mut l.weights,
-                l.in_len,
-                binary_mac(l.weight_precision, l.in_precision),
-            )
-        });
-        let o = &mut mlp.output;
-        let out = (
-            &mut o.weights,
-            o.in_len,
-            binary_mac(o.weight_precision, o.in_precision),
-        );
-        for (weights, in_len, binary) in layers.chain(std::iter::once(out)) {
-            rows.push(binary.then(|| {
-                let bits = weights
-                    .chunks(in_len)
-                    .flat_map(netpu_arith::quant::pack_binary_channels)
-                    .collect();
-                weights.clear();
-                bits
-            }));
-        }
-        (mlp, rows)
-    }
-
-    #[test]
-    fn packed_mlp_from_rows_matches_the_reference() {
-        use crate::zoo::ZooModel;
-        let pixels: Vec<u8> = (0..784).map(|i| (i * 7 % 256) as u8).collect();
-        for kind in [ZooModel::TfcW1A1, ZooModel::TfcW2A2, ZooModel::LfcW1A2] {
-            let m = kind
-                .build_untrained(5, crate::export::BnMode::Folded)
-                .unwrap();
-            let (stripped, rows) = split_rows(m.clone());
-            let packed = PackedMlp::from_rows(stripped, rows).unwrap();
-            let trace = infer_traced(&m, &pixels);
-            assert_eq!(packed.infer_traced(&pixels), trace, "{kind:?}");
-            let winner = (trace.class, trace.scores[trace.class]);
-            assert_eq!(packed.infer(&pixels), winner, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn packed_mlp_from_rows_rejects_misshapen_rows() {
-        let m = crate::zoo::ZooModel::TfcW1A1
-            .build_untrained(5, crate::export::BnMode::Folded)
-            .unwrap();
-        let (stripped, mut rows) = split_rows(m.clone());
-        // A packed layer that still carries its i32 weights.
-        assert!(PackedMlp::from_rows(m, rows.clone()).is_err());
-        // A row one word short.
-        rows[0].as_mut().unwrap().pop();
-        assert_eq!(
-            PackedMlp::from_rows(stripped.clone(), rows.clone()).err(),
-            Some(ModelError::WeightShape { layer: 1 })
-        );
-        // Rows missing for a binary layer.
-        rows[0] = None;
-        assert!(PackedMlp::from_rows(stripped, rows).is_err());
-    }
-
-    #[test]
-    fn packed_rows_reject_non_bipolar_weights() {
-        assert!(PackedRows::pack(&[1, -1, 0, 1], 1, 4).is_none());
-        assert!(PackedRows::pack(&[1, -1, 1, -1], 2, 2).is_some());
-    }
-
-    #[test]
-    fn packed_dot_matches_neuron_accumulate_across_tail_widths() {
-        // Row lengths straddling the 64-lane word boundary exercise the
-        // tail masks.
-        for in_len in [1usize, 63, 64, 65, 128, 130] {
-            let weights: Vec<i32> = (0..in_len)
-                .map(|i| if i % 3 == 0 { 1 } else { -1 })
-                .collect();
-            let inputs: Vec<i32> = (0..in_len)
-                .map(|i| if i % 5 < 2 { 1 } else { -1 })
-                .collect();
-            let rows = PackedRows::pack(&weights, 1, in_len).unwrap();
-            let x = netpu_arith::quant::pack_binary_channels(&inputs);
-            assert_eq!(
-                rows.dot(0, &x),
-                neuron_accumulate(&weights, &inputs, None),
-                "in_len={in_len}"
-            );
-        }
     }
 
     #[test]

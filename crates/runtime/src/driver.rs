@@ -16,6 +16,7 @@
 
 use crate::dma::DmaModel;
 use crate::power::PowerParams;
+use crate::value::{self, ValueKernel, ValueSlot};
 use netpu_arith::Fix;
 use netpu_check::{Analysis, RejectReason, VerdictStore};
 use netpu_compiler::{compile, Loadable, StreamError};
@@ -116,6 +117,15 @@ pub enum DriverError {
         /// Class and winning score from the simulator.
         simulator: (usize, Fix),
     },
+    /// The simulator's cycle count on an admitted stream differed from
+    /// the stream's timing certificate, which the request was priced
+    /// from. The request fails closed.
+    CycleMismatch {
+        /// Cycles the certificate states.
+        certificate: u64,
+        /// Cycles the simulator counted.
+        simulator: u64,
+    },
 }
 
 impl std::fmt::Display for DriverError {
@@ -135,6 +145,13 @@ impl std::fmt::Display for DriverError {
                 f,
                 "value kernel gave class {} (score {}), simulator class {} (score {})",
                 kernel.0, kernel.1, simulator.0, simulator.1
+            ),
+            DriverError::CycleMismatch {
+                certificate,
+                simulator,
+            } => write!(
+                f,
+                "timing certificate states {certificate} cycles, simulator counted {simulator}"
             ),
             DriverError::Timeout {
                 deadline_us,
@@ -478,7 +495,7 @@ impl DriverBuilder {
             strict_equiv: self.strict_equiv,
             probe_datapath: self.probe_datapath.unwrap_or(self.trace_sink.is_some()),
             trace_sink: self.trace_sink,
-            verdicts: Arc::default(),
+            verdicts: Arc::new(VerdictStore::new()),
         }
     }
 }
@@ -519,8 +536,9 @@ pub struct Driver {
     /// The verdict store admission answers from (DESIGN.md §4.8.1).
     /// Every clone of the driver shares it, so a `netpu-serve` server's
     /// admission and its workers, and a `netpu-fleet` cache, pay a
-    /// stream's analysis once.
-    pub verdicts: Arc<VerdictStore>,
+    /// stream's analysis once. Its value slots hold each stream's
+    /// [`ValueKernel`] ([`Driver::admit_values`]).
+    pub verdicts: Arc<VerdictStore<ValueSlot>>,
 }
 
 impl Default for Driver {
@@ -599,22 +617,33 @@ impl Driver {
         Ok(run)
     }
 
-    /// [`run_loadable`](Driver::run_loadable), with the source model
-    /// the loadable claims to implement. Under
-    /// [`strict_equiv`](DriverBuilder::strict_equiv) the pre-flight
-    /// adds the translation-validation third tier (NPC021–NPC026)
-    /// against `source`; otherwise the claim is ignored and the call is
-    /// identical to `run_loadable`. Also returns the admission analysis,
-    /// whose timing certificate the `netpu-fleet` compiled-model cache
-    /// reads its swap economics from.
-    pub fn run_loadable_against(
+    /// Admission for the value path (DESIGN.md §4.6): `loadable`,
+    /// compiled from `source`, is looked up in the verdict store (under
+    /// [`strict_equiv`](DriverBuilder::strict_equiv), against `source`)
+    /// and refused as [`run`](Driver::run) would refuse it. The entry's
+    /// [`ValueKernel`] is built on the stream's first value request and
+    /// cross-checked once against the simulator on the zero input; a
+    /// failed cross-check stays recorded and refuses the stream on every
+    /// later call. The returned run is the zero-input inference priced
+    /// from the timing certificate, so a stream the store still holds is
+    /// admitted with one lookup: no simulation and no weight decode.
+    pub fn admit_values(
         &self,
         loadable: &Loadable,
         source: &QuantMlp,
-    ) -> Result<(MeasuredRun, Arc<Analysis>), DriverError> {
-        let analysis = self.admit(loadable, Some(source))?;
-        let (run, _) = self.stream_admitted(loadable, None, &analysis)?;
-        Ok((run, analysis))
+    ) -> Result<(ValueKernel, MeasuredRun), DriverError> {
+        let source = Some(source).filter(|_| self.strict_equiv);
+        let stream = self.verdicts.lookup(&loadable.words, &self.hw, source);
+        self.gate(stream.analysis(), source.is_some())?;
+        let value = Arc::clone(
+            self.verdicts
+                .value(&stream, value::build)
+                .as_ref()
+                .map_err(Clone::clone)?,
+        );
+        let ((class, score), probabilities) = value.zero_input();
+        let run = self.price(class, score, value.cycles(), probabilities, loadable.len());
+        Ok((ValueKernel::new(stream, value), run))
     }
 
     /// Streams a pre-packaged burst of inferences through one DMA
@@ -677,11 +706,16 @@ impl Driver {
     ) -> Result<Arc<Analysis>, DriverError> {
         let source = source.filter(|_| self.strict_equiv);
         let analysis = self.verdicts.analyze(&loadable.words, &self.hw, source);
-        analysis
-            .verdict(self.strict_range, source.is_some())
-            .into_result()
-            .map_err(DriverError::Rejected)?;
+        self.gate(&analysis, source.is_some())?;
         Ok(analysis)
+    }
+
+    /// The shared admission policy over a stream's analysis.
+    fn gate(&self, analysis: &Analysis, strict_equiv: bool) -> Result<(), DriverError> {
+        analysis
+            .verdict(self.strict_range, strict_equiv)
+            .into_result()
+            .map_err(DriverError::Rejected)
     }
 
     /// [`run_core`](Driver::run_core), with the request's claimed
@@ -780,21 +814,42 @@ impl Driver {
 
     /// Attaches the DMA and power models to one simulated run.
     fn measure(&self, run: &InferenceRun, stream_words: usize) -> MeasuredRun {
+        let probabilities = run.probabilities.clone();
+        self.price(
+            run.class,
+            run.score,
+            run.cycles,
+            probabilities,
+            stream_words,
+        )
+    }
+
+    /// One inference's measurements from its class, score and cycle
+    /// count: the DMA and power models over the simulated latency.
+    fn price(
+        &self,
+        class: usize,
+        score: Fix,
+        cycles: u64,
+        probabilities: Option<Vec<f64>>,
+        stream_words: usize,
+    ) -> MeasuredRun {
+        let sim_latency_us = netpu_sim::cycles_to_us(cycles, self.hw.clock_mhz);
         let measured =
             self.dma
-                .measured_latency_us(run.latency_us, stream_words, self.hw.clock_mhz);
+                .measured_latency_us(sim_latency_us, stream_words, self.hw.clock_mhz);
         let util = netpu_utilization(&self.hw);
         let power = self.power.wall_power_w(&util, self.hw.clock_mhz);
         MeasuredRun {
-            class: run.class,
-            score: run.score,
-            sim_latency_us: run.latency_us,
+            class,
+            score,
+            sim_latency_us,
             measured_latency_us: measured,
             power_w: power,
             energy_uj: power * measured,
             stream_words,
-            cycles: run.cycles,
-            probabilities: run.probabilities.clone(),
+            cycles,
+            probabilities,
         }
     }
 

@@ -10,6 +10,9 @@
 //! * [`driver`] — the host driver: a unified [`Driver::run`] request
 //!   API (single / batch / burst / pre-compiled loadable payloads),
 //!   with batch-inference input-section reuse.
+//! * [`value`] — the value path: an admitted stream's class and score
+//!   from its [`ValueKernel`], cycles from its timing certificate, and
+//!   the simulator as a sampled oracle.
 //! * [`cluster`] — multi-FPGA deployment throughput (the §I.B
 //!   multi-board application scenario).
 
@@ -17,6 +20,7 @@ pub mod cluster;
 pub mod dma;
 pub mod driver;
 pub mod power;
+pub mod value;
 
 pub use cluster::{Cluster, ClusterThroughput};
 pub use dma::DmaModel;
@@ -27,3 +31,4 @@ pub use driver::{
 pub use netpu_check::{AdmissionVerdict, RejectReason};
 pub use netpu_trace::TraceSink;
 pub use power::PowerParams;
+pub use value::{ValueKernel, ValueSlot, SHADOW_EVERY};

@@ -100,6 +100,10 @@ const CAST_FREE: &[&str] = &[
     "arith", "core", "fleet", "check", "compiler", "trace", "fuzz", "xtask",
 ];
 
+/// Modules of other crates held to both rules: the packed value kernel
+/// answers every fleet cache hit and re-admission.
+const GATED_FILES: &[&str] = &["crates/nn/src/kernel.rs"];
+
 /// The one module allowed to contain bare casts (each one audited).
 const CAST_EXEMPT: &str = "crates/arith/src/cast.rs";
 
@@ -1190,6 +1194,10 @@ fn lint_violations() -> Vec<String> {
             check_cast_free(&root, &file, &mut violations);
         }
     }
+    for file in GATED_FILES {
+        check_panic_free(&root, &root.join(file), &mut violations);
+        check_cast_free(&root, &root.join(file), &mut violations);
+    }
     for krate in DOCUMENTED {
         let lib = root.join("crates").join(krate).join("src").join("lib.rs");
         let text = read(&lib);
@@ -1650,6 +1658,16 @@ mod tests {
         // The real gate, run in-process so `cargo test` exercises it.
         let violations = lint_violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
+    }
+
+    #[test]
+    fn gated_files_exist() {
+        // A moved or renamed file would otherwise drop out of the gates
+        // silently.
+        let root = workspace_root();
+        for file in GATED_FILES {
+            assert!(root.join(file).is_file(), "{file} is gone");
+        }
     }
 
     #[test]
