@@ -1,4 +1,4 @@
-//! Abstract-interpretation range analysis over a decoded loadable
+//! Abstract-interpretation range analysis over a stream's view
 //! (DESIGN.md §4.4).
 //!
 //! Propagates per-value intervals layer by layer from the header's
@@ -30,7 +30,7 @@
 
 use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::{Fix, Precision};
-use netpu_compiler::{Decoded, PackedDecode};
+use netpu_compiler::StreamView;
 use netpu_core::HwConfig;
 use netpu_nn::qmodel::{BnParams, LayerActivation};
 
@@ -114,49 +114,17 @@ struct FcAcc {
     env: (i64, i64),
 }
 
-/// One neuron's weights: a row of the layer's `i32` weights, or of an
-/// XNOR-path layer's packed ±1 rows (bit set for +1), which
-/// `netpu_compiler::decode_packed` leaves unexpanded.
-#[derive(Clone, Copy)]
-enum NeuronWeights<'a> {
-    Integers(&'a [i32]),
-    Packed(&'a [u64]),
-}
-
-impl<'a> NeuronWeights<'a> {
-    /// Neuron `n`'s row of an FC layer with `in_len` inputs.
-    fn row(weights: &'a [i32], packed: Option<&'a [u64]>, n: usize, in_len: usize) -> Self {
-        match packed {
-            Some(rows) => {
-                let words = in_len.div_ceil(64);
-                NeuronWeights::Packed(&rows[n * words..(n + 1) * words])
-            }
-            None => NeuronWeights::Integers(&weights[n * in_len..(n + 1) * in_len]),
-        }
-    }
-
-    /// The first `in_len` weights.
-    fn iter(self, in_len: usize) -> impl Iterator<Item = i32> + 'a {
-        (0..in_len).map(move |i| match self {
-            NeuronWeights::Integers(w) => w[i],
-            NeuronWeights::Packed(bits) => {
-                netpu_arith::quant::extract_binary_channel(bits[i / 64], i % 64)
-            }
-        })
-    }
-}
-
 /// Analyzes one FC neuron's MAC against the per-input mac-domain
 /// intervals. `parity` is the known accumulator parity (XNOR layers).
 fn fc_neuron(
-    weights: NeuronWeights<'_>,
+    weights: impl Iterator<Item = i32>,
     inputs: &[(i64, i64)],
     bias: Option<i32>,
     parity: Parity,
 ) -> FcAcc {
     let mut sum = (0i64, 0i64);
     let mut env = (0i64, 0i64);
-    for (w, &(ilo, ihi)) in weights.iter(inputs.len()).zip(inputs) {
+    for (w, &(ilo, ihi)) in weights.zip(inputs) {
         let (a, b) = (i64::from(w) * ilo, i64::from(w) * ihi);
         sum.0 += a.min(b);
         sum.1 += a.max(b);
@@ -325,11 +293,11 @@ fn flush(report: &mut Report, layer: usize, f: &LayerFindings, cfg: &HwConfig) {
 }
 
 /// Checks the declared input range against the stream's own input
-/// section (NPC020) and returns the range the rest of the analysis may
+/// pixels (NPC020) and returns the range the rest of the analysis may
 /// soundly assume. An absent, empty, or uncovering claim falls back to
 /// the full 8-bit pixel range.
-fn input_range(decoded: &Decoded, report: &mut Report) -> (u8, u8) {
-    let Some((lo, hi)) = decoded.input_range else {
+fn input_range(declared: Option<(u8, u8)>, pixels: &[u8], report: &mut Report) -> (u8, u8) {
+    let Some((lo, hi)) = declared else {
         return (0, u8::MAX);
     };
     if lo > hi {
@@ -342,7 +310,7 @@ fn input_range(decoded: &Decoded, report: &mut Report) -> (u8, u8) {
         );
         return (0, u8::MAX);
     }
-    let outside = decoded.pixels.iter().filter(|&&p| p < lo || p > hi).count();
+    let outside = pixels.iter().filter(|&&p| p < lo || p > hi).count();
     if outside > 0 {
         report.push(
             RuleId::Npc020,
@@ -359,12 +327,25 @@ fn input_range(decoded: &Decoded, report: &mut Report) -> (u8, u8) {
     (lo, hi)
 }
 
-/// Runs the range analysis over a decoded loadable, appending NPC014–
-/// NPC020 findings to `report` and returning the proved bounds.
-pub fn analyze(packed: &PackedDecode, cfg: &HwConfig, report: &mut Report) -> RangeAnalysis {
-    let decoded = &packed.decoded;
-    let model = &decoded.model;
-    let (in_lo, in_hi) = input_range(decoded, report);
+/// Runs the range analysis over a stream's view, with `pixels` the
+/// stream's own input, appending NPC014–NPC020 findings to `report`
+/// and returning the proved bounds.
+pub fn analyze(
+    view: &StreamView,
+    pixels: &[u8],
+    cfg: &HwConfig,
+    report: &mut Report,
+) -> RangeAnalysis {
+    let kernel = view.kernel();
+    let model = kernel.model();
+    // One set of rows per FC layer, as every view holds.
+    let rows: Option<Vec<_>> = (0..=model.hidden.len())
+        .map(|k| kernel.weight_rows(k))
+        .collect();
+    let Some(rows) = rows else {
+        return RangeAnalysis::default();
+    };
+    let (in_lo, in_hi) = input_range(view.input_range, pixels, report);
     let px = (
         Fix::from_i32(i32::from(in_lo)),
         Fix::from_i32(i32::from(in_hi)),
@@ -395,9 +376,8 @@ pub fn analyze(packed: &PackedDecode, cfg: &HwConfig, report: &mut Report) -> Ra
         let mut bounds = Vec::with_capacity(layer.neurons);
         let mut next: Vec<(i64, i64)> = Vec::with_capacity(layer.neurons);
         let xnor = layer.in_precision.is_binary() && layer.weight_precision.is_binary();
-        let rows = packed.rows.get(h).and_then(Option::as_deref);
         for n in 0..layer.neurons {
-            let weights = NeuronWeights::row(&layer.weights, rows, n, layer.in_len);
+            let weights = rows[h].weights(n);
             let bias = layer.bias.as_ref().map(|b| b[n]);
             let bn = layer.bn.as_ref().map(|p| p[n]);
             let nb = fc_post(weights, &cur, bias, bn, xnor, cfg, n, &mut findings);
@@ -425,12 +405,8 @@ pub fn analyze(packed: &PackedDecode, cfg: &HwConfig, report: &mut Report) -> Ra
     let mut findings = LayerFindings::default();
     let mut bounds = Vec::with_capacity(out.neurons);
     let xnor = out.in_precision.is_binary() && out.weight_precision.is_binary();
-    let rows = packed
-        .rows
-        .get(model.hidden.len())
-        .and_then(Option::as_deref);
     for n in 0..out.neurons {
-        let weights = NeuronWeights::row(&out.weights, rows, n, out.in_len);
+        let weights = rows[model.hidden.len()].weights(n);
         let bias = out.bias.as_ref().map(|b| b[n]);
         let bn = out.bn.as_ref().map(|p| p[n]);
         let nb = fc_post(weights, &cur, bias, bn, xnor, cfg, n, &mut findings);
@@ -457,7 +433,7 @@ pub fn analyze(packed: &PackedDecode, cfg: &HwConfig, report: &mut Report) -> Ra
 /// layers, with the per-neuron NPC014/015/018/019 classification.
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn fc_post(
-    weights: NeuronWeights<'_>,
+    weights: impl Iterator<Item = i32>,
     inputs: &[(i64, i64)],
     bias: Option<i32>,
     bn: Option<BnParams>,
@@ -554,12 +530,7 @@ mod tests {
         let weights = [1, 1];
         let big = i64::from(i32::MAX) + 1;
         let inputs = [(big, big), (-big, -big)];
-        let fc = fc_neuron(
-            NeuronWeights::Integers(&weights),
-            &inputs,
-            None,
-            Parity::Unknown,
-        );
+        let fc = fc_neuron(weights.into_iter(), &inputs, None, Parity::Unknown);
         assert_eq!(fc.acc, (i32::MIN, i32::MAX));
         assert!(signed_width(fc.env) > 32);
     }
@@ -568,12 +539,7 @@ mod tests {
     fn exact_sum_interval_when_envelope_fits() {
         let weights = [2, -3];
         let inputs = [(0, 10), (1, 4)];
-        let fc = fc_neuron(
-            NeuronWeights::Integers(&weights),
-            &inputs,
-            Some(5),
-            Parity::Unknown,
-        );
+        let fc = fc_neuron(weights.into_iter(), &inputs, Some(5), Parity::Unknown);
         // products: [0,20] and [-12,-3]; total [-7, 22]. Prefix sums of
         // the bound sequence: (0,20) → (-12,17) → (-7,22), so the
         // envelope over all prefixes (incl. the empty one) is (-12, 22).
@@ -586,12 +552,7 @@ mod tests {
         // 3 bipolar products (odd) + even bias → odd accumulator.
         let weights = [1, -1, 1];
         let inputs = [(-1, 1), (-1, 1), (-1, 1)];
-        let fc = fc_neuron(
-            NeuronWeights::Integers(&weights),
-            &inputs,
-            Some(0),
-            Parity::Odd,
-        );
+        let fc = fc_neuron(weights.into_iter(), &inputs, Some(0), Parity::Odd);
         assert_eq!(fc.acc, (-3, 3));
         assert_eq!(Parity::of(i64::from(fc.acc.0)), Parity::Odd);
     }

@@ -31,13 +31,13 @@
 //! the tick simulator is pinned by the `xtask certify-timing`
 //! differential gate.
 //!
-//! [`analyze`] runs the tiers over one decode of the stream and returns
-//! the findings with the timing certificate; [`timing::report_timing`]
-//! turns a certificate into the NPC027–NPC031 findings under a
-//! [`TimingSpec`]. A [`VerdictStore`] keeps
-//! those results keyed on the stream with its input section masked, so
-//! admission layers pay the analysis once per distinct stream rather
-//! than once per request.
+//! [`analyze`] runs the tiers over one decode of the stream, its
+//! [`StreamView`], and returns the findings with the timing
+//! certificate; [`timing::report_timing`] turns a certificate into the
+//! NPC027–NPC031 findings under a [`TimingSpec`]. A [`VerdictStore`]
+//! keeps those results and the view keyed on the stream with its input
+//! section masked, so admission layers pay the analysis and the decode
+//! once per distinct stream rather than once per request.
 //!
 //! Findings are structured [`Diagnostic`]s with stable rule IDs
 //! (`NPC001`…), byte offsets into the serialized stream, and
@@ -88,9 +88,10 @@ pub use symex::{certify, compile_certified, Certificate, CertifyError, CertifyOu
 pub use timing::{DmaParams, StreamTiming, TimingSpec};
 pub use verdict::{AdmissionVerdict, RejectReason};
 
-use netpu_compiler::Loadable;
+use netpu_compiler::{Loadable, StreamView};
 use netpu_core::HwConfig;
 use netpu_nn::qmodel::QuantMlp;
+use std::sync::Arc;
 
 /// The optional tiers [`analyze`] runs on top of the structural and
 /// range tiers, which always run.
@@ -130,38 +131,45 @@ impl Analysis {
 /// configuration. The section layout is recomputed from the stream.
 ///
 /// The structural rules always run. A structurally clean stream is
-/// then decoded once ([`netpu_compiler::decode_packed`]), and that one
-/// decode feeds the [`absint`] range analysis, the [`timing`]
-/// certificate and, with [`Tiers::source`], the [`symex`] translation
-/// validation. Streams the decoder cannot reconstruct (multi-loadable
-/// bursts, truncated tails already reported by the structural rules)
-/// skip the later tiers silently.
+/// then decoded once into its [`StreamView`], and that one view feeds
+/// the [`absint`] range analysis, the [`timing`] certificate and, with
+/// [`Tiers::source`], the [`symex`] translation validation (through one
+/// expansion to the full model). Streams the decoder cannot
+/// reconstruct (multi-loadable bursts, truncated tails already reported
+/// by the structural rules) skip the later tiers silently.
 pub fn analyze(words: &[u64], cfg: &HwConfig, tiers: Tiers<'_>) -> Analysis {
+    analyze_over(words, || words.into(), cfg, tiers).0
+}
+
+/// [`analyze`], also returning the stream's view when the later tiers
+/// ran. The view is built over `view_words()`: `words` themselves, or
+/// a copy with the input section masked. Pixels are read from `words`.
+pub(crate) fn analyze_over(
+    words: &[u64],
+    view_words: impl FnOnce() -> Arc<[u64]>,
+    cfg: &HwConfig,
+    tiers: Tiers<'_>,
+) -> (Analysis, Option<StreamView>) {
     let mut report = rules::run_all(words, cfg);
-    let packed = if report.has_errors() {
-        None
-    } else {
-        netpu_compiler::decode_packed(words).ok()
+    let view = (!report.has_errors()).then(|| StreamView::new(view_words()));
+    let range = match &view {
+        Some(Ok(view)) => Some(absint::analyze(view, &view.pixels(words), cfg, &mut report)),
+        _ => None,
     };
-    let Some(packed) = packed else {
-        if let (Some(source), false) = (tiers.source, report.has_errors()) {
-            report.merge(symex::certify(source, words, cfg).report);
-        }
-        return Analysis {
-            report,
-            timing: None,
-            range: None,
-        };
-    };
-    let range = absint::analyze(&packed, cfg, &mut report);
-    if let (Some(source), false) = (tiers.source, report.has_errors()) {
-        report.merge(symex::certify_decoded(source, packed.to_decoded(), cfg).report);
+    if let (Some(source), Some(view), false) = (tiers.source, &view, report.has_errors()) {
+        let decoded = view.as_ref().map(|v| v.expand(words)).map_err(Clone::clone);
+        report.merge(symex::certify_decoded(source, decoded, cfg).report);
     }
-    Analysis {
+    let view = view.and_then(Result::ok);
+    let timing = view
+        .as_ref()
+        .map(|v| timing::analyze_settings(&v.settings, v.packing, cfg));
+    let analysis = Analysis {
         report,
-        timing: Some(timing::analyze(&packed.decoded, cfg)),
-        range: Some(range),
-    }
+        timing,
+        range,
+    };
+    (analysis, view)
 }
 
 /// The structural and range tiers over a compiled loadable. The

@@ -20,25 +20,28 @@
 //! the end of the stream, and those that declare a non-empty input
 //! range some pixel falls outside: NPC020 reads the payload.
 //!
-//! **Value.** The findings and the timing certificate. The verdict
-//! itself is not stored: callers apply their strict/lenient policy to
-//! the stored findings on every lookup ([`Analysis::verdict`]), so
-//! drivers with different policies can share one store. Each entry
-//! also has a value slot of the store's type `V`, filled at most once
-//! by the first caller that asks for the stream's values
-//! ([`VerdictStore::value`]); `netpu-runtime` keeps there the stream's
-//! value kernel, which reads its weights from the entry's own words,
-//! and the outcome of its one simulator cross-check.
+//! **Value.** The findings, the timing certificate and the stream's
+//! [`StreamView`], the one decode the analysis ran, over the entry's
+//! masked words. The verdict itself is not stored: callers apply their
+//! strict/lenient policy to the stored findings on every lookup
+//! ([`Analysis::verdict`]), so drivers with different policies can
+//! share one store. Each entry also has a value slot of the store's
+//! type `V`, filled at most once by the first caller that asks for the
+//! stream's values ([`VerdictStore::value`]); `netpu-runtime` keeps
+//! there the outcome of the one simulator cross-check of the view's
+//! value kernel.
 //!
 //! **Budget.** Entries are charged their masked words, findings,
-//! certificate and, once filled, what their value slot reports. Past
-//! the budget the least recently used quarter is dropped. An empty
-//! store allocates nothing.
+//! certificate and view and, once filled, what their value slot
+//! reports. Past the budget the least recently used quarter is dropped.
+//! An empty store allocates nothing.
 
-use crate::{analyze, Analysis, Tiers};
+#[cfg(doc)]
+use crate::analyze;
+use crate::{analyze_over, Analysis, Tiers};
 use netpu_arith::cast;
 use netpu_arith::quant::LANES_PER_WORD;
-use netpu_compiler::{declared_input_range, input_section};
+use netpu_compiler::{declared_input_range, input_section, StreamView};
 use netpu_core::HwConfig;
 use netpu_nn::QuantMlp;
 use std::collections::HashMap;
@@ -53,15 +56,17 @@ const BUDGET_BYTES: usize = 64 << 20;
 /// Bookkeeping charged per entry on top of its words and findings.
 const ENTRY_OVERHEAD_BYTES: usize = 256;
 
-/// One stream a [`VerdictStore`] answered for: its analysis, its words
-/// and its value slot. Kept in the store, or, for a stream the store
-/// does not keep, held only by the caller.
+/// One stream a [`VerdictStore`] answered for: its analysis, its words,
+/// its view and its value slot. Kept in the store, or, for a stream the
+/// store does not keep, held only by the caller.
 pub struct StoredStream<V = ()> {
-    /// The stream; its input section zeroed when kept.
+    /// The stream; its input section zeroed when the store can key it.
     words: Arc<[u64]>,
     cfg: HwConfig,
     source: Option<u128>,
     analysis: Arc<Analysis>,
+    /// The one decode of `words`, when the stream decodes.
+    view: Option<Arc<StreamView>>,
     /// The bucket a kept entry is filed under.
     hash: Option<u64>,
     bytes: AtomicUsize,
@@ -75,10 +80,18 @@ impl<V> StoredStream<V> {
         &self.analysis
     }
 
-    /// The stream's words. A kept entry holds them with the input
-    /// section zeroed; others as the caller gave them.
+    /// The stream's words. An entry the store can key holds them with
+    /// the input section zeroed; others as the caller gave them.
     pub fn words(&self) -> &Arc<[u64]> {
         &self.words
+    }
+
+    /// The stream's view over [`words`](Self::words), built by the
+    /// entry's one decode: `None` exactly when the analysis carries no
+    /// timing certificate (the stream is structurally unsound or does
+    /// not decode).
+    pub fn view(&self) -> Option<&Arc<StreamView>> {
+        self.view.as_ref()
     }
 
     /// The instance the stream was analyzed for.
@@ -108,13 +121,6 @@ struct Key<'a> {
 struct Inner<V> {
     buckets: HashMap<u64, Vec<Arc<StoredStream<V>>>>,
     bytes: usize,
-}
-
-/// What a lookup found: a kept entry, or a fresh analysis of a stream
-/// the store does not keep.
-enum Answer<V> {
-    Kept(Arc<StoredStream<V>>),
-    Fresh(Arc<Analysis>),
 }
 
 /// Point-in-time [`VerdictStore`] statistics.
@@ -193,34 +199,47 @@ impl<V> VerdictStore<V> {
         cfg: &HwConfig,
         source: Option<&QuantMlp>,
     ) -> Arc<Analysis> {
-        match self.answer(words, cfg, source) {
-            Answer::Kept(stream) => Arc::clone(&stream.analysis),
-            Answer::Fresh(analysis) => analysis,
-        }
+        Arc::clone(&self.lookup(words, cfg, source).analysis)
     }
 
     /// [`analyze`](Self::analyze), returning the whole entry: the
-    /// analysis, the stored words and the value slot. A stream the store
-    /// does not keep comes back in an entry of its own.
+    /// analysis, the stored words, the view and the value slot. A stream
+    /// the store does not keep comes back in an entry of its own.
     pub fn lookup(
         &self,
         words: &[u64],
         cfg: &HwConfig,
         source: Option<&QuantMlp>,
     ) -> Arc<StoredStream<V>> {
-        match self.answer(words, cfg, source) {
-            Answer::Kept(stream) => stream,
-            Answer::Fresh(analysis) => Arc::new(StoredStream {
-                words: words.into(),
-                cfg: *cfg,
-                source: source.map(model_digest),
-                analysis,
-                hash: None,
-                bytes: AtomicUsize::new(0),
-                last_used: AtomicU64::new(0),
-                value: OnceLock::new(),
-            }),
+        let digest = source.map(model_digest);
+        let Some(span) = payload_span(words) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(fresh(words.into(), words, cfg, source, digest));
+        };
+        let key = Key {
+            words,
+            span,
+            cfg,
+            source: digest,
+        };
+        let hash = words_hash(words, &key.span);
+        let candidates = lock(&self.inner)
+            .buckets
+            .get(&hash)
+            .cloned()
+            .unwrap_or_default();
+        if let Some(entry) = candidates.into_iter().find(|e| e.answers(&key)) {
+            entry.last_used.store(self.tick(), Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return entry;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let masked: Arc<[u64]> = words
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| if key.span.contains(&i) { 0 } else { w })
+            .collect();
+        self.insert(hash, &key, fresh(masked, words, cfg, source, digest))
     }
 
     /// `stream`'s value: made by `build` on the first call for the
@@ -256,81 +275,32 @@ impl<V> VerdictStore<V> {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn answer(&self, words: &[u64], cfg: &HwConfig, source: Option<&QuantMlp>) -> Answer<V> {
-        let fresh = || {
-            Arc::new(Analysis {
-                range: None,
-                ..analyze(words, cfg, Tiers { source })
-            })
-        };
-        let Some(span) = payload_span(words) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Answer::Fresh(fresh());
-        };
-        let key = Key {
-            words,
-            span,
-            cfg,
-            source: source.map(model_digest),
-        };
-        let hash = words_hash(words, &key.span);
-        let candidates = lock(&self.inner)
-            .buckets
-            .get(&hash)
-            .cloned()
-            .unwrap_or_default();
-        if let Some(entry) = candidates.into_iter().find(|e| e.answers(&key)) {
-            entry.last_used.store(self.tick(), Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Answer::Kept(entry);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let analysis = fresh();
-        match self.insert(hash, key, &analysis) {
-            Some(entry) => Answer::Kept(entry),
-            None => Answer::Fresh(analysis),
-        }
-    }
-
-    /// Keeps `analysis` under `key`, or returns the entry a racing miss
-    /// on the same stream kept first; `None` when the entry alone
+    /// Keeps `entry` under `key`, or returns the entry a racing miss on
+    /// the same stream kept first; returns `entry` unkept when it alone
     /// exceeds the budget.
-    fn insert(
-        &self,
-        hash: u64,
-        key: Key<'_>,
-        analysis: &Arc<Analysis>,
-    ) -> Option<Arc<StoredStream<V>>> {
-        let bytes = footprint(key.words.len(), analysis);
+    fn insert(&self, hash: u64, key: &Key<'_>, entry: StoredStream<V>) -> Arc<StoredStream<V>> {
+        let bytes = footprint(&entry);
         if bytes > self.budget_bytes {
-            return None;
+            return Arc::new(entry);
         }
-        let masked: Arc<[u64]> = key
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| if key.span.contains(&i) { 0 } else { w })
-            .collect();
         let entry = Arc::new(StoredStream {
-            words: masked,
-            cfg: *key.cfg,
-            source: key.source,
-            analysis: Arc::clone(analysis),
             hash: Some(hash),
             bytes: AtomicUsize::new(bytes),
             last_used: AtomicU64::new(self.tick()),
-            value: OnceLock::new(),
+            ..entry
         });
         let mut inner = lock(&self.inner);
         if let Some(first) = inner
             .buckets
             .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|e| e.answers(&key)))
+            .and_then(|bucket| bucket.iter().find(|e| e.answers(key)))
         {
-            return Some(Arc::clone(first));
+            return Arc::clone(first);
         }
         if inner.bytes + bytes > self.budget_bytes {
-            evict_oldest(&mut inner, self.budget_bytes / 4 * 3);
+            // Room for the new entry too, however large its share.
+            let target = (self.budget_bytes / 4 * 3).min(self.budget_bytes - bytes);
+            evict_oldest(&mut inner, target);
         }
         inner.bytes += bytes;
         inner
@@ -338,7 +308,7 @@ impl<V> VerdictStore<V> {
             .entry(hash)
             .or_default()
             .push(Arc::clone(&entry));
-        Some(entry)
+        entry
     }
 
     /// Charges a filled value slot to `stream`'s entry while the store
@@ -392,9 +362,37 @@ fn lock<V>(m: &Mutex<Inner<V>>) -> MutexGuard<'_, Inner<V>> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Bytes an entry is charged: its masked words, findings, certificate
-/// and fixed bookkeeping.
-fn footprint(words: usize, analysis: &Analysis) -> usize {
+/// A fresh analysis of `words` in an entry filed nowhere yet, holding
+/// `stored` (`words`, or a copy with the input section masked) and the
+/// view over it. The analysis never carries the range bounds.
+fn fresh<V>(
+    stored: Arc<[u64]>,
+    words: &[u64],
+    cfg: &HwConfig,
+    source: Option<&QuantMlp>,
+    digest: Option<u128>,
+) -> StoredStream<V> {
+    let (analysis, view) = analyze_over(words, || Arc::clone(&stored), cfg, Tiers { source });
+    StoredStream {
+        words: stored,
+        cfg: *cfg,
+        source: digest,
+        analysis: Arc::new(Analysis {
+            range: None,
+            ..analysis
+        }),
+        view: view.map(Arc::new),
+        hash: None,
+        bytes: AtomicUsize::new(0),
+        last_used: AtomicU64::new(0),
+        value: OnceLock::new(),
+    }
+}
+
+/// Bytes an entry is charged: its masked words, findings, certificate,
+/// view and fixed bookkeeping.
+fn footprint<V>(entry: &StoredStream<V>) -> usize {
+    let analysis = &entry.analysis;
     let findings: usize = analysis
         .report
         .diagnostics
@@ -406,7 +404,11 @@ fn footprint(words: usize, analysis: &Analysis) -> usize {
             + std::mem::size_of_val(t.breakdown.layers.as_slice())
             + std::mem::size_of_val(t.settings.as_slice())
     });
-    words * 8 + findings + timing + ENTRY_OVERHEAD_BYTES
+    let view = entry
+        .view
+        .as_ref()
+        .map_or(0, |v| std::mem::size_of::<StreamView>() + v.heap_bytes());
+    std::mem::size_of_val(&*entry.words) + findings + timing + view + ENTRY_OVERHEAD_BYTES
 }
 
 /// The word span of the stream's input section that a [`VerdictStore`]

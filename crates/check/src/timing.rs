@@ -148,14 +148,27 @@ impl StreamTiming {
         self.total_cycles() + RESET_CYCLES
     }
 
-    /// Exact cycle count of a pre-packaged burst of `inferences`
-    /// back-to-back loadables of this shape (each pays the full
-    /// per-inference cost; consecutive pairs pay one reset).
-    pub fn burst_cycles(&self, inferences: u64) -> u64 {
-        if inferences == 0 {
-            return 0;
+    /// Exact per-layer, per-phase cycles of a pre-packaged burst of
+    /// `inferences` back-to-back loadables of this shape: every
+    /// inference's layers in turn, each stream cell once per inference,
+    /// and one more reset between consecutive loadables.
+    pub fn burst_breakdown(&self, inferences: u64) -> CycleBreakdown {
+        let mut burst = CycleBreakdown::default();
+        for _ in 0..inferences {
+            burst.layers.extend_from_slice(&self.breakdown.layers);
         }
-        inferences * self.total_cycles() + (inferences - 1) * RESET_CYCLES
+        for phase in StreamPhase::all() {
+            burst[phase] = inferences * self.breakdown[phase];
+        }
+        burst[StreamPhase::RESET] += inferences.saturating_sub(1) * RESET_CYCLES;
+        burst
+    }
+
+    /// Exact cycle count of a pre-packaged burst of `inferences`
+    /// back-to-back loadables of this shape: the total of its
+    /// [`burst_breakdown`](Self::burst_breakdown).
+    pub fn burst_cycles(&self, inferences: u64) -> u64 {
+        self.burst_breakdown(inferences).total()
     }
 
     /// On-chip pipeline latency in microseconds at `clock_mhz`.

@@ -8,9 +8,11 @@
 //!
 //! * [`settings`] — the per-layer 64-bit configuration words.
 //! * [`stream`] — the [`stream::compile`] encoder producing a
-//!   [`stream::Loadable`] (model + one inference input) and the
-//!   [`stream::decode`] validator that reconstructs the model from the
-//!   wire format.
+//!   [`stream::Loadable`] (model + one inference input), the
+//!   [`StreamView`] every host-side reader decodes a stream into once
+//!   (settings, parameters and weight rows read in place), and the
+//!   [`stream::decode`] validator that expands a view into the full
+//!   model.
 //!
 //! The word-count functions ([`stream::param_words`],
 //! [`stream::weight_words`], [`stream::neuron_weight_words`]) are shared
@@ -31,7 +33,7 @@ pub mod stream;
 pub use file::FileError;
 pub use settings::{LayerSetting, LayerType, SettingError};
 pub use stream::{
-    batch_stream, compile, compile_packed, declared_input_range, decode, decode_packed,
-    input_section, splice_input, value_kernel, Decoded, Loadable, PackedDecode, PackingMode,
-    SectionKind, StreamError, StreamLayout,
+    batch_stream, compile, compile_packed, declared_input_range, decode, input_section,
+    splice_input, Decoded, Loadable, PackingMode, SectionKind, StreamError, StreamLayout,
+    StreamView,
 };

@@ -14,7 +14,7 @@
 //! input into that stream and decodes it back for validation.
 
 use crate::settings::{LayerSetting, LayerType, SettingError};
-use netpu_arith::quant::{self, LANES_PER_WORD};
+use netpu_arith::quant::LANES_PER_WORD;
 use netpu_arith::{cast, ActivationKind, Fix, Precision, QuantParams};
 use netpu_nn::kernel::{PackedMlp, WeightField, WeightRows};
 use netpu_nn::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
@@ -808,27 +808,6 @@ fn decode_bias_bn(
     }
 }
 
-fn decode_weights(setting: &LayerSetting, words: &[u64], mode: PackingMode) -> Vec<i32> {
-    let neurons = cast::usize_from_u32(setting.neurons);
-    let in_len = cast::usize_from_u32(setting.input_len);
-    let per = neuron_weight_words_mode(setting, mode);
-    let wpw = weights_per_word(setting, mode);
-    let mut out = Vec::with_capacity(neurons * in_len);
-    for n in 0..neurons {
-        let row = &words[n * per..(n + 1) * per];
-        if uses_xnor_path(setting) {
-            for i in 0..in_len {
-                out.push(quant::extract_binary_channel(row[i / 64], i % 64));
-            }
-        } else {
-            for i in 0..in_len {
-                out.push(extract_weight(row[i / wpw], i % wpw, setting, mode));
-            }
-        }
-    }
-    out
-}
-
 /// Unwraps a layer's payload slice collected by the interleave replay,
 /// reporting [`StreamError::MissingSection`] instead of panicking if the
 /// replay left a hole.
@@ -837,258 +816,223 @@ fn section<'a>(slot: &Option<&'a [u64]>, layer: usize) -> Result<&'a [u64], Stre
 }
 
 /// Decodes a transmission stream back into a model + input. The inverse
-/// of [`compile`] up to the untransmitted model name.
+/// of [`compile`] up to the untransmitted model name: the stream's
+/// [`StreamView`] expanded to `i32` weights.
 pub fn decode(words: &[u64]) -> Result<Decoded, StreamError> {
-    let (decoded, _) = decode_parts(words, Expand::All)?;
-    decoded
-        .model
-        .validate()
-        .map_err(StreamError::InvalidModel)?;
-    Ok(decoded)
+    Ok(StreamView::new(words.into())?.expand(words))
 }
 
-/// Per FC layer (hidden layers, then the output layer), the packed ±1
-/// rows of an XNOR-path layer, `None` for any other.
-pub type PackedLayerRows = Vec<Option<Vec<u64>>>;
-
-/// A stream decoded by [`decode_packed`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct PackedDecode {
-    /// The decoded loadable. Its XNOR-path layers carry empty
-    /// `weights`: their weights are in `rows`.
-    pub decoded: Decoded,
-    /// Per FC layer (hidden layers, then the output layer), the packed
-    /// ±1 rows of an XNOR-path layer (`⌈in_len/64⌉` words per neuron,
-    /// bit set for +1), `None` for any other.
-    pub rows: PackedLayerRows,
+/// A stream decoded once and read in place: its settings, packing mode
+/// and declared input range, and its bit-exact value kernel, which
+/// holds the model's parameters without weights and reads every FC
+/// layer's weights from the stream's own words ([`WeightRows`]):
+/// XNOR-path layers as their ±1 rows, integer-path layers as the
+/// stream's weight fields (8-bit lanes, or native width under
+/// [`PackingMode::Dense`]). No weight is decoded or copied.
+///
+/// The view does not read the input section, so it may sit over a copy
+/// of the stream whose input section is masked; readers that need the
+/// stream's own pixels take them from the words they were sent
+/// ([`StreamView::pixels`]).
+pub struct StreamView {
+    /// The decoded layer settings.
+    pub settings: Vec<LayerSetting>,
+    /// The weight packing mode the stream was encoded with.
+    pub packing: PackingMode,
+    /// The header's declared input range, when present (`None` for
+    /// streams predating the range metadata).
+    pub input_range: Option<(u8, u8)>,
+    kernel: PackedMlp<'static>,
 }
 
-impl PackedDecode {
-    /// What [`decode`] returns for the stream, without reading it
-    /// again: the XNOR-path layers' packed rows expanded to `i32`
-    /// weights, and the model validated as [`decode`] validates it.
-    pub fn to_decoded(&self) -> Result<Decoded, StreamError> {
-        let mut decoded = self.decoded.clone();
-        let mode = decoded.packing;
-        let model = &mut decoded.model;
+impl StreamView {
+    /// Decodes `words`, validating the model as [`decode`] does (its
+    /// weights read from their fields), with the same errors.
+    pub fn new(words: Arc<[u64]>) -> Result<StreamView, StreamError> {
+        let mut r = Reader {
+            words: &words,
+            pos: 0,
+        };
+        let header = r.take(1)?[0];
+        if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
+            return Err(StreamError::BadHeader(header));
+        }
+        let mode = if header >> 40 & 1 == 1 {
+            PackingMode::Dense
+        } else {
+            PackingMode::Lanes8
+        };
+        let n = cast::usize_sat((header >> 24) & 0xFFFF);
+        if n < 2 {
+            return Err(StreamError::BadLayerSequence);
+        }
+        let mut settings = Vec::with_capacity(n);
+        for &w in r.take(n)? {
+            settings.push(LayerSetting::decode(w).map_err(StreamError::BadSetting)?);
+        }
+        if settings[0].layer_type != LayerType::Input
+            || settings[n - 1].layer_type != LayerType::Output
+            || settings[1..n - 1]
+                .iter()
+                .any(|s| s.layer_type != LayerType::Hidden)
+        {
+            return Err(StreamError::BadLayerSequence);
+        }
+        let input_len = cast::usize_from_u32(settings[0].neurons);
+        r.span(input_words(input_len))?;
+
+        // Replay the interleave, collecting per-layer payload slices and
+        // weight sections.
+        let mut params: Vec<Option<&[u64]>> = vec![None; n];
+        let mut sections: Vec<Range<usize>> = vec![0..0; n];
+        params[0] = Some(r.take(param_words(&settings[0]))?);
+        for k in 1..n {
+            params[k] = Some(r.take(param_words(&settings[k]))?);
+            sections[k - 1] = r.span(weight_words_mode(&settings[k - 1], mode))?;
+        }
+        sections[n - 1] = r.span(weight_words_mode(&settings[n - 1], mode))?;
+
+        // Reconstruct the model without its weights.
+        let input = InputLayer {
+            len: input_len,
+            out_precision: settings[0].out_precision,
+            activation: decode_activation(&settings[0], section(&params[0], 0)?, 0)?,
+        };
+        let mut hidden = Vec::with_capacity(n - 2);
+        for k in 1..n - 1 {
+            let s = &settings[k];
+            let layer_params = section(&params[k], k)?;
+            let mut reader = Reader {
+                words: layer_params,
+                pos: 0,
+            };
+            let (bias, bn) = decode_bias_bn(s, &mut reader)?;
+            let act_words = reader.take(layer_params.len() - reader.pos)?;
+            hidden.push(HiddenLayer {
+                in_len: cast::usize_from_u32(s.input_len),
+                neurons: cast::usize_from_u32(s.neurons),
+                weight_precision: s.weight_precision,
+                in_precision: s.in_precision,
+                out_precision: s.out_precision,
+                weights: Vec::new(),
+                bias,
+                bn,
+                activation: decode_activation(s, act_words, k)?,
+            });
+        }
+        let s = &settings[n - 1];
+        let mut reader = Reader {
+            words: section(&params[n - 1], n - 1)?,
+            pos: 0,
+        };
+        let (bias, bn) = decode_bias_bn(s, &mut reader)?;
+        let output = OutputLayer {
+            in_len: cast::usize_from_u32(s.input_len),
+            neurons: cast::usize_from_u32(s.neurons),
+            weight_precision: s.weight_precision,
+            in_precision: s.in_precision,
+            weights: Vec::new(),
+            bias,
+            bn,
+        };
+        let model = QuantMlp {
+            name: String::new(),
+            input,
+            hidden,
+            output,
+        };
+
+        let rows = sections[1..]
+            .iter()
+            .zip(&settings[1..])
+            .enumerate()
+            .map(|(k, (section, s))| {
+                let neurons = cast::usize_from_u32(s.neurons);
+                let in_len = cast::usize_from_u32(s.input_len);
+                let field = weight_field(s, mode);
+                WeightRows::new(Arc::clone(&words), section.clone(), neurons, in_len, field).ok_or(
+                    StreamError::InvalidModel(netpu_nn::qmodel::ModelError::WeightShape {
+                        layer: k + 1,
+                    }),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(StreamView {
+            kernel: PackedMlp::from_words(model, rows).map_err(StreamError::InvalidModel)?,
+            settings,
+            packing: mode,
+            input_range: declared_input_range(header),
+        })
+    }
+
+    /// The stream's value kernel: the model without its FC layers'
+    /// `i32` weights ([`PackedMlp::model`]) and one [`WeightRows`] per
+    /// FC layer ([`PackedMlp::weight_rows`]).
+    pub fn kernel(&self) -> &PackedMlp<'static> {
+        &self.kernel
+    }
+
+    /// The pixels in the input section of `words`, a stream of this
+    /// view's shape (zero past its end).
+    pub fn pixels(&self, words: &[u64]) -> Vec<u8> {
+        let len = self.kernel.model().input.len;
+        let start = 1 + self.settings.len();
+        let lanes = words.get(start..).unwrap_or_default();
+        (0..len)
+            .map(|i| {
+                lanes
+                    .get(i / LANES_PER_WORD)
+                    .map_or(0, |&w| cast::lo8(w >> (8 * (i % LANES_PER_WORD))))
+            })
+            .collect()
+    }
+
+    /// What [`decode`] returns for `words`, a stream of this view's
+    /// shape: the model with every FC layer's weights expanded to
+    /// `i32`, and the pixels of `words`.
+    pub fn expand(&self, words: &[u64]) -> Decoded {
+        let mut model = self.kernel.model().clone();
         let weights = model
             .hidden
             .iter_mut()
             .map(|l| &mut l.weights)
             .chain(std::iter::once(&mut model.output.weights));
-        for ((weights, rows), setting) in weights.zip(&self.rows).zip(&self.decoded.settings[1..]) {
-            if let Some(rows) = rows {
-                *weights = decode_weights(setting, rows, mode);
+        for (k, weights) in weights.enumerate() {
+            if let Some(rows) = self.kernel.weight_rows(k) {
+                weights.reserve_exact(rows.neurons() * rows.in_len());
+                for n in 0..rows.neurons() {
+                    weights.extend(rows.weights(n));
+                }
             }
         }
-        decoded
-            .model
-            .validate()
-            .map_err(StreamError::InvalidModel)?;
-        Ok(decoded)
+        Decoded {
+            model,
+            pixels: self.pixels(words),
+            settings: self.settings.clone(),
+            packing: self.packing,
+            input_range: self.input_range,
+        }
+    }
+
+    /// Heap bytes the view holds besides the stream's words: its
+    /// settings and the kernel's parameters.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.settings.as_slice()) + self.kernel.heap_bytes()
     }
 }
 
-/// [`decode`] without building the `i32` weights of XNOR-path layers.
-/// Their weight sections already hold the ±1 rows in the packed layout,
-/// so those words are copied as they are: for LFC-w1a1, 0.37 MB instead
-/// of 11.6 MB. Other layers decode to `i32` weights as in [`decode`].
-/// The model is validated as [`decode`] validates it.
-pub fn decode_packed(words: &[u64]) -> Result<PackedDecode, StreamError> {
-    let (decoded, sections) = decode_parts(words, Expand::IntegerPath)?;
-    decoded
-        .model
-        .validate_packed()
-        .map_err(StreamError::InvalidModel)?;
-    let rows = sections
-        .into_iter()
-        .zip(&decoded.settings[1..])
-        .map(|(section, s)| uses_xnor_path(s).then(|| words[section].to_vec()))
-        .collect();
-    Ok(PackedDecode { decoded, rows })
-}
-
-/// The stream's bit-exact value kernel, reading every FC layer's
-/// weights in place from `words`: XNOR-path layers as their ±1 rows,
-/// integer-path layers as the stream's weight fields (8-bit lanes, or
-/// native width under [`PackingMode::Dense`]). No weight is decoded or
-/// copied; the kernel shares `words`. The rest of the model is decoded
-/// and validated as [`decode`] does.
-pub fn value_kernel(words: Arc<[u64]>) -> Result<PackedMlp<'static>, StreamError> {
-    let (decoded, sections) = decode_parts(&words, Expand::Nothing)?;
-    let mode = decoded.packing;
-    let rows = sections
-        .into_iter()
-        .zip(&decoded.settings[1..])
-        .enumerate()
-        .map(|(k, (section, s))| {
-            let field = if uses_xnor_path(s) {
-                WeightField::Xnor
-            } else {
-                let width = weight_field_bits(s, mode);
-                match (s.weight_precision.is_binary(), width) {
-                    (true, 8) => WeightField::Signed { width, bits: 8 },
-                    (true, _) => WeightField::Bipolar,
-                    (false, _) => WeightField::Signed {
-                        width,
-                        bits: u32::from(s.weight_precision.bits()),
-                    },
-                }
-            };
-            let neurons = cast::usize_from_u32(s.neurons);
-            let in_len = cast::usize_from_u32(s.input_len);
-            WeightRows::new(Arc::clone(&words), section, neurons, in_len, field).ok_or(
-                StreamError::InvalidModel(netpu_nn::qmodel::ModelError::WeightShape {
-                    layer: k + 1,
-                }),
-            )
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    PackedMlp::from_words(decoded.model, rows).map_err(StreamError::InvalidModel)
-}
-
-/// Which FC layers a decode expands to `i32` weights; the others come
-/// back with empty `weights`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Expand {
-    All,
-    IntegerPath,
-    Nothing,
-}
-
-/// One FC layer's `i32` weights, or none when `expand` leaves the layer
-/// in its section.
-fn fc_weights(
-    setting: &LayerSetting,
-    words: &[u64],
-    mode: PackingMode,
-    expand: Expand,
-) -> Vec<i32> {
-    let here = match expand {
-        Expand::All => true,
-        Expand::IntegerPath => !uses_xnor_path(setting),
-        Expand::Nothing => false,
-    };
-    if here {
-        decode_weights(setting, words, mode)
-    } else {
-        Vec::new()
+/// How a layer's weights sit in its weight section's words.
+fn weight_field(s: &LayerSetting, mode: PackingMode) -> WeightField {
+    if uses_xnor_path(s) {
+        return WeightField::Xnor;
     }
-}
-
-/// The decode every entry point shares, unvalidated. Also returns each
-/// FC layer's weight section (hidden layers, then the output layer) as
-/// a word range.
-fn decode_parts(
-    words: &[u64],
-    expand: Expand,
-) -> Result<(Decoded, Vec<Range<usize>>), StreamError> {
-    let mut r = Reader { words, pos: 0 };
-    let header = r.take(1)?[0];
-    if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
-        return Err(StreamError::BadHeader(header));
+    let width = weight_field_bits(s, mode);
+    match (s.weight_precision.is_binary(), width) {
+        (true, 8) => WeightField::Signed { width, bits: 8 },
+        (true, _) => WeightField::Bipolar,
+        (false, _) => WeightField::Signed {
+            width,
+            bits: u32::from(s.weight_precision.bits()),
+        },
     }
-    let mode = if header >> 40 & 1 == 1 {
-        PackingMode::Dense
-    } else {
-        PackingMode::Lanes8
-    };
-    let n = cast::usize_sat((header >> 24) & 0xFFFF);
-    if n < 2 {
-        return Err(StreamError::BadLayerSequence);
-    }
-    let mut settings = Vec::with_capacity(n);
-    for &w in r.take(n)? {
-        settings.push(LayerSetting::decode(w).map_err(StreamError::BadSetting)?);
-    }
-    if settings[0].layer_type != LayerType::Input
-        || settings[n - 1].layer_type != LayerType::Output
-        || settings[1..n - 1]
-            .iter()
-            .any(|s| s.layer_type != LayerType::Hidden)
-    {
-        return Err(StreamError::BadLayerSequence);
-    }
-
-    let input_len = cast::usize_from_u32(settings[0].neurons);
-    let in_words = r.take(input_words(input_len))?;
-    let mut pixels = Vec::with_capacity(input_len);
-    for i in 0..input_len {
-        pixels.push(cast::lo8(
-            in_words[i / LANES_PER_WORD] >> (8 * (i % LANES_PER_WORD)),
-        ));
-    }
-
-    // Replay the interleave, collecting per-layer payload slices and
-    // weight sections.
-    let mut params: Vec<Option<&[u64]>> = vec![None; n];
-    let mut sections: Vec<Range<usize>> = vec![0..0; n];
-    params[0] = Some(r.take(param_words(&settings[0]))?);
-    for k in 1..n {
-        params[k] = Some(r.take(param_words(&settings[k]))?);
-        sections[k - 1] = r.span(weight_words_mode(&settings[k - 1], mode))?;
-    }
-    sections[n - 1] = r.span(weight_words_mode(&settings[n - 1], mode))?;
-
-    // Reconstruct the model.
-    let input = InputLayer {
-        len: input_len,
-        out_precision: settings[0].out_precision,
-        activation: decode_activation(&settings[0], section(&params[0], 0)?, 0)?,
-    };
-    let mut hidden = Vec::with_capacity(n - 2);
-    for k in 1..n - 1 {
-        let s = &settings[k];
-        let layer_params = section(&params[k], k)?;
-        let mut reader = Reader {
-            words: layer_params,
-            pos: 0,
-        };
-        let (bias, bn) = decode_bias_bn(s, &mut reader)?;
-        let act_words = reader.take(layer_params.len() - reader.pos)?;
-        let weights = fc_weights(s, &words[sections[k].clone()], mode, expand);
-        hidden.push(HiddenLayer {
-            in_len: cast::usize_from_u32(s.input_len),
-            neurons: cast::usize_from_u32(s.neurons),
-            weight_precision: s.weight_precision,
-            in_precision: s.in_precision,
-            out_precision: s.out_precision,
-            weights,
-            bias,
-            bn,
-            activation: decode_activation(s, act_words, k)?,
-        });
-    }
-    let s = &settings[n - 1];
-    let mut reader = Reader {
-        words: section(&params[n - 1], n - 1)?,
-        pos: 0,
-    };
-    let (bias, bn) = decode_bias_bn(s, &mut reader)?;
-    let weights = fc_weights(s, &words[sections[n - 1].clone()], mode, expand);
-    let output = OutputLayer {
-        in_len: cast::usize_from_u32(s.input_len),
-        neurons: cast::usize_from_u32(s.neurons),
-        weight_precision: s.weight_precision,
-        in_precision: s.in_precision,
-        weights,
-        bias,
-        bn,
-    };
-
-    let model = QuantMlp {
-        name: String::new(),
-        input,
-        hidden,
-        output,
-    };
-    let decoded = Decoded {
-        model,
-        pixels,
-        settings,
-        packing: mode,
-        input_range: declared_input_range(header),
-    };
-    sections.remove(0);
-    Ok((decoded, sections))
 }

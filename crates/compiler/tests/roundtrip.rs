@@ -3,13 +3,14 @@
 use netpu_compiler::stream::{
     self, compile, decode, input_words, model_settings, param_words, weight_words, StreamError,
 };
-use netpu_compiler::{LayerType, SectionKind};
+use netpu_compiler::{LayerType, SectionKind, StreamView};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
 use netpu_nn::QuantMlp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 fn sample_pixels(seed: u64, n: usize) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -183,48 +184,67 @@ fn decode_rejects_corrupt_streams() {
 }
 
 #[test]
-fn packed_decode_infers_like_the_full_decode() {
+fn the_view_reads_the_compiled_weights_in_place() {
     // Zoo models in both packings, plus random models mixing binary
-    // and multi-bit layers: the packed decode's model must agree with
-    // the reference walk of the full decode on class and every score.
+    // and multi-bit layers: the view's rows read back exactly the
+    // compiled weights in every field layout, its expansion is what
+    // `decode` returns, and its kernel walks like the reference.
     let mut models = models_under_test();
     models.extend((0..40).map(netpu_nn::zoo::random_model));
+    let mut fields = HashSet::new();
     for (k, model) in models.iter().enumerate() {
         let pixels = sample_pixels(k as u64, model.input.len);
         for mode in [stream::PackingMode::Lanes8, stream::PackingMode::Dense] {
             let loadable = stream::compile_packed(model, &pixels, mode).unwrap();
+            let view = StreamView::new(loadable.words.clone().into()).unwrap();
+            let compiled = model
+                .hidden
+                .iter()
+                .map(|l| &l.weights)
+                .chain(std::iter::once(&model.output.weights));
+            for (layer, weights) in compiled.enumerate() {
+                let rows = view.kernel().weight_rows(layer).unwrap();
+                fields.insert(format!("{:?}", rows.field()));
+                let read: Vec<i32> = (0..rows.neurons()).flat_map(|n| rows.weights(n)).collect();
+                assert_eq!(&read, weights, "model {k} {mode:?} layer {layer}");
+            }
             let full = decode(&loadable.words).unwrap();
-            let packed = stream::decode_packed(&loadable.words).unwrap();
-            assert_eq!(packed.decoded.settings, full.settings);
-            assert_eq!(packed.decoded.pixels, full.pixels);
-            assert_eq!(packed.to_decoded(), Ok(full.clone()), "model {k} {mode:?}");
-            let kernel = stream::value_kernel(loadable.words.clone().into()).unwrap();
+            assert_eq!(view.expand(&loadable.words), full, "model {k} {mode:?}");
+            assert_eq!(full.pixels, pixels);
             assert_eq!(
-                kernel.infer_traced(&pixels),
-                netpu_nn::reference::infer_traced(&full.model, &pixels),
+                view.kernel().infer_traced(&pixels),
+                netpu_nn::reference::infer_traced(model, &pixels),
                 "model {k} {mode:?}"
             );
         }
     }
+    // XNOR rows, bipolar 1-bit fields, 8-bit lanes of promoted ±1 and
+    // of multi-bit weights, and dense multi-bit fields.
+    for field in ["Xnor", "Bipolar", "Signed { width: 8, bits: 8 }"] {
+        assert!(fields.contains(field), "{field} not covered: {fields:?}");
+    }
+    assert!(fields.len() >= 5, "{fields:?}");
 }
 
 #[test]
-fn packed_decode_rejects_corrupt_streams_like_decode() {
+fn the_view_rejects_corrupt_streams_like_decode() {
     let model = ZooModel::TfcW1A1
         .build_untrained(4, BnMode::Folded)
         .unwrap();
     let loadable = compile(&model, &sample_pixels(4, model.input.len)).unwrap();
+    let view = |words: &[u64]| StreamView::new(words.into()).err();
     let mut bad = loadable.words.clone();
     bad[0] ^= 0xFF;
-    assert!(matches!(
-        stream::decode_packed(&bad).err(),
-        Some(StreamError::BadHeader(_))
-    ));
-    let truncated = &loadable.words[..loadable.len() - 1];
-    assert!(matches!(
-        stream::decode_packed(truncated).err(),
-        Some(StreamError::Truncated { .. })
-    ));
+    assert!(matches!(view(&bad), Some(StreamError::BadHeader(_))));
+    assert_eq!(view(&bad), decode(&bad).err());
+    for (_, _, range) in &loadable.layout.sections {
+        let truncated = &loadable.words[..range.start.min(loadable.len() - 1)];
+        assert!(matches!(
+            view(truncated),
+            Some(StreamError::Truncated { .. })
+        ));
+        assert_eq!(view(truncated), decode(truncated).err());
+    }
 }
 
 #[test]

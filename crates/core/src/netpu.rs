@@ -639,46 +639,18 @@ pub fn run_inference_fast(cfg: &HwConfig, words: Vec<u64>) -> Result<InferenceRu
     finish_run(&netpu, cycles, cfg)
 }
 
-/// [`run_inference_fast`] with a caller-supplied per-run [`Tracer`].
-///
-/// The tracer is moved into the instance for the run and handed back
-/// through the `&mut` slot afterwards — *including on errors*, so a
-/// serving layer can attach a bounded trace to a request, stream it,
-/// and inspect the datapath events of a failed attempt. Pass
-/// `Tracer::disabled()` for a zero-cost no-op hook.
-pub fn run_inference_hooked(
-    cfg: &HwConfig,
-    words: Vec<u64>,
-    tracer: &mut Tracer,
-) -> Result<InferenceRun, NetPuError> {
-    run_inference_observed(cfg, words, tracer, &mut DatapathProbe::disabled())
-}
-
-/// [`run_inference_fast`] with a caller-supplied [`DatapathProbe`]
-/// recording every intermediate accumulator / BN / level / score value.
-///
-/// Same hand-off contract as [`run_inference_hooked`]: the probe is
-/// moved into the instance for the run and handed back through the
-/// `&mut` slot afterwards, including on errors. The `netpu-check`
-/// soundness suite replays probed runs against the abstract
-/// interpreter's predicted intervals.
-pub fn run_inference_probed(
-    cfg: &HwConfig,
-    words: Vec<u64>,
-    probe: &mut DatapathProbe,
-) -> Result<InferenceRun, NetPuError> {
-    run_inference_observed(cfg, words, &mut Tracer::disabled(), probe)
-}
-
-/// [`run_inference_fast`] with *both* observation hooks attached in a
+/// [`run_inference_fast`] with both observation hooks attached in a
 /// single simulation: a [`Tracer`] for component events and a
-/// [`DatapathProbe`] for intermediate values. This is the path the
-/// runtime's `TraceSink` forwarding uses — one run feeds both event
-/// families into a recorded trace without a second simulation.
+/// [`DatapathProbe`] for intermediate accumulator / BN / level / score
+/// values. Pass `Tracer::disabled()` or `DatapathProbe::disabled()` for
+/// a hook that records nothing.
 ///
-/// Same hand-off contract as [`run_inference_hooked`]: both hooks are
-/// moved in for the run and handed back through their `&mut` slots
-/// afterwards, including on errors.
+/// Both hooks are moved into the instance for the run and handed back
+/// through their `&mut` slots afterwards — *including on errors*, so a
+/// caller can inspect the events of a failed attempt. The runtime's
+/// `TraceSink` forwarding feeds both event families into a recorded
+/// trace from one run; the `netpu-check` soundness suite replays probed
+/// runs against the abstract interpreter's predicted intervals.
 pub fn run_inference_observed(
     cfg: &HwConfig,
     words: Vec<u64>,

@@ -14,7 +14,7 @@
 //! arithmetic, not an approximation. The module tests pin that down for
 //! every layout against the unpacked walk.
 
-use crate::qmodel::{ModelError, QuantMlp};
+use crate::qmodel::{weight_in_range, ModelError, QuantMlp};
 use crate::reference::{
     accumulate, maxout, neuron_accumulate, neuron_post, run_input_layer, to_mac_domain,
     InferenceTrace,
@@ -118,8 +118,57 @@ impl WeightRows {
     }
 
     /// Fan-in of every row.
-    pub(crate) fn in_len(&self) -> usize {
+    pub fn in_len(&self) -> usize {
         self.in_len
+    }
+
+    /// Rows (neurons) of the matrix.
+    pub fn neurons(&self) -> usize {
+        self.neurons
+    }
+
+    /// How each weight sits in the words.
+    pub fn field(&self) -> WeightField {
+        self.field
+    }
+
+    /// Neuron `n`'s `in_len` weights, read from their fields (none past
+    /// the last neuron).
+    pub fn weights(&self, n: usize) -> impl Iterator<Item = i32> + '_ {
+        let row = self.row(n);
+        let (field, width) = (self.field, self.field.width());
+        // The current word, shifted so its next field is at bit 0, and
+        // the fields left in it.
+        let (mut words, mut word, mut fields) = (row.iter(), 0u64, 0u32);
+        let weights = std::iter::from_fn(move || {
+            if fields == 0 {
+                word = *words.next()?;
+                fields = 64 / width;
+            }
+            let f = word;
+            word >>= width;
+            fields -= 1;
+            Some(match field {
+                WeightField::Xnor | WeightField::Bipolar => 2 * i32::from(f & 1 == 1) - 1,
+                WeightField::Signed { bits, .. } => cast::sign_extend(cast::lo32(f), bits),
+            })
+        });
+        weights.take(self.in_len)
+    }
+
+    /// The first weight, in row order, outside `precision`'s range (±1
+    /// when binary). Only a field wider than the precision can hold one:
+    /// binary weights promoted to 8-bit lanes.
+    fn stray(&self, precision: Precision) -> Option<i32> {
+        let WeightField::Signed { bits, .. } = self.field else {
+            return None;
+        };
+        if !precision.is_binary() && bits <= u32::from(precision.bits()) {
+            return None;
+        }
+        (0..self.neurons)
+            .flat_map(|n| self.weights(n))
+            .find(|&w| !weight_in_range(precision, w))
     }
 
     /// Neuron `n`'s row words (empty past the last neuron).
@@ -322,6 +371,19 @@ impl<'a> PackedMlp<'a> {
         self.mlp.input.len
     }
 
+    /// The model the kernel runs. Under [`PackedMlp::from_words`] its
+    /// FC layers carry no `i32` weights: they are in
+    /// [`weight_rows`](Self::weight_rows).
+    pub fn model(&self) -> &QuantMlp {
+        &self.mlp
+    }
+
+    /// FC layer `k`'s weight rows (hidden layers, then the output
+    /// layer), when the kernel reads that layer from words.
+    pub fn weight_rows(&self, k: usize) -> Option<&WeightRows> {
+        self.rows.get(k)?.as_ref()
+    }
+
     /// [`infer_traced`] on the prepared model.
     pub fn infer_traced(&self, pixels: &[u8]) -> InferenceTrace {
         let mut hidden_levels = Vec::with_capacity(self.mlp.hidden.len() + 1);
@@ -449,14 +511,21 @@ impl PackedMlp<'static> {
     /// field. This is how a NetPU-M stream's weight sections already
     /// lay them out, so the kernel reads them in place.
     ///
-    /// Validates the model ([`QuantMlp::validate_weightless`]) and each
-    /// layer's rows against its shape and path, failing with the
-    /// offending layer.
+    /// Validates the model as [`QuantMlp::validate`] does, reading each
+    /// layer's weights from its rows ([`QuantMlp::validate_weightless`]),
+    /// and each layer's rows against its shape and path, failing with
+    /// the offending layer.
     pub fn from_words(
         mlp: QuantMlp,
         rows: Vec<WeightRows>,
     ) -> Result<PackedMlp<'static>, ModelError> {
-        mlp.validate_weightless()?;
+        mlp.validate_weightless(|layer| {
+            let wp = mlp
+                .hidden
+                .get(layer - 1)
+                .map_or(mlp.output.weight_precision, |l| l.weight_precision);
+            rows.get(layer - 1)?.stray(wp)
+        })?;
         let shapes: Vec<(usize, usize, bool)> = mlp
             .hidden
             .iter()

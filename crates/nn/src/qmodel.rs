@@ -348,17 +348,20 @@ fn check_activation(
     Ok(())
 }
 
-/// Which FC layers of a model being validated carry their `i32`
-/// weights; the others hold them in packed words outside the model.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Held {
-    /// Every FC layer.
-    All,
-    /// Every layer off the XNOR path.
-    IntegerPath,
-    /// None.
-    Nothing,
+/// `true` when `w` is a weight of precision `wp`: ±1 when binary, in
+/// the signed range otherwise.
+pub(crate) fn weight_in_range(wp: Precision, w: i32) -> bool {
+    if wp.is_binary() {
+        w == 1 || w == -1
+    } else {
+        (wp.signed_min()..=wp.signed_max()).contains(&w)
+    }
 }
+
+/// Where a model being validated keeps its FC weights: `None` in its
+/// layers' `weights`; otherwise in words outside it, the function giving
+/// FC layer `layer`'s first weight outside its precision's range.
+type Outside<'a> = Option<&'a dyn Fn(usize) -> Option<i32>>;
 
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn check_fc(
@@ -370,7 +373,7 @@ fn check_fc(
     ip: Precision,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<BnParams>>,
-    held: Held,
+    outside: Outside<'_>,
 ) -> Result<(), ModelError> {
     if in_len > MAX_LAYER_WIDTH {
         return Err(ModelError::TooWide {
@@ -384,32 +387,22 @@ fn check_fc(
             width: neurons,
         });
     }
-    // A layer held in packed words carries none here (the kernel checks
-    // the words' shape); any bit pattern of them is a valid matrix.
-    let held_here = match held {
-        Held::All => true,
-        Held::IntegerPath => !(wp.is_binary() && ip.is_binary()),
-        Held::Nothing => false,
-    };
-    let expected = if held_here { neurons * in_len } else { 0 };
+    // A layer held outside the model carries no weights here; its
+    // words report their own out-of-range values.
+    let expected = outside.map_or(neurons * in_len, |_| 0);
     if weights.len() != expected {
         return Err(ModelError::WeightShape { layer });
     }
     // Branchless validity fold so the scan vectorises (models carry
     // millions of weights); the offending value is recovered in a second
     // pass only on the failure path.
-    let in_range = |w: i32| {
-        if wp.is_binary() {
-            w == 1 || w == -1
-        } else {
-            (wp.signed_min()..=wp.signed_max()).contains(&w)
-        }
+    let in_range = |w: i32| weight_in_range(wp, w);
+    let stray = match outside {
+        Some(stray) => stray(layer),
+        None if weights.iter().fold(true, |ok, &w| ok & in_range(w)) => None,
+        None => weights.iter().copied().find(|&w| !in_range(w)),
     };
-    if !weights.iter().fold(true, |ok, &w| ok & in_range(w)) {
-        let value = *weights
-            .iter()
-            .find(|&&w| !in_range(w))
-            .expect("fold failed");
+    if let Some(value) = stray {
         return Err(ModelError::WeightRange { layer, value });
     }
     // XNOR pairing: binary activations require binary weights (a binary
@@ -444,25 +437,23 @@ impl QuantMlp {
     /// Validates the whole model: dimensions, precision pairing, weight
     /// and bias ranges, threshold geometry, and architecture ceilings.
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.validate_fc(Held::All)
-    }
-
-    /// [`validate`](Self::validate) for a model whose XNOR-path layers
-    /// hold their weights packed outside it: those layers' `weights`
-    /// must be empty.
-    pub fn validate_packed(&self) -> Result<(), ModelError> {
-        self.validate_fc(Held::IntegerPath)
+        self.validate_fc(None)
     }
 
     /// [`validate`](Self::validate) for a model whose FC layers all hold
     /// their weights outside it (see
     /// [`PackedMlp::from_words`](crate::kernel::PackedMlp::from_words)):
-    /// every layer's `weights` must be empty.
-    pub fn validate_weightless(&self) -> Result<(), ModelError> {
-        self.validate_fc(Held::Nothing)
+    /// every layer's `weights` must be empty, and `stray(layer)` gives
+    /// FC layer `layer`'s first weight outside its precision's range.
+    /// The checks run in [`validate`](Self::validate)'s order.
+    pub fn validate_weightless(
+        &self,
+        stray: impl Fn(usize) -> Option<i32>,
+    ) -> Result<(), ModelError> {
+        self.validate_fc(Some(&stray))
     }
 
-    fn validate_fc(&self, held: Held) -> Result<(), ModelError> {
+    fn validate_fc(&self, outside: Outside<'_>) -> Result<(), ModelError> {
         if self.input.len > MAX_LAYER_WIDTH {
             return Err(ModelError::TooWide {
                 layer: 0,
@@ -499,7 +490,7 @@ impl QuantMlp {
                 h.in_precision,
                 &h.bias,
                 &h.bn,
-                held,
+                outside,
             )?;
             check_activation(layer, &h.activation, h.neurons, h.out_precision)?;
             prev_width = h.neurons;
@@ -526,7 +517,7 @@ impl QuantMlp {
             self.output.in_precision,
             &self.output.bias,
             &self.output.bn,
-            held,
+            outside,
         )
     }
 

@@ -20,9 +20,7 @@ use crate::value::{self, ValueKernel, ValueSlot};
 use netpu_arith::Fix;
 use netpu_check::{Analysis, RejectReason, VerdictStore};
 use netpu_compiler::{compile, Loadable, StreamError};
-use netpu_core::netpu::{
-    run_inference_fast, run_inference_hooked, run_inference_observed, InferenceRun, NetPuError,
-};
+use netpu_core::netpu::{run_inference_fast, run_inference_observed, InferenceRun, NetPuError};
 use netpu_core::resources::netpu_utilization;
 use netpu_core::{BatchEngine, HwConfig, SlabBreakdown};
 use netpu_nn::QuantMlp;
@@ -224,10 +222,10 @@ pub struct RequestOptions {
     pub deadline_us: Option<f64>,
     /// Retry budget on transient stream faults (serving layer only).
     pub retries: Option<u32>,
-    /// Attach a bounded event trace of this many events to the run.
-    /// Superseded by [`DriverBuilder::trace_sink`] (see
-    /// [`InferRequest::with_trace`] for the migration note); still
-    /// honored for per-request in-response traces.
+    /// Attach a bounded event trace of this many events to the run's
+    /// response. A sink attached with [`DriverBuilder::trace_sink`]
+    /// observes every run instead, through the surface the serving
+    /// layers record to, in the replayable binary trace format.
     pub trace_capacity: Option<usize>,
 }
 
@@ -324,23 +322,6 @@ impl<'m> InferRequest<'m> {
     /// Sets the retry budget for transient stream faults.
     pub fn with_retries(mut self, retries: u32) -> InferRequest<'m> {
         self.options.retries = Some(retries);
-        self
-    }
-
-    /// Attaches a bounded per-run event trace to the response.
-    ///
-    /// **Migration:** attach a [`TraceSink`] at driver construction
-    /// instead — `Driver::builder().trace_sink(sink)` — which observes
-    /// *every* run (simulator events, and datapath values under
-    /// [`DriverBuilder::probe_datapath`]) through the same surface the
-    /// serving layers record scheduling events to, and whose
-    /// recordings serialize to the replayable binary trace format.
-    /// The per-request hook survives for callers that want one run's
-    /// events inline in its [`InferResponse`], but new observability
-    /// code should not grow around it.
-    #[deprecated(note = "attach a TraceSink via Driver::builder().trace_sink(..) instead")]
-    pub fn with_trace(mut self, capacity: usize) -> InferRequest<'m> {
-        self.options.trace_capacity = Some(capacity);
         self
     }
 }
@@ -462,8 +443,8 @@ impl DriverBuilder {
     /// Attaches a [`TraceSink`]: every run forwards its simulator
     /// tracer events (and, with [`probe_datapath`] set, its datapath
     /// probe samples) to the sink as `Sim` / `Probe` trace events.
-    /// This supersedes the per-request bounded-trace hook
-    /// ([`InferRequest::with_trace`]): a sink observes every run
+    /// Unlike a per-request bounded trace
+    /// ([`RequestOptions::trace_capacity`]), a sink observes every run
     /// through one uniform surface shared with the serving layers,
     /// and its recordings serialize to the replayable binary format.
     ///
@@ -561,12 +542,6 @@ impl Driver {
             trace_sink: None,
             probe_datapath: None,
         }
-    }
-
-    /// The paper's measurement setup.
-    #[deprecated(note = "use `Driver::builder().build()` (optionally overriding hw/dma/power)")]
-    pub fn paper_setup() -> Driver {
-        Driver::builder().build()
     }
 
     /// Runs one inference request — the single entry point all the
@@ -748,8 +723,13 @@ impl Driver {
             ),
             (Some(cap), None) => {
                 let mut tracer = Tracer::bounded(cap);
-                let run = run_inference_hooked(&self.hw, loadable.words.clone(), &mut tracer)
-                    .map_err(DriverError::Accelerator)?;
+                let run = run_inference_observed(
+                    &self.hw,
+                    loadable.words.clone(),
+                    &mut tracer,
+                    &mut DatapathProbe::disabled(),
+                )
+                .map_err(DriverError::Accelerator)?;
                 (run, Some(tracer.into_events()))
             }
             (cap, Some(sink)) => {
@@ -1021,15 +1001,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn paper_setup_alias_matches_builder_defaults() {
-        let alias = Driver::paper_setup();
-        let built = Driver::builder().build();
-        assert_eq!(format!("{alias:?}"), format!("{built:?}"));
-        assert_eq!(format!("{alias:?}"), format!("{:?}", Driver::default()));
-    }
-
-    #[test]
     fn run_single_matches_infer_wrapper() {
         let driver = Driver::builder().build();
         let model = ZooModel::TfcW1A1
@@ -1068,15 +1039,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn traced_requests_return_events() {
         let driver = Driver::builder().build();
         let model = ZooModel::TfcW1A1
             .build_untrained(4, BnMode::Folded)
             .unwrap();
-        let resp = driver
-            .run(InferRequest::single(&model, vec![9u8; 784]).with_trace(64))
-            .unwrap();
+        let mut traced = InferRequest::single(&model, vec![9u8; 784]);
+        traced.options.trace_capacity = Some(64);
+        let resp = driver.run(traced).unwrap();
         let events = resp.trace.expect("trace requested");
         assert!(!events.is_empty());
         assert!(events.len() <= 64);

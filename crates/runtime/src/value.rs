@@ -3,11 +3,11 @@
 //! A loaded NetPU-M model's cycle count does not depend on its input,
 //! and its values are what the stream's weights compute. So a driver
 //! that has admitted a stream can answer a request in two parts: class
-//! and winning score from the stream's [`ValueKernel`], the `netpu-nn`
-//! packed kernel reading its weights in place from the verdict-store
-//! entry's words; cycles, latency and energy from the timing
-//! certificate, which `xtask certify-timing` holds exact
-//! ([`Driver::admit_values`]).
+//! and winning score from the stream's [`ValueKernel`], the value
+//! kernel of the verdict-store entry's stream view, which reads its
+//! weights in place from the entry's words; cycles, latency and energy
+//! from the timing certificate, which `xtask certify-timing` holds
+//! exact ([`Driver::admit_values`]).
 //!
 //! Two simulator oracles keep the split honest:
 //!
@@ -23,7 +23,7 @@
 use crate::driver::DriverError;
 use netpu_arith::Fix;
 use netpu_check::{RejectReason, StoredStream, StreamTiming};
-use netpu_compiler::StreamError;
+use netpu_compiler::{StreamError, StreamView};
 use netpu_core::netpu::{run_inference_fast, InferenceRun};
 use netpu_nn::kernel::PackedMlp;
 use std::sync::Arc;
@@ -43,7 +43,8 @@ pub type ValueSlot = Result<Arc<StreamValue>, DriverError>;
 
 /// The value side of one admitted stream, built once per store entry.
 pub struct StreamValue {
-    kernel: PackedMlp<'static>,
+    /// The entry's view, whose kernel serves the values.
+    view: Arc<StreamView>,
     /// The certificate the cross-check held the simulator's cycles to.
     timing: StreamTiming,
     /// Class and winning score on the zero input.
@@ -75,7 +76,7 @@ pub struct ValueKernel {
 impl std::fmt::Debug for ValueKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueKernel")
-            .field("input_len", &self.value.kernel.input_len())
+            .field("input_len", &self.value.view.kernel().input_len())
             .field("cycles", &self.value.cycles())
             .finish_non_exhaustive()
     }
@@ -90,14 +91,15 @@ impl ValueKernel {
     /// `pixels`. A wrong input length fails exactly as splicing it into
     /// the stream would ([`Loadable::replace_input`]).
     pub fn infer(&self, pixels: &[u8]) -> Result<(usize, Fix), DriverError> {
-        let expected = self.value.kernel.input_len();
+        let kernel = self.value.view.kernel();
+        let expected = kernel.input_len();
         if pixels.len() != expected {
             return Err(DriverError::Compile(StreamError::InputLength {
                 expected,
                 got: pixels.len(),
             }));
         }
-        Ok(self.value.kernel.infer(pixels))
+        Ok(kernel.infer(pixels))
     }
 
     /// The sampled oracle: splices `pixels` into a copy of the entry's
@@ -121,18 +123,17 @@ impl ValueKernel {
 
     /// The kernel itself.
     pub fn kernel(&self) -> &PackedMlp<'static> {
-        &self.value.kernel
+        self.value.view.kernel()
     }
 }
 
-/// Fills a stream's value slot: the kernel over the entry's words and
-/// the one simulator cross-check on the zero input. Charged the
-/// kernel's parameters; its weights are the entry's words.
+/// Fills a stream's value slot: the one simulator cross-check of the
+/// entry's view's kernel on the zero input. Charged its own bytes only:
+/// the view and its words are the entry's.
 pub(crate) fn build(stream: &StoredStream<ValueSlot>) -> (ValueSlot, usize) {
     match cross_checked(stream) {
         Ok(value) => {
             let bytes = std::mem::size_of::<StreamValue>()
-                + value.kernel.heap_bytes()
                 + std::mem::size_of_val(value.timing.breakdown.layers.as_slice())
                 + std::mem::size_of_val(value.timing.settings.as_slice());
             (Ok(Arc::new(value)), bytes)
@@ -143,20 +144,18 @@ pub(crate) fn build(stream: &StoredStream<ValueSlot>) -> (ValueSlot, usize) {
 
 fn cross_checked(stream: &StoredStream<ValueSlot>) -> Result<StreamValue, DriverError> {
     let analysis = stream.analysis();
-    let timing = analysis.timing.clone().ok_or_else(|| {
-        DriverError::Rejected(RejectReason::Invalid {
+    let (Some(timing), Some(view)) = (&analysis.timing, stream.view()) else {
+        return Err(DriverError::Rejected(RejectReason::Invalid {
             report: analysis.report.clone(),
-        })
-    })?;
-    let kernel =
-        netpu_compiler::value_kernel(Arc::clone(stream.words())).map_err(DriverError::Compile)?;
-    let zeros = vec![0u8; kernel.input_len()];
-    let zero_input = kernel.infer(&zeros);
+        }));
+    };
+    let zeros = vec![0u8; view.kernel().input_len()];
+    let zero_input = view.kernel().infer(&zeros);
     let run = simulate(stream, &zeros)?;
     agree(zero_input, timing.total_cycles(), &run)?;
     Ok(StreamValue {
-        kernel,
-        timing,
+        view: Arc::clone(view),
+        timing: timing.clone(),
         zero_input,
         probabilities: run.probabilities,
     })
@@ -212,7 +211,7 @@ mod tests {
         let impostor = ValueKernel::new(
             Arc::clone(&tfc.stream),
             Arc::new(StreamValue {
-                kernel: netpu_compiler::value_kernel(Arc::clone(tfc.stream.words())).unwrap(),
+                view: Arc::clone(&tfc.value.view),
                 timing: sfc.timing().clone(),
                 zero_input: tfc.value.zero_input,
                 probabilities: None,
@@ -239,6 +238,28 @@ mod tests {
             k.shadow(&pixels, wrong),
             Err(DriverError::ValueMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn the_kernel_is_the_entrys_view_charged_once() {
+        let driver = Driver::builder().build();
+        let model = ZooModel::TfcW2A2
+            .build_untrained(5, BnMode::Folded)
+            .unwrap();
+        let loadable = netpu_compiler::compile(&model, &vec![0u8; 784]).unwrap();
+        let entry = driver.verdicts.lookup(&loadable.words, &driver.hw, None);
+        let view = Arc::clone(entry.view().unwrap());
+        let analyzed = driver.verdicts.stats().bytes;
+        assert!(analyzed > entry.words().len() * 8 + view.heap_bytes());
+        // The kernel is the entry's view's, not a second decode.
+        let (kernel, _) = driver.admit_values(&loadable, &model).unwrap();
+        assert!(Arc::ptr_eq(&kernel.value.view, &view));
+        assert!(std::ptr::eq(kernel.kernel(), view.kernel()));
+        // Filling the value slot charges its own bytes, not the view's
+        // again.
+        let added = driver.verdicts.stats().bytes - analyzed;
+        assert!(added < view.heap_bytes(), "{added}");
+        assert!(view.kernel().heap_bytes() <= 48_224);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use netpu_compiler::stream::{
     model_settings, neuron_weight_words_mode, uses_xnor_path, weight_field_bits,
 };
-use netpu_compiler::{compile_packed, Loadable, PackingMode, SectionKind};
+use netpu_compiler::{compile_packed, Loadable, PackingMode, SectionKind, StreamView};
 use netpu_core::netpu::run_inference_fast;
 use netpu_core::HwConfig;
 use netpu_nn::export::BnMode;
@@ -72,7 +72,7 @@ fn check(model: &QuantMlp, mode: PackingMode, seeds: &[u64], noise: u64) {
     let (kernel, _) = driver.admit_values(&loadable, model).unwrap();
     let mut noisy = loadable.clone();
     fill_padding(&mut noisy, model, mode, noise);
-    let noisy_kernel = netpu_compiler::value_kernel(noisy.words.clone().into()).unwrap();
+    let noisy_view = StreamView::new(noisy.words.clone().into()).unwrap();
     for &seed in seeds {
         let px = pixels(model.input.len, seed);
         let trace = reference::infer_traced(model, &px);
@@ -84,7 +84,7 @@ fn check(model: &QuantMlp, mode: PackingMode, seeds: &[u64], noise: u64) {
         );
         assert_eq!(kernel.infer(&px), Ok(winner), "{mode:?} seed {seed}");
         assert_eq!(
-            noisy_kernel.infer_traced(&px),
+            noisy_view.kernel().infer_traced(&px),
             trace,
             "{mode:?} seed {seed}"
         );

@@ -397,7 +397,7 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
         }
         None => skipped += 1,
     };
-    let mut zoo_streams = 0usize;
+    let (mut zoo_streams, mut burst_cells) = (0usize, 0usize);
     if zoo {
         for (i, variant) in ZooModel::ALL.into_iter().enumerate() {
             for mode in [BnMode::Folded, BnMode::Hardware] {
@@ -418,7 +418,7 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
         if zoo_streams < 2 * ZooModel::ALL.len() {
             return Err(format!("zoo sweep degenerated to {zoo_streams} streams"));
         }
-        certify_burst_timing()?;
+        burst_cells = certify_burst_timing()?;
     }
     for seed in 0..models {
         let seed = u64::try_from(seed).unwrap_or(0);
@@ -437,7 +437,7 @@ fn certify_timing_sweep(zoo: bool, models: usize) -> Result<String, String> {
          layer x phase cell ({cells} cells: fast engine on all pairs, tick engine on the zoo \
          pairs; {zoo_streams} zoo streams + {models} random models x {} sweep instances; \
          {skipped} pairs skipped where the instance rejects the stream), zero tolerance; \
-         burst model exact",
+         burst model exact in {burst_cells} cells on both engines",
         configs.len()
     ))
 }
@@ -474,6 +474,7 @@ fn certify_timing_stream(
     // reject the stream and the simulator still run it.
     let decoded = netpu_compiler::decode(words).map_err(|e| format!("{stream}: {e}"))?;
     let certified = netpu_check::timing::analyze(&decoded, cfg).breakdown;
+    let layers = certified.layers.len();
     let Ok(fast) = netpu_core::run_inference_fast(cfg, words.to_vec()) else {
         return Ok(None);
     };
@@ -483,12 +484,12 @@ fn certify_timing_stream(
             netpu_fuzz::config_tag(cfg)
         )
     };
-    let mut cells = compare_breakdowns(&certified, &fast.breakdown, fast.cycles)
+    let mut cells = compare_breakdowns(&certified, &fast.breakdown, fast.cycles, layers)
         .map_err(|e| broken("fast", e))?;
     if tick {
         let run = netpu_core::run_inference(cfg, words.to_vec())
             .map_err(|e| broken("tick", format!("simulation failed: {e}")))?;
-        cells += compare_breakdowns(&certified, &run.breakdown, run.cycles)
+        cells += compare_breakdowns(&certified, &run.breakdown, run.cycles, layers)
             .map_err(|e| broken("tick", e))?;
     }
     Ok(Some(cells))
@@ -497,20 +498,28 @@ fn certify_timing_stream(
 /// Compares a certified breakdown with a simulated one, cell by cell,
 /// zero tolerance, then checks that the simulated cells sum to the
 /// run's cycle count. Returns the number of cells compared, or names
-/// the first cell that differs.
+/// the first cell that differs: in a burst of loadables of
+/// `loadable_layers` layers each, its loadable too.
 fn compare_breakdowns(
     certified: &netpu_core::CycleBreakdown,
     simulated: &netpu_core::CycleBreakdown,
     cycles: u64,
+    loadable_layers: usize,
 ) -> Result<usize, String> {
     let (c, s) = (certified.layers.len(), simulated.layers.len());
     if c != s {
         return Err(format!("certificate has {c} layers, simulator {s}"));
     }
+    let per = loadable_layers.max(1);
+    let burst = c > per;
     let mut cells = 0;
     for ((layer, phase, c), (_, _, s)) in certified.cells().zip(simulated.cells()) {
         if c != s {
-            let at = layer.map_or("stream".to_string(), |k| format!("layer {k}"));
+            let at = match layer {
+                None => "stream".to_string(),
+                Some(k) if burst => format!("loadable {} layer {}", k / per, k % per),
+                Some(k) => format!("layer {k}"),
+            };
             return Err(format!(
                 "{at} phase {phase}: certificate {c} cycles, simulator {s}"
             ));
@@ -526,9 +535,26 @@ fn compare_breakdowns(
     Ok(cells)
 }
 
-/// Proves the burst extrapolation (`StreamTiming::burst_cycles`) exact
-/// on a pre-packaged 3-inference burst of the TFC-W1A1 stream.
-fn certify_burst_timing() -> Result<(), String> {
+/// Proves the burst extrapolation (`StreamTiming::burst_breakdown`)
+/// exact in every cell, against both engines, on a pre-packaged
+/// 3-inference burst of the TFC-W1A1 stream. Returns the cells
+/// compared.
+fn certify_burst_timing() -> Result<usize, String> {
+    let (predicted, loadable_layers, runs) = burst_runs()?;
+    check_burst(&predicted, loadable_layers, &runs)
+}
+
+/// The TFC-W1A1 3-loadable burst: its predicted breakdown, the layers
+/// of one loadable, and the fast and the tick engines' runs.
+#[allow(clippy::type_complexity)] // one test-facing tuple
+fn burst_runs() -> Result<
+    (
+        netpu_core::CycleBreakdown,
+        usize,
+        [(&'static str, netpu_core::InferenceRun); 2],
+    ),
+    String,
+> {
     use netpu_compiler::PackingMode;
     use netpu_nn::export::BnMode;
     use netpu_nn::zoo::ZooModel;
@@ -549,16 +575,31 @@ fn certify_burst_timing() -> Result<(), String> {
         .map_err(|e| format!("burst head: {e}"))?;
     let decoded =
         netpu_compiler::decode(&single.words).map_err(|e| format!("burst head decode: {e}"))?;
-    let predicted = netpu_check::timing::analyze(&decoded, &cfg).burst_cycles(3);
-    let run = netpu_core::run_inference_fast(&cfg, burst)
-        .map_err(|e| format!("burst simulation: {e}"))?;
-    if run.cycles != predicted {
-        return Err(format!(
-            "burst timing broken: predicted {predicted} cycles, simulator counted {}",
-            run.cycles
-        ));
+    let timing = netpu_check::timing::analyze(&decoded, &cfg);
+    let fast = netpu_core::run_inference_fast(&cfg, burst.clone())
+        .map_err(|e| format!("burst simulation (fast): {e}"))?;
+    let tick = netpu_core::run_inference(&cfg, burst)
+        .map_err(|e| format!("burst simulation (tick): {e}"))?;
+    Ok((
+        timing.burst_breakdown(3),
+        timing.breakdown.layers.len(),
+        [("fast", fast), ("tick", tick)],
+    ))
+}
+
+/// Compares the predicted burst breakdown with each engine's, cell by
+/// cell.
+fn check_burst(
+    predicted: &netpu_core::CycleBreakdown,
+    loadable_layers: usize,
+    runs: &[(&str, netpu_core::InferenceRun)],
+) -> Result<usize, String> {
+    let mut cells = 0;
+    for (engine, run) in runs {
+        cells += compare_breakdowns(predicted, &run.breakdown, run.cycles, loadable_layers)
+            .map_err(|e| format!("burst timing broken against the {engine} engine: {e}"))?;
     }
-    Ok(())
+    Ok(cells)
 }
 
 /// The one staleness policy for committed artifacts. Under `--write`
@@ -1833,11 +1874,12 @@ mod tests {
         let decoded = netpu_compiler::decode(&words).expect("stream decodes");
         let hw = netpu_core::HwConfig::paper_instance();
         let certified = netpu_check::timing::analyze(&decoded, &hw).breakdown;
-        let cells = compare_breakdowns(&certified, &certified, certified.total());
+        let layers = certified.layers.len();
+        let cells = compare_breakdowns(&certified, &certified, certified.total(), layers);
         assert_eq!(cells, Ok(4 + 9 * certified.layers.len()));
 
         let refusal = |simulated: &netpu_core::CycleBreakdown| {
-            compare_breakdowns(&certified, simulated, simulated.total())
+            compare_breakdowns(&certified, simulated, simulated.total(), layers)
                 .expect_err("a one-cycle difference is refused")
         };
         let mut simulated = certified.clone();
@@ -1850,14 +1892,34 @@ mod tests {
         assert!(err.contains("stream phase reset"), "{err}");
 
         // Cells that do not sum to the run's cycle count are refused too.
-        let err = compare_breakdowns(&certified, &certified, certified.total() + 1)
+        let err = compare_breakdowns(&certified, &certified, certified.total() + 1, layers)
             .expect_err("an unaccounted cycle is refused");
         assert!(err.contains("sum to"), "{err}");
     }
 
     #[test]
     fn burst_timing_is_cycle_exact() {
-        certify_burst_timing().expect("burst extrapolation exact");
+        use netpu_core::{LayerPhase, StreamPhase};
+        let cells = certify_burst_timing().expect("burst extrapolation exact");
+        let (predicted, layers, mut runs) = burst_runs().expect("burst runs");
+        assert_eq!(cells, 2 * (4 + 9 * predicted.layers.len()));
+        // Three loadables of five layers; the stream cells three times
+        // a loadable's, plus a reset between consecutive loadables.
+        assert_eq!((layers, predicted.layers.len()), (5, 15));
+        let reset = predicted[StreamPhase::RESET];
+        assert_eq!(reset, 3 * 8 + 2 * netpu_core::netpu::RESET_CYCLES);
+        assert_eq!(predicted.total(), 10_513);
+        for (_, run) in &runs {
+            assert_eq!(run.cycles, predicted.total());
+        }
+
+        // A one-cycle fault in a later loadable's layer cell is refused,
+        // naming the engine, the loadable, the layer and the phase.
+        runs[1].1.breakdown.layers[7][LayerPhase::DRAIN] += 1;
+        runs[1].1.cycles += 1;
+        let err = check_burst(&predicted, layers, &runs).expect_err("a one-cycle fault is refused");
+        assert!(err.contains("tick engine"), "{err}");
+        assert!(err.contains("loadable 1 layer 2 phase drain"), "{err}");
     }
 
     #[test]

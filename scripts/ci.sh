@@ -28,6 +28,13 @@ fi
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== perfbench build (release, the command perfbench/run.py runs) =="
+# perfbench is its own cargo package linking the workspace crates'
+# public APIs; building it here makes an API change that breaks the
+# benchmark fail CI instead of the benchmark run.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== tests (release) =="
 cargo test -q --release --workspace
 

@@ -15,14 +15,14 @@
 use netpu_arith::{Fix, Precision, QuantParams};
 use netpu_check::{analyze, RangeAnalysis, RuleId, Tiers};
 use netpu_compiler::compile;
-use netpu_core::netpu::run_inference_probed;
+use netpu_core::netpu::run_inference_observed;
 use netpu_core::HwConfig;
 use netpu_nn::export::BnMode;
 use netpu_nn::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
 use netpu_nn::zoo::ZooModel;
 use netpu_runtime::{Driver, DriverError, InferRequest};
 use netpu_serve::{Server, ServerConfig, Submit};
-use netpu_sim::{DatapathProbe, ProbeSample, ProbeStage};
+use netpu_sim::{DatapathProbe, ProbeSample, ProbeStage, Tracer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,7 +69,7 @@ fn assert_sound(words: &[u64], cfg: &HwConfig, tag: &str) {
         );
     });
     let mut probe = DatapathProbe::enabled();
-    let run = run_inference_probed(cfg, words.to_vec(), &mut probe)
+    let run = run_inference_observed(cfg, words.to_vec(), &mut Tracer::disabled(), &mut probe)
         .unwrap_or_else(|e| panic!("{tag}: simulator failed: {e}"));
     assert!(!probe.is_empty(), "{tag}: probe recorded nothing");
     assert_samples_bounded(probe.samples(), &analysis, tag);

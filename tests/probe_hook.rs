@@ -7,12 +7,12 @@
 //! score `Driver::run` reports for the same loadable.
 
 use netpu_compiler::compile;
-use netpu_core::netpu::run_inference_probed;
+use netpu_core::netpu::run_inference_observed;
 use netpu_core::{run_inference_fast, HwConfig};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
 use netpu_runtime::{Driver, InferRequest};
-use netpu_sim::{DatapathProbe, ProbeStage};
+use netpu_sim::{DatapathProbe, ProbeStage, Tracer};
 
 fn tfc_words() -> Vec<u64> {
     let model = ZooModel::TfcW1A1
@@ -24,7 +24,13 @@ fn tfc_words() -> Vec<u64> {
 #[test]
 fn disabled_probe_never_allocates_across_a_full_run() {
     let mut probe = DatapathProbe::disabled();
-    let run = run_inference_probed(&HwConfig::paper_instance(), tfc_words(), &mut probe).unwrap();
+    let run = run_inference_observed(
+        &HwConfig::paper_instance(),
+        tfc_words(),
+        &mut Tracer::disabled(),
+        &mut probe,
+    )
+    .unwrap();
     // The run completed (thousands of record() call sites were hit) yet
     // the probe never grew a buffer: the disabled path is one branch.
     assert!(run.cycles > 0);
@@ -39,7 +45,7 @@ fn probed_run_matches_unprobed_fast_path() {
     let words = tfc_words();
     let plain = run_inference_fast(&cfg, words.clone()).unwrap();
     let mut probe = DatapathProbe::enabled();
-    let probed = run_inference_probed(&cfg, words, &mut probe).unwrap();
+    let probed = run_inference_observed(&cfg, words, &mut Tracer::disabled(), &mut probe).unwrap();
     assert_eq!(probed.class, plain.class);
     assert_eq!(probed.score, plain.score);
     assert_eq!(probed.cycles, plain.cycles);
@@ -60,7 +66,7 @@ fn probe_scores_reproduce_driver_outputs() {
     let measured = &response.runs[0];
 
     let mut probe = DatapathProbe::enabled();
-    let run = run_inference_probed(&cfg, words, &mut probe).unwrap();
+    let run = run_inference_observed(&cfg, words, &mut Tracer::disabled(), &mut probe).unwrap();
     assert_eq!(run.class, measured.class);
 
     // The output layer's Score samples are the MaxOut inputs: their
