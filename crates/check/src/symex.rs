@@ -681,7 +681,7 @@ fn neuron_row(
     in_len: usize,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<netpu_nn::qmodel::BnParams>>,
-    act: Option<&LayerActivation>,
+    act: Option<(&LayerActivation, Precision)>,
     n: usize,
 ) -> Vec<i64> {
     let mut row: Vec<i64> = weights[n * in_len..(n + 1) * in_len]
@@ -697,11 +697,10 @@ fn neuron_row(
         row.push(p[n].offset.raw());
     }
     row.push(i64::MIN + 2);
-    if let Some(a) = act {
+    if let Some((a, out)) = act {
         match a {
-            LayerActivation::Sign { thresholds } => row.push(thresholds[n].raw()),
-            LayerActivation::MultiThreshold { thresholds } => {
-                row.extend(thresholds[n].iter().map(|t| t.raw()));
+            LayerActivation::Sign { .. } | LayerActivation::MultiThreshold { .. } => {
+                row.extend(a.threshold_row(n, out).iter().map(|t| t.raw()));
             }
             LayerActivation::Relu { quant }
             | LayerActivation::Sigmoid { quant }
@@ -771,8 +770,8 @@ fn compare(
                 rule: RuleId::Npc022,
                 detail: format!("input element {i} quantizes pixel {p} differently"),
             });
-        } else if neuron_row(&[], 0, &None, &None, Some(sa), i)
-            != neuron_row(&[], 0, &None, &None, Some(da), i)
+        } else if neuron_row(&[], 0, &None, &None, Some((sa, so)), i)
+            != neuron_row(&[], 0, &None, &None, Some((da, dd)), i)
         {
             drift.push((0, format!("input element {i}")));
         }
@@ -789,7 +788,7 @@ fn compare(
                         sl.in_len,
                         &sl.bias,
                         &sl.bn,
-                        Some(&sl.activation),
+                        Some((&sl.activation, sl.out_precision)),
                         n,
                     )
                 })
@@ -801,7 +800,7 @@ fn compare(
                         dl.in_len,
                         &dl.bias,
                         &dl.bn,
-                        Some(&dl.activation),
+                        Some((&dl.activation, dl.out_precision)),
                         n,
                     )
                 })
@@ -867,14 +866,14 @@ fn compare(
                 sl.in_len,
                 &sl.bias,
                 &sl.bn,
-                Some(&sl.activation),
+                Some((&sl.activation, sl.out_precision)),
                 n,
             ) != neuron_row(
                 &dl.weights,
                 dl.in_len,
                 &dl.bias,
                 &dl.bn,
-                Some(&dl.activation),
+                Some((&dl.activation, dl.out_precision)),
                 n,
             ) {
                 drift.push((layer, format!("hidden layer {k} neuron {n}")));
@@ -1292,7 +1291,9 @@ mod tests {
             thresholds.swap(0, 1);
         }
         if let LayerActivation::MultiThreshold { thresholds } = &mut h.activation {
-            thresholds.swap(0, 1);
+            let count = h.out_precision.multi_threshold_count();
+            let (first, rest) = thresholds.split_at_mut(count);
+            first.swap_with_slice(&mut rest[..count]);
         }
         let loadable = netpu_compiler::compile(&mutated, &vec![0u8; 784]).expect("compiles");
         let outcome = certify(&model, &loadable.words, &cfg());

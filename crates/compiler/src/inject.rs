@@ -106,7 +106,7 @@ pub fn mutate(model: &QuantMlp, m: Miscompile) -> Option<QuantMlp> {
             }
             LayerActivation::MultiThreshold { thresholds } => {
                 // Lowering the first entry keeps the row sorted.
-                let t = thresholds.first_mut()?.first_mut()?;
+                let t = thresholds.first_mut()?;
                 *t = t.sat_sub(Fix::ONE);
             }
             _ => return None,
@@ -135,8 +135,11 @@ pub fn mutate(model: &QuantMlp, m: Miscompile) -> Option<QuantMlp> {
                     eq
                 }
                 LayerActivation::MultiThreshold { thresholds } => {
-                    let eq = thresholds.first() == thresholds.get(1);
-                    thresholds.swap(0, 1);
+                    let count = h.out_precision.multi_threshold_count();
+                    let (first, rest) = thresholds.split_at_mut(count);
+                    let second = rest.get_mut(..count)?;
+                    let eq = first == second;
+                    first.swap_with_slice(second);
                     eq
                 }
                 // QUAN-path re-quantization is layer-wide; the swapped

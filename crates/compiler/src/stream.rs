@@ -354,10 +354,9 @@ fn activation_param_u32s_of(act: &LayerActivation, neurons: usize) -> Vec<u32> {
         LayerActivation::Sign { thresholds } => {
             thresholds.iter().map(|t| t.to_stream_word()).collect()
         }
-        LayerActivation::MultiThreshold { thresholds } => thresholds
-            .iter()
-            .flat_map(|row| row.iter().map(|t| t.to_stream_word()))
-            .collect(),
+        LayerActivation::MultiThreshold { thresholds } => {
+            thresholds.iter().map(|t| t.to_stream_word()).collect()
+        }
         LayerActivation::Relu { quant }
         | LayerActivation::Sigmoid { quant }
         | LayerActivation::Tanh { quant } => (0..neurons)
@@ -752,10 +751,7 @@ fn decode_activation(
             let per = setting.out_precision.multi_threshold_count();
             let vals = unpack_u32_pairs(words, neurons * per);
             Ok(LayerActivation::MultiThreshold {
-                thresholds: vals
-                    .chunks(per)
-                    .map(|row| row.iter().map(|&v| Fix::from_stream_word(v)).collect())
-                    .collect(),
+                thresholds: vals.into_iter().map(Fix::from_stream_word).collect(),
             })
         }
         kind => {

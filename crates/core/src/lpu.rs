@@ -1269,8 +1269,8 @@ mod tests {
                 match (&p.activation, &h.activation) {
                     (
                         NeuronActivation::MultiThreshold(got),
-                        netpu_nn::LayerActivation::MultiThreshold { thresholds },
-                    ) => assert_eq!(got, &thresholds[n]),
+                        netpu_nn::LayerActivation::MultiThreshold { .. },
+                    ) => assert_eq!(got, h.activation.threshold_row(n, h.out_precision)),
                     other => panic!("unexpected activation decode: {other:?}"),
                 }
             }

@@ -146,20 +146,22 @@ fn fold_boundary(chain: &PostChain, boundary: f64) -> Fix {
 }
 
 /// Per-neuron thresholds for a layer under the chosen BN mode.
-fn layer_thresholds(layer: &FloatLayer, s: f64, mode: BnMode) -> Vec<Vec<Fix>> {
+fn layer_thresholds(layer: &FloatLayer, s: f64, mode: BnMode) -> Vec<Fix> {
     let boundaries = level_boundaries(layer.spec.act);
     (0..layer.spec.neurons)
-        .map(|n| match mode {
-            BnMode::Folded => {
-                let chain = post_chain(layer, n, s);
-                boundaries
-                    .iter()
-                    .map(|&b| fold_boundary(&chain, b))
-                    .collect()
+        .flat_map(|n| -> Vec<Fix> {
+            match mode {
+                BnMode::Folded => {
+                    let chain = post_chain(layer, n, s);
+                    boundaries
+                        .iter()
+                        .map(|&b| fold_boundary(&chain, b))
+                        .collect()
+                }
+                // Hardware BN produces ẑ directly; thresholds stay in the
+                // float (post-BN) domain, rounded to parameter words.
+                BnMode::Hardware => boundaries.iter().map(|&b| Fix::from_f64(b)).collect(),
             }
-            // Hardware BN produces ẑ directly; thresholds stay in the
-            // float (post-BN) domain, rounded to parameter words.
-            BnMode::Hardware => boundaries.iter().map(|&b| Fix::from_f64(b)).collect(),
         })
         .collect()
 }
@@ -195,7 +197,7 @@ fn export_input_layer(spec_input_len: usize, act: ActSpec) -> InputLayer {
                 .map(|k| Fix::from_i32((255.0 * (k as f64 - 0.5) / m).ceil() as i32))
                 .collect();
             LayerActivation::MultiThreshold {
-                thresholds: vec![row; spec_input_len],
+                thresholds: row.repeat(spec_input_len),
             }
         }
         ActSpec::Hwgq { bits } | ActSpec::ReluQuant { bits } | ActSpec::SigmoidQuant { bits } => {
@@ -276,8 +278,8 @@ pub fn export(mlp: &FloatMlp, cfg: &ExportConfig) -> Result<QuantMlp, ExportErro
         let out = Precision::new(layer.spec.act.bits()).expect("activation bits");
         let (bias, bn, activation) = match layer.spec.act {
             ActSpec::Sign => {
-                let thr = layer_thresholds(layer, s, cfg.bn_mode);
-                let thresholds = thr.into_iter().map(|mut r| r.pop().expect("one")).collect();
+                // One boundary per neuron: the flat rows are the thresholds.
+                let thresholds = layer_thresholds(layer, s, cfg.bn_mode);
                 match cfg.bn_mode {
                     BnMode::Folded => (
                         Some(vec![0; layer.spec.neurons]),

@@ -10,7 +10,7 @@
 use crate::float::{ActSpec, BatchNorm, FloatLayer, FloatMlp, LayerSpec, MlpSpec};
 use crate::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
 use crate::tensor::Matrix;
-use netpu_arith::Fix;
+use netpu_arith::{Fix, Precision};
 use serde_json::{Error, FromJson, Map, ToJson, Value};
 
 fn obj(fields: Vec<(&'static str, Value)>) -> Value {
@@ -45,51 +45,67 @@ impl FromJson for BnParams {
     }
 }
 
-impl ToJson for LayerActivation {
-    fn to_json(&self) -> Value {
-        match self {
-            LayerActivation::Relu { quant } => {
-                obj(vec![("kind", "relu".into()), ("quant", quant.to_json())])
-            }
-            LayerActivation::Sigmoid { quant } => {
-                obj(vec![("kind", "sigmoid".into()), ("quant", quant.to_json())])
-            }
-            LayerActivation::Tanh { quant } => {
-                obj(vec![("kind", "tanh".into()), ("quant", quant.to_json())])
-            }
-            LayerActivation::Sign { thresholds } => obj(vec![
-                ("kind", "sign".into()),
-                ("thresholds", thresholds.to_json()),
-            ]),
-            LayerActivation::MultiThreshold { thresholds } => obj(vec![
+/// A layer activation as JSON. Multi-Threshold rows are written nested,
+/// one array of `2^out − 1` thresholds per neuron.
+fn activation_to_json(act: &LayerActivation, out: Precision) -> Value {
+    match act {
+        LayerActivation::Relu { quant } => {
+            obj(vec![("kind", "relu".into()), ("quant", quant.to_json())])
+        }
+        LayerActivation::Sigmoid { quant } => {
+            obj(vec![("kind", "sigmoid".into()), ("quant", quant.to_json())])
+        }
+        LayerActivation::Tanh { quant } => {
+            obj(vec![("kind", "tanh".into()), ("quant", quant.to_json())])
+        }
+        LayerActivation::Sign { thresholds } => obj(vec![
+            ("kind", "sign".into()),
+            ("thresholds", thresholds.to_json()),
+        ]),
+        LayerActivation::MultiThreshold { thresholds } => {
+            let rows = thresholds
+                .chunks(out.multi_threshold_count())
+                .map(|row| row.to_vec().to_json())
+                .collect();
+            obj(vec![
                 ("kind", "multi_threshold".into()),
-                ("thresholds", thresholds.to_json()),
-            ]),
+                ("thresholds", Value::Array(rows)),
+            ])
         }
     }
 }
 
-impl FromJson for LayerActivation {
-    fn from_json(v: &Value) -> Result<LayerActivation, Error> {
-        Ok(match kind_of(v)? {
-            "relu" => LayerActivation::Relu {
-                quant: FromJson::from_json(&v["quant"])?,
-            },
-            "sigmoid" => LayerActivation::Sigmoid {
-                quant: FromJson::from_json(&v["quant"])?,
-            },
-            "tanh" => LayerActivation::Tanh {
-                quant: FromJson::from_json(&v["quant"])?,
-            },
-            "sign" => LayerActivation::Sign {
-                thresholds: FromJson::from_json(&v["thresholds"])?,
-            },
-            "multi_threshold" => LayerActivation::MultiThreshold {
-                thresholds: FromJson::from_json(&v["thresholds"])?,
-            },
-            other => return Err(Error::msg(format!("unknown activation kind {other:?}"))),
-        })
-    }
+/// Reads [`activation_to_json`]'s form back: nested Multi-Threshold rows
+/// of `2^out − 1` thresholds each, flattened.
+fn activation_from_json(v: &Value, out: Precision) -> Result<LayerActivation, Error> {
+    Ok(match kind_of(v)? {
+        "relu" => LayerActivation::Relu {
+            quant: FromJson::from_json(&v["quant"])?,
+        },
+        "sigmoid" => LayerActivation::Sigmoid {
+            quant: FromJson::from_json(&v["quant"])?,
+        },
+        "tanh" => LayerActivation::Tanh {
+            quant: FromJson::from_json(&v["quant"])?,
+        },
+        "sign" => LayerActivation::Sign {
+            thresholds: FromJson::from_json(&v["thresholds"])?,
+        },
+        "multi_threshold" => {
+            let rows: Vec<Vec<Fix>> = FromJson::from_json(&v["thresholds"])?;
+            let count = out.multi_threshold_count();
+            if let Some(row) = rows.iter().find(|row| row.len() != count) {
+                return Err(Error::msg(format!(
+                    "multi-threshold row of {} thresholds at {out} output ({count} expected)",
+                    row.len()
+                )));
+            }
+            LayerActivation::MultiThreshold {
+                thresholds: rows.concat(),
+            }
+        }
+        other => return Err(Error::msg(format!("unknown activation kind {other:?}"))),
+    })
 }
 
 impl ToJson for InputLayer {
@@ -97,17 +113,21 @@ impl ToJson for InputLayer {
         obj(vec![
             ("len", self.len.to_json()),
             ("out_precision", self.out_precision.to_json()),
-            ("activation", self.activation.to_json()),
+            (
+                "activation",
+                activation_to_json(&self.activation, self.out_precision),
+            ),
         ])
     }
 }
 
 impl FromJson for InputLayer {
     fn from_json(v: &Value) -> Result<InputLayer, Error> {
+        let out_precision = FromJson::from_json(&v["out_precision"])?;
         Ok(InputLayer {
             len: usize::from_json(&v["len"])?,
-            out_precision: FromJson::from_json(&v["out_precision"])?,
-            activation: FromJson::from_json(&v["activation"])?,
+            out_precision,
+            activation: activation_from_json(&v["activation"], out_precision)?,
         })
     }
 }
@@ -123,23 +143,27 @@ impl ToJson for HiddenLayer {
             ("weights", self.weights.to_json()),
             ("bias", self.bias.to_json()),
             ("bn", self.bn.to_json()),
-            ("activation", self.activation.to_json()),
+            (
+                "activation",
+                activation_to_json(&self.activation, self.out_precision),
+            ),
         ])
     }
 }
 
 impl FromJson for HiddenLayer {
     fn from_json(v: &Value) -> Result<HiddenLayer, Error> {
+        let out_precision = FromJson::from_json(&v["out_precision"])?;
         Ok(HiddenLayer {
             in_len: usize::from_json(&v["in_len"])?,
             neurons: usize::from_json(&v["neurons"])?,
             weight_precision: FromJson::from_json(&v["weight_precision"])?,
             in_precision: FromJson::from_json(&v["in_precision"])?,
-            out_precision: FromJson::from_json(&v["out_precision"])?,
+            out_precision,
             weights: FromJson::from_json(&v["weights"])?,
             bias: FromJson::from_json(&v["bias"])?,
             bn: FromJson::from_json(&v["bn"])?,
-            activation: FromJson::from_json(&v["activation"])?,
+            activation: activation_from_json(&v["activation"], out_precision)?,
         })
     }
 }
@@ -376,9 +400,27 @@ mod tests {
     }
 
     #[test]
+    fn multi_threshold_rows_stay_nested_on_disk() {
+        // One array per neuron in the file, one flat array in memory.
+        let m = tiny_model();
+        let v = m.to_json();
+        let rows = v["input"]["activation"]["thresholds"].as_array().unwrap();
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| r.as_array().unwrap().len() == 3));
+        // A row of the wrong length is refused, not regrouped.
+        let mut nested = rows.clone();
+        nested[1] = vec![Fix::ZERO; 2].to_json();
+        let ragged = obj(vec![
+            ("kind", "multi_threshold".into()),
+            ("thresholds", Value::Array(nested)),
+        ]);
+        assert!(activation_from_json(&ragged, Precision::W2).is_err());
+    }
+
+    #[test]
     fn activation_kind_tag_rejects_unknown() {
         let v = obj(vec![("kind", "warp_drive".into())]);
-        assert!(LayerActivation::from_json(&v).is_err());
+        assert!(activation_from_json(&v, Precision::W2).is_err());
         assert!(ActSpec::from_json(&v).is_err());
     }
 

@@ -54,8 +54,8 @@
 //!   itself. These crates
 //!   sit under the serving layer (the checker and compiler both run on
 //!   the admission path, the trace sink runs inside the arbiter's
-//!   critical section, and the arith kernels — including the bitsliced
-//!   batch kernel — run inside every worker), where a panic poisons
+//!   critical section, and the arith kernels run inside every worker),
+//!   where a panic poisons
 //!   locks and wedges worker threads; fallible paths must return
 //!   structured errors (or use the `let … else { panic!() }` form,
 //!   which forces an explicit message at the site). The fuzzer is held
@@ -68,6 +68,12 @@
 //!   All width changes go through the checked/saturating helpers in
 //!   `netpu_arith::cast`; that module itself is the single exemption,
 //!   and every `as` inside it carries an `// audited:` comment.
+//! * **gated kernel files** — both rules above also hold in
+//!   `netpu-nn`'s value kernel (`crates/nn/src/kernel.rs`) and in the
+//!   reference stages its walk calls (`crates/nn/src/reference.rs`:
+//!   input quantization, MAC-domain conversion, the saturating
+//!   accumulator, the post-accumulator stages and MaxOut), which answer
+//!   every value-path request.
 //! * **documented public surfaces** — every library crate's root
 //!   carries `#![deny(missing_docs)]`.
 //! * **NPC fixture coverage** — every `NpcNNN` rule ID declared in
@@ -100,9 +106,11 @@ const CAST_FREE: &[&str] = &[
     "arith", "core", "fleet", "check", "compiler", "trace", "fuzz", "xtask",
 ];
 
-/// Modules of other crates held to both rules: the packed value kernel
-/// answers every fleet cache hit and re-admission.
-const GATED_FILES: &[&str] = &["crates/nn/src/kernel.rs"];
+/// Modules of other crates held to both rules: the value kernel, which
+/// answers every fleet cache hit and re-admission, and the reference
+/// stages its walk calls (input quantization, MAC-domain conversion,
+/// the saturating accumulator, the post-accumulator stages, MaxOut).
+const GATED_FILES: &[&str] = &["crates/nn/src/kernel.rs", "crates/nn/src/reference.rs"];
 
 /// The one module allowed to contain bare casts (each one audited).
 const CAST_EXEMPT: &str = "crates/arith/src/cast.rs";

@@ -48,7 +48,7 @@ fn main() {
             len: input_len,
             out_precision: Precision::W4,
             activation: LayerActivation::MultiThreshold {
-                thresholds: vec![mt_row(15, 16); input_len],
+                thresholds: mt_row(15, 16).repeat(input_len),
             },
         },
         hidden: vec![
@@ -84,7 +84,7 @@ fn main() {
                 bias: Some(vec![0; h2]),
                 bn: None,
                 activation: LayerActivation::MultiThreshold {
-                    thresholds: vec![mt_row(3, 12); h2],
+                    thresholds: mt_row(3, 12).repeat(h2),
                 },
             },
         ],

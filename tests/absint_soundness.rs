@@ -113,12 +113,12 @@ fn build_model(seed: u64, input_len: usize, hidden_layers: usize, width: usize) 
     } else {
         LayerActivation::MultiThreshold {
             thresholds: (0..input_len)
-                .map(|_| {
+                .flat_map(|_| {
                     let mut t: Vec<i32> = (0..out_prec.multi_threshold_count())
                         .map(|_| rng.gen_range(0..255))
                         .collect();
                     t.sort_unstable();
-                    t.into_iter().map(Fix::from_i32).collect()
+                    t.into_iter().map(Fix::from_i32)
                 })
                 .collect(),
         }
@@ -164,12 +164,12 @@ fn build_model(seed: u64, input_len: usize, hidden_layers: usize, width: usize) 
         } else {
             LayerActivation::MultiThreshold {
                 thresholds: (0..width)
-                    .map(|_| {
+                    .flat_map(|_| {
                         let mut t: Vec<i32> = (0..out.multi_threshold_count())
                             .map(|_| rng.gen_range(-50..50))
                             .collect();
                         t.sort_unstable();
-                        t.into_iter().map(Fix::from_i32).collect()
+                        t.into_iter().map(Fix::from_i32)
                     })
                     .collect(),
             }

@@ -64,10 +64,7 @@ fn one_hot_model(
             len: 8,
             out_precision: Precision::W2,
             activation: LayerActivation::MultiThreshold {
-                thresholds: vec![
-                    vec![Fix::from_i32(64), Fix::from_i32(128), Fix::from_i32(192)];
-                    8
-                ],
+                thresholds: [Fix::from_i32(64), Fix::from_i32(128), Fix::from_i32(192)].repeat(8),
             },
         },
         hidden: vec![HiddenLayer {
@@ -116,7 +113,7 @@ fn check_model(model: &QuantMlp) {
 #[test]
 fn hidden_folded_multithreshold_path() {
     let act = LayerActivation::MultiThreshold {
-        thresholds: vec![vec![Fix::from_i32(1), Fix::from_i32(3), Fix::from_i32(5)]; 4],
+        thresholds: [Fix::from_i32(1), Fix::from_i32(3), Fix::from_i32(5)].repeat(4),
     };
     check_model(&one_hot_model(act, None, Some(vec![0, 1, -1, 0])));
 }
@@ -175,7 +172,7 @@ fn hidden_tanh_path() {
 #[test]
 fn output_hardware_bn_path() {
     let act = LayerActivation::MultiThreshold {
-        thresholds: vec![vec![Fix::from_i32(1), Fix::from_i32(3), Fix::from_i32(5)]; 4],
+        thresholds: [Fix::from_i32(1), Fix::from_i32(3), Fix::from_i32(5)].repeat(4),
     };
     let mut m = one_hot_model(act, None, Some(vec![0; 4]));
     m.output.bias = None;
