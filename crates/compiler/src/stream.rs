@@ -17,7 +17,10 @@ use crate::settings::{LayerSetting, LayerType, SettingError};
 use netpu_arith::quant::LANES_PER_WORD;
 use netpu_arith::{cast, ActivationKind, Fix, Precision, QuantParams};
 use netpu_nn::kernel::{PackedMlp, WeightField, WeightRows};
-use netpu_nn::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
+use netpu_nn::qmodel::{
+    weight_in_range, BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp,
+    MAX_LAYER_WIDTH,
+};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
@@ -164,9 +167,26 @@ impl std::error::Error for StreamError {
 /// Packs 32-bit parameter words two per stream word (low half first),
 /// padding the final word with zeros.
 pub fn pack_u32_pairs(vals: &[u32]) -> Vec<u64> {
-    vals.chunks(2)
-        .map(|c| u64::from(c[0]) | (c.get(1).map_or(0, |&v| u64::from(v)) << 32))
-        .collect()
+    let mut words = Vec::with_capacity(vals.len().div_ceil(2));
+    push_u32_pairs(&mut words, vals.iter().copied());
+    words
+}
+
+/// Appends `vals` to `words` as [`pack_u32_pairs`] packs them.
+fn push_u32_pairs(words: &mut Vec<u64>, vals: impl IntoIterator<Item = u32>) {
+    let mut vals = vals.into_iter();
+    while let Some(lo) = vals.next() {
+        words.push(u64::from(lo) | vals.next().map_or(0, |hi| u64::from(hi) << 32));
+    }
+}
+
+/// One word of up to eight 8-bit lanes, lane `i` at bit `8i`, zero past
+/// the last.
+fn lane_word(lanes: impl IntoIterator<Item = u8>) -> u64 {
+    lanes
+        .into_iter()
+        .zip(0..8)
+        .fold(0, |w, (b, i)| w | u64::from(b) << (8 * i))
 }
 
 /// Unpacks `n` 32-bit parameter words from pair-packed stream words.
@@ -349,100 +369,131 @@ pub fn model_settings(mlp: &QuantMlp) -> Vec<LayerSetting> {
     settings
 }
 
-fn activation_param_u32s_of(act: &LayerActivation, neurons: usize) -> Vec<u32> {
+/// Appends a layer's activation parameters, pair-packed: its
+/// thresholds, or the QUAN scale and offset once per neuron.
+fn push_activation(words: &mut Vec<u64>, act: &LayerActivation, neurons: usize) {
     match act {
-        LayerActivation::Sign { thresholds } => {
-            thresholds.iter().map(|t| t.to_stream_word()).collect()
-        }
-        LayerActivation::MultiThreshold { thresholds } => {
-            thresholds.iter().map(|t| t.to_stream_word()).collect()
+        LayerActivation::Sign { thresholds } | LayerActivation::MultiThreshold { thresholds } => {
+            push_u32_pairs(words, thresholds.iter().map(|t| t.to_stream_word()));
         }
         LayerActivation::Relu { quant }
         | LayerActivation::Sigmoid { quant }
-        | LayerActivation::Tanh { quant } => (0..neurons)
-            .flat_map(|_| [quant.scale.to_stream_word(), quant.offset.to_stream_word()])
-            .collect(),
-    }
-}
-
-fn bias_words(bias: &[i32]) -> Vec<u64> {
-    bias.chunks(LANES_PER_WORD)
-        .map(|chunk| {
-            let mut w = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                w |= u64::from(cast::lane_of_i32(b)) << (8 * i);
-            }
-            w
-        })
-        .collect()
-}
-
-fn bn_words(bn: &[BnParams]) -> Vec<u64> {
-    bn.iter()
-        .map(|p| {
-            u64::from(cast::bits_of_i32(p.scale_q16)) | (u64::from(p.offset.to_stream_word()) << 32)
-        })
-        .collect()
-}
-
-fn fc_param_section(
-    bias: &Option<Vec<i32>>,
-    bn: &Option<Vec<BnParams>>,
-    act: Option<(&LayerActivation, usize)>,
-) -> Vec<u64> {
-    let mut words = match (bias, bn) {
-        (Some(b), None) => bias_words(b),
-        (None, Some(p)) => bn_words(p),
-        _ => unreachable!("validated models carry exactly one of bias/bn"),
-    };
-    if let Some((a, neurons)) = act {
-        words.extend(pack_u32_pairs(&activation_param_u32s_of(a, neurons)));
-    }
-    words
-}
-
-fn weight_section(
-    weights: &[i32],
-    neurons: usize,
-    in_len: usize,
-    setting: &LayerSetting,
-    mode: PackingMode,
-) -> Vec<u64> {
-    let mut words = Vec::with_capacity(weight_words_mode(setting, mode));
-    let bits = cast::usize_from_u32(weight_field_bits(setting, mode));
-    let per_word = 64 / bits;
-    for n in 0..neurons {
-        let row = &weights[n * in_len..(n + 1) * in_len];
-        if uses_xnor_path(setting) {
-            // Inline [`quant::pack_binary_channels`] to extend `words`
-            // directly — one allocation for the whole section instead of
-            // one per neuron row.
-            words.extend(row.chunks(64).map(|chunk| {
-                let mut w = 0u64;
-                for (i, &v) in chunk.iter().enumerate() {
-                    w |= u64::from(netpu_arith::binary::encode_bipolar(v)) << i;
-                }
-                w
-            }));
-        } else {
-            // Under Lanes8, 1-bit weights on the integer path occupy
-            // full 8-bit lanes (the §V "placeholder bits" inefficiency);
-            // Dense packs every field at its native width.
-            words.extend(row.chunks(per_word).map(|chunk| {
-                let mut w = 0u64;
-                for (i, &v) in chunk.iter().enumerate() {
-                    let field = if setting.weight_precision.is_binary() && bits < 8 {
-                        u64::from(netpu_arith::binary::encode_bipolar(v))
-                    } else {
-                        u64::from(cast::lane_of_i32(v)) & ((1u64 << bits) - 1)
-                    };
-                    w |= field << (bits * i);
-                }
-                w
-            }));
+        | LayerActivation::Tanh { quant } => {
+            let pair = u64::from(quant.scale.to_stream_word())
+                | u64::from(quant.offset.to_stream_word()) << 32;
+            words.extend(std::iter::repeat_n(pair, neurons));
         }
     }
-    words
+}
+
+/// Appends layer `k`'s parameter section: an FC layer's 8-bit biases or
+/// BN pairs (nothing for both or neither, which validation refuses),
+/// then the input and hidden layers' activation parameters.
+fn push_params(words: &mut Vec<u64>, mlp: &QuantMlp, k: usize) {
+    let (bias, bn, act) = match k.checked_sub(1).map(|h| mlp.hidden.get(h)) {
+        None => return push_activation(words, &mlp.input.activation, mlp.input.len),
+        Some(Some(h)) => (&h.bias, &h.bn, Some((&h.activation, h.neurons))),
+        Some(None) => (&mlp.output.bias, &mlp.output.bn, None),
+    };
+    match (bias, bn) {
+        (Some(b), None) => words.extend(
+            b.chunks(LANES_PER_WORD)
+                .map(|c| lane_word(c.iter().map(|&v| cast::lane_of_i32(v)))),
+        ),
+        (None, Some(p)) => words.extend(p.iter().map(|p| {
+            u64::from(cast::bits_of_i32(p.scale_q16)) | u64::from(p.offset.to_stream_word()) << 32
+        })),
+        _ => {}
+    }
+    if let Some((act, neurons)) = act {
+        push_activation(words, act, neurons);
+    }
+}
+
+/// Appends layer `k`'s weight section (none for the input layer), one
+/// row of its fan-in per neuron padded to a word boundary in the
+/// setting's field layout, and returns its first weight (row-major)
+/// outside its precision's range. Each weight is read once: whole words
+/// are packed from fixed-size chunks and the range check is folded into
+/// the same pass. The weights must fill `neurons × in_len` rows, as
+/// [`fits`] checks.
+fn push_weights(
+    words: &mut Vec<u64>,
+    mlp: &QuantMlp,
+    k: usize,
+    setting: &LayerSetting,
+    mode: PackingMode,
+) -> Option<i32> {
+    let (weights, in_len) = match k.checked_sub(1).map(|h| mlp.hidden.get(h)) {
+        None => return None,
+        Some(Some(h)) => (&h.weights, h.in_len),
+        Some(None) => (&mlp.output.weights, mlp.output.in_len),
+    };
+    let wp = setting.weight_precision;
+    match weight_field(setting, mode).width() {
+        _ if in_len == 0 => None,
+        1 => pack_rows::<64>(words, weights, in_len, wp),
+        2 => pack_rows::<32>(words, weights, in_len, wp),
+        4 => pack_rows::<16>(words, weights, in_len, wp),
+        _ => pack_rows::<8>(words, weights, in_len, wp),
+    }
+}
+
+/// [`push_weights`]' pass over `PER` fields a word, packed eight
+/// weights at a time: a 1-bit field is set for +1, a wider one holds the
+/// weight's two's-complement low bits.
+fn pack_rows<const PER: usize>(
+    words: &mut Vec<u64>,
+    weights: &[i32],
+    in_len: usize,
+    wp: Precision,
+) -> Option<i32> {
+    let in_range = |w: i32| weight_in_range(wp, w);
+    let width = 64 / PER;
+    let eight = |g: &[i32; 8]| match width {
+        // One byte per sign, then a multiply gathers bit 0 of each.
+        1 => {
+            u64::from_le_bytes(g.map(|w| u8::from(w > 0))).wrapping_mul(0x0102_0408_1020_4080) >> 56
+        }
+        8 => u64::from_le_bytes(g.map(cast::lane_of_i32)),
+        _ => g.iter().zip(0..).fold(0, |f, (&w, i)| {
+            f | (u64::from(cast::lane_of_i32(w)) & ((1 << width) - 1)) << (width * i)
+        }),
+    };
+    let word = |c: &[i32; PER]| {
+        let groups = c.as_chunks::<8>().0.iter().zip(0..);
+        groups.fold(0, |word, (g, j)| word | eight(g) << (8 * width * j))
+    };
+    let mut ok = true;
+    for row in weights.chunks_exact(in_len) {
+        let (full, tail) = row.as_chunks::<PER>();
+        words.extend(full.iter().map(word));
+        if !tail.is_empty() {
+            // Zero weights pad the fields past the fan-in with zero bits.
+            let mut last = [0; PER];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(word(&last));
+        }
+        ok &= row.iter().fold(true, |ok, &w| ok & in_range(w));
+    }
+    // The offending value is looked up only on the failure path.
+    (!ok).then(|| weights.iter().copied().find(|&w| !in_range(w)))?
+}
+
+/// `true` when every layer of `mlp` is within the architecture's width
+/// and every FC layer's weights fill its `neurons × in_len` matrix: what
+/// sizing a stream from the model's settings takes.
+fn fits(mlp: &QuantMlp) -> bool {
+    let fc = |in_len: usize, neurons: usize, weights: &[i32]| {
+        in_len.max(neurons) <= MAX_LAYER_WIDTH && in_len.checked_mul(neurons) == Some(weights.len())
+    };
+    let hidden = mlp
+        .hidden
+        .iter()
+        .all(|h| fc(h.in_len, h.neurons, &h.weights));
+    mlp.input.len <= MAX_LAYER_WIDTH
+        && hidden
+        && fc(mlp.output.in_len, mlp.output.neurons, &mlp.output.weights)
 }
 
 /// Encodes `mlp` plus one inference input into the transmission stream
@@ -463,21 +514,26 @@ pub fn compile(mlp: &QuantMlp, pixels: &[u8]) -> Result<Loadable, StreamError> {
 /// Encodes `mlp` plus one inference input under an explicit weight
 /// [`PackingMode`]. The mode is recorded in the stream header (bit 40)
 /// so an instance without dense-unpacking hardware rejects the stream.
+///
+/// The model is validated as [`QuantMlp::validate`] does, with the same
+/// errors, but its weights are read once: each weight section's pass
+/// packs them and finds the layer's first out-of-range weight, which
+/// validation then reports ([`QuantMlp::validate_scanned`]).
 pub fn compile_packed(
     mlp: &QuantMlp,
     pixels: &[u8],
     mode: PackingMode,
 ) -> Result<Loadable, StreamError> {
-    mlp.validate().map_err(StreamError::InvalidModel)?;
-    if pixels.len() != mlp.input.len {
-        return Err(StreamError::InputLength {
-            expected: mlp.input.len,
-            got: pixels.len(),
-        });
+    if !fits(mlp) {
+        // No valid model fails `fits`; validation names this one's
+        // first fault before anything is sized from its settings.
+        mlp.validate().map_err(StreamError::InvalidModel)?;
     }
     let settings = model_settings(mlp);
     let n = settings.len();
-    let mut words = Vec::new();
+    let sized = |s: &LayerSetting| param_words(s) + weight_words_mode(s, mode);
+    let size = 1 + n + input_words(pixels.len()) + settings.iter().map(sized).sum::<usize>();
+    let mut words = Vec::with_capacity(size);
     let mut layout = StreamLayout::default();
 
     // (1) Header: magic | version | layer count | packing flag (bit 40)
@@ -497,99 +553,47 @@ pub fn compile_packed(
     layout.header = 0..1;
 
     // (2) All layer settings.
-    let start = words.len();
     words.extend(settings.iter().map(LayerSetting::encode));
-    layout.settings = start..words.len();
+    layout.settings = 1..words.len();
 
     // (3) Dataset inputs as 8-bit lanes.
     let start = words.len();
-    words.extend(pixels.chunks(LANES_PER_WORD).map(|chunk| {
-        let mut w = 0u64;
-        for (i, &p) in chunk.iter().enumerate() {
-            w |= u64::from(p) << (8 * i);
-        }
-        w
-    }));
+    words.extend(
+        pixels
+            .chunks(LANES_PER_WORD)
+            .map(|c| lane_word(c.iter().copied())),
+    );
     layout.input = start..words.len();
 
-    // Per-layer parameter and weight payloads, indexed by layer.
-    let mut params: Vec<Vec<u64>> = Vec::with_capacity(n);
-    let mut weights: Vec<Vec<u64>> = Vec::with_capacity(n);
-    params.push(pack_u32_pairs(&activation_param_u32s_of(
-        &mlp.input.activation,
-        mlp.input.len,
-    )));
-    weights.push(Vec::new());
-    for (h, setting) in mlp.hidden.iter().zip(&settings[1..]) {
-        params.push(fc_param_section(
-            &h.bias,
-            &h.bn,
-            Some((&h.activation, h.neurons)),
-        ));
-        weights.push(weight_section(
-            &h.weights, h.neurons, h.in_len, setting, mode,
-        ));
-    }
-    params.push(fc_param_section(&mlp.output.bias, &mlp.output.bn, None));
-    weights.push(weight_section(
-        &mlp.output.weights,
-        mlp.output.neurons,
-        mlp.output.in_len,
-        &settings[n - 1],
-        mode,
-    ));
-
-    // (4…) The §III.B.3 interleave: P0, then Pk+1 before Wk, then W(N−1).
-    let emit = |kind: SectionKind,
-                layer: usize,
-                payload: Vec<u64>,
-                words: &mut Vec<u64>,
-                layout: &mut StreamLayout| {
+    // (4…) The §III.B.3 interleave, every section written in place: P0,
+    // then Pk+1 before Wk, then W(N−1).
+    let mut strays = vec![None; n];
+    let mut emit = |kind: SectionKind, k: usize| {
         let start = words.len();
-        words.extend(payload);
-        layout.sections.push((kind, layer, start..words.len()));
+        match kind {
+            SectionKind::Params => push_params(&mut words, mlp, k),
+            SectionKind::Weights => {
+                strays[k] = push_weights(&mut words, mlp, k, &settings[k], mode)
+            }
+        }
+        layout.sections.push((kind, k, start..words.len()));
     };
-    emit(
-        SectionKind::Params,
-        0,
-        std::mem::take(&mut params[0]),
-        &mut words,
-        &mut layout,
-    );
+    emit(SectionKind::Params, 0);
     for k in 1..n {
-        emit(
-            SectionKind::Params,
-            k,
-            std::mem::take(&mut params[k]),
-            &mut words,
-            &mut layout,
-        );
-        emit(
-            SectionKind::Weights,
-            k - 1,
-            std::mem::take(&mut weights[k - 1]),
-            &mut words,
-            &mut layout,
-        );
+        emit(SectionKind::Params, k);
+        emit(SectionKind::Weights, k - 1);
     }
-    emit(
-        SectionKind::Weights,
-        n - 1,
-        std::mem::take(&mut weights[n - 1]),
-        &mut words,
-        &mut layout,
-    );
+    emit(SectionKind::Weights, n - 1);
 
-    // Cross-check section sizes against the analytic word counts the
-    // hardware model derives from the settings alone.
-    for (kind, layer, range) in &layout.sections {
-        let expect = match kind {
-            SectionKind::Params => param_words(&settings[*layer]),
-            SectionKind::Weights => weight_words_mode(&settings[*layer], mode),
-        };
-        debug_assert_eq!(range.len(), expect, "{kind:?} section of layer {layer}");
+    mlp.validate_scanned(|layer| strays.get(layer).copied().flatten())
+        .map_err(StreamError::InvalidModel)?;
+    if pixels.len() != mlp.input.len {
+        return Err(StreamError::InputLength {
+            expected: mlp.input.len,
+            got: pixels.len(),
+        });
     }
-
+    debug_assert_eq!(words.len(), size, "sections sized from the settings");
     Ok(Loadable { words, layout })
 }
 
@@ -661,11 +665,7 @@ pub fn splice_input(words: &mut [u64], pixels: &[u8]) -> Result<(), StreamError>
         });
     }
     for (w, chunk) in words[span].iter_mut().zip(pixels.chunks(LANES_PER_WORD)) {
-        let mut word = 0u64;
-        for (i, &p) in chunk.iter().enumerate() {
-            word |= u64::from(p) << (8 * i);
-        }
-        *w = word;
+        *w = lane_word(chunk.iter().copied());
     }
     Ok(())
 }

@@ -60,7 +60,7 @@ pub enum WeightField {
 
 impl WeightField {
     /// Field width, bits.
-    fn width(self) -> u32 {
+    pub fn width(self) -> u32 {
         match self {
             WeightField::Xnor | WeightField::Bipolar => 1,
             WeightField::Signed { width, .. } => width,
@@ -203,17 +203,36 @@ impl WeightRows {
 
     /// The first weight, in row order, outside `precision`'s range (±1
     /// when binary). Only a field wider than the precision can hold one:
-    /// binary weights promoted to 8-bit lanes.
+    /// binary weights promoted to 8-bit lanes. Those are checked a word
+    /// at a time, every used lane being `0x01` or `0xFF`, and only the
+    /// first row with a bad lane is decoded.
     fn stray(&self, precision: Precision) -> Option<i32> {
-        let WeightField::Signed { bits, .. } = self.field else {
+        let WeightField::Signed { width, bits } = self.field else {
             return None;
         };
         if !precision.is_binary() && bits <= u32::from(precision.bits()) {
             return None;
         }
+        let decode = |n| self.weights(n).find(|&w| !weight_in_range(precision, w));
+        if !(precision.is_binary() && width == 8 && bits == 8) {
+            return (0..self.neurons).find_map(decode);
+        }
+        // The lanes past the fan-in in a row's last word are masked.
+        let tail = self.in_len % 8;
+        let last = if tail == 0 {
+            u64::MAX
+        } else {
+            (1 << (8 * tail)) - 1
+        };
+        let bad = |row: &[u64]| match row.split_last() {
+            Some((&end, body)) => {
+                body.iter().fold(0, |b, &w| b | bad_lanes(w)) | bad_lanes(end) & last
+            }
+            None => 0,
+        };
         (0..self.neurons)
-            .flat_map(|n| self.weights(n))
-            .find(|&w| !weight_in_range(precision, w))
+            .find(|&n| bad(self.row(n)) != 0)
+            .and_then(decode)
     }
 
     /// Neuron `n`'s row words (empty past the last neuron).
@@ -345,6 +364,15 @@ fn word_dot<const PER: usize>(
         }
     }
     lanes.iter().sum()
+}
+
+/// The top bit of every byte of `word` that is neither `0x01` nor `0xFF`
+/// (a ±1 weight in an 8-bit lane), clear elsewhere.
+fn bad_lanes(word: u64) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    // The top bit of every zero byte of `x`, exactly.
+    let zero = |x: u64| !(((x & LOW7) + LOW7) | x | LOW7);
+    !(zero(word ^ 0x0101_0101_0101_0101) | zero(!word)) & !LOW7
 }
 
 /// `true` when a layer's MAC is fully binary: bipolar inputs × bipolar
@@ -1125,6 +1153,86 @@ mod tests {
         // One layer short.
         rows.pop();
         assert!(PackedMlp::from_words(stripped, rows).is_err());
+    }
+
+    #[test]
+    fn a_bad_promoted_lane_is_reported_as_validate_reports_it() {
+        // ±1 weights promoted to 8-bit lanes (W1A2), fan-in 13: two
+        // words a row, the second with five used lanes and three of
+        // padding.
+        let (neurons, in_len) = (5, 13);
+        let mut m = crate::qmodel::tests::tiny_model();
+        let mt = m.input.activation.threshold_row(0, Precision::W2).to_vec();
+        m.input.len = in_len;
+        m.input.activation = LayerActivation::MultiThreshold {
+            thresholds: mt.repeat(in_len),
+        };
+        let h = &mut m.hidden[0];
+        (h.in_len, h.neurons, h.weight_precision) = (in_len, neurons, Precision::W1);
+        h.weights = (0..neurons * in_len)
+            .map(|i| if i % 3 == 0 { 1 } else { -1 })
+            .collect();
+        h.bias = Some(vec![0; neurons]);
+        h.activation = LayerActivation::MultiThreshold {
+            thresholds: [-1, 0, 1].map(Fix::from_i32).repeat(neurons),
+        };
+        m.output.in_len = neurons;
+        m.output.weights = vec![1, -1, 0, 1, -2, 0, 1, 1, -1, 0];
+        m.validate().unwrap();
+        let lanes = WeightRows::pack_signed(&m.hidden[0].weights, neurons, in_len, 8).unwrap();
+        assert_eq!(lanes.field, WeightField::Signed { width: 8, bits: 8 });
+        let output = WeightRows::pack_signed(&m.output.weights, 2, neurons, 2).unwrap();
+        let mut stripped = m.clone();
+        stripped.hidden[0].weights.clear();
+        stripped.output.weights.clear();
+        // The kernel over `lanes` with `(row, weight, byte)` written in;
+        // weight 13..16 of a row are its padding lanes.
+        let kernel = |pokes: &[(usize, usize, u8)]| {
+            let mut words = lanes.words.to_vec();
+            for &(row, i, byte) in pokes {
+                let (word, shift) = (&mut words[row * 2 + i / 8], 8 * (i % 8));
+                *word = *word & !(0xFF << shift) | u64::from(byte) << shift;
+            }
+            let rows = WeightRows::new(words.into(), 0..10, neurons, in_len, lanes.field).unwrap();
+            let mut decoded = m.clone();
+            decoded.hidden[0].weights = (0..neurons).flat_map(|n| rows.weights(n)).collect();
+            let got = PackedMlp::from_words(stripped.clone(), vec![rows, output.clone()]);
+            (got.err(), decoded.validate().err())
+        };
+        // First, middle and last-row-tail lanes.
+        for (byte, value) in [(0x00, 0), (0x03, 3), (0x7F, 127), (0x80, -128)] {
+            for (row, i) in [(0, 0), (2, 9), (neurons - 1, in_len - 1)] {
+                let (got, want) = kernel(&[(row, i, byte)]);
+                assert_eq!(got, want, "byte {byte:#04x} at row {row} weight {i}");
+                assert_eq!(got, Some(ModelError::WeightRange { layer: 1, value }));
+            }
+        }
+        // Two bad lanes: the first in row order is reported.
+        let (got, want) = kernel(&[(3, 1, 0x00), (1, 12, 0x7F)]);
+        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            Some(ModelError::WeightRange {
+                layer: 1,
+                value: 127
+            })
+        );
+        // Padding lanes past the fan-in are never read.
+        let padding = [(0, 13, 0x03), (neurons - 1, 15, 0x80), (2, 14, 0x00)];
+        assert_eq!(kernel(&padding), (None, None));
+    }
+
+    #[test]
+    fn bad_lanes_flags_every_byte_but_plus_and_minus_one() {
+        for b in 0..=255u8 {
+            let word = u64::from_le_bytes([0x01, 0xFF, b, 0x01, 0xFF, 0xFF, b, 0x01]);
+            let want = if b == 0x01 || b == 0xFF {
+                0
+            } else {
+                0x80 << 16 | 0x80 << 48
+            };
+            assert_eq!(bad_lanes(word), want, "{b:#04x}");
+        }
     }
 
     #[test]

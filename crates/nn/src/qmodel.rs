@@ -371,7 +371,8 @@ fn check_activation(
 
 /// `true` when `w` is a weight of precision `wp`: ±1 when binary, in
 /// the signed range otherwise.
-pub(crate) fn weight_in_range(wp: Precision, w: i32) -> bool {
+#[inline]
+pub fn weight_in_range(wp: Precision, w: i32) -> bool {
     if wp.is_binary() {
         w == 1 || w == -1
     } else {
@@ -379,10 +380,19 @@ pub(crate) fn weight_in_range(wp: Precision, w: i32) -> bool {
     }
 }
 
-/// Where a model being validated keeps its FC weights: `None` in its
-/// layers' `weights`; otherwise in words outside it, the function giving
-/// FC layer `layer`'s first weight outside its precision's range.
-type Outside<'a> = Option<&'a dyn Fn(usize) -> Option<i32>>;
+/// Where a model being validated keeps its FC weights, and how each FC
+/// layer's first weight outside its precision's range is found.
+#[derive(Clone, Copy)]
+enum Weights<'a> {
+    /// In its layers' `weights`, scanned here.
+    Held,
+    /// In its layers' `weights`, which the caller has already read:
+    /// `stray(layer)` is that pass's find.
+    Scanned(&'a dyn Fn(usize) -> Option<i32>),
+    /// In words outside it, every layer's `weights` being empty:
+    /// `stray(layer)` reads them.
+    Outside(&'a dyn Fn(usize) -> Option<i32>),
+}
 
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn check_fc(
@@ -394,7 +404,7 @@ fn check_fc(
     ip: Precision,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<BnParams>>,
-    outside: Outside<'_>,
+    source: Weights<'_>,
 ) -> Result<(), ModelError> {
     if in_len > MAX_LAYER_WIDTH {
         return Err(ModelError::TooWide {
@@ -410,7 +420,10 @@ fn check_fc(
     }
     // A layer held outside the model carries no weights here; its
     // words report their own out-of-range values.
-    let expected = outside.map_or(neurons * in_len, |_| 0);
+    let expected = match source {
+        Weights::Outside(_) => 0,
+        Weights::Held | Weights::Scanned(_) => neurons * in_len,
+    };
     if weights.len() != expected {
         return Err(ModelError::WeightShape { layer });
     }
@@ -418,10 +431,10 @@ fn check_fc(
     // millions of weights); the offending value is recovered in a second
     // pass only on the failure path.
     let in_range = |w: i32| weight_in_range(wp, w);
-    let stray = match outside {
-        Some(stray) => stray(layer),
-        None if weights.iter().fold(true, |ok, &w| ok & in_range(w)) => None,
-        None => weights.iter().copied().find(|&w| !in_range(w)),
+    let stray = match source {
+        Weights::Scanned(stray) | Weights::Outside(stray) => stray(layer),
+        Weights::Held if weights.iter().fold(true, |ok, &w| ok & in_range(w)) => None,
+        Weights::Held => weights.iter().copied().find(|&w| !in_range(w)),
     };
     if let Some(value) = stray {
         return Err(ModelError::WeightRange { layer, value });
@@ -458,7 +471,17 @@ impl QuantMlp {
     /// Validates the whole model: dimensions, precision pairing, weight
     /// and bias ranges, threshold geometry, and architecture ceilings.
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.validate_fc(None)
+        self.validate_fc(Weights::Held)
+    }
+
+    /// [`validate`](Self::validate) for a model whose FC weights the
+    /// caller has already read, as the compiler does while packing them:
+    /// `stray(layer)` gives FC layer `layer`'s first weight outside its
+    /// precision's range, consulted once that layer's shape has passed.
+    /// The checks run in [`validate`](Self::validate)'s order, with the
+    /// same errors.
+    pub fn validate_scanned(&self, stray: impl Fn(usize) -> Option<i32>) -> Result<(), ModelError> {
+        self.validate_fc(Weights::Scanned(&stray))
     }
 
     /// [`validate`](Self::validate) for a model whose FC layers all hold
@@ -471,10 +494,10 @@ impl QuantMlp {
         &self,
         stray: impl Fn(usize) -> Option<i32>,
     ) -> Result<(), ModelError> {
-        self.validate_fc(Some(&stray))
+        self.validate_fc(Weights::Outside(&stray))
     }
 
-    fn validate_fc(&self, outside: Outside<'_>) -> Result<(), ModelError> {
+    fn validate_fc(&self, source: Weights<'_>) -> Result<(), ModelError> {
         if self.input.len > MAX_LAYER_WIDTH {
             return Err(ModelError::TooWide {
                 layer: 0,
@@ -511,7 +534,7 @@ impl QuantMlp {
                 h.in_precision,
                 &h.bias,
                 &h.bn,
-                outside,
+                source,
             )?;
             check_activation(layer, &h.activation, h.neurons, h.out_precision)?;
             prev_width = h.neurons;
@@ -538,7 +561,7 @@ impl QuantMlp {
             self.output.in_precision,
             &self.output.bias,
             &self.output.bn,
-            outside,
+            source,
         )
     }
 

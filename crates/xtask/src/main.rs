@@ -107,10 +107,15 @@ const CAST_FREE: &[&str] = &[
 ];
 
 /// Modules of other crates held to both rules: the value kernel, which
-/// answers every fleet cache hit and re-admission, and the reference
-/// stages its walk calls (input quantization, MAC-domain conversion,
-/// the saturating accumulator, the post-accumulator stages, MaxOut).
-const GATED_FILES: &[&str] = &["crates/nn/src/kernel.rs", "crates/nn/src/reference.rs"];
+/// answers every fleet cache hit and re-admission, the reference stages
+/// its walk calls (input quantization, MAC-domain conversion, the
+/// saturating accumulator, the post-accumulator stages, MaxOut), and
+/// model validation, which runs inside every compile.
+const GATED_FILES: &[&str] = &[
+    "crates/nn/src/kernel.rs",
+    "crates/nn/src/qmodel.rs",
+    "crates/nn/src/reference.rs",
+];
 
 /// The one module allowed to contain bare casts (each one audited).
 const CAST_EXEMPT: &str = "crates/arith/src/cast.rs";
