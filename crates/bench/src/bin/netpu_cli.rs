@@ -19,7 +19,7 @@ use netpu_nn::export::BnMode;
 use netpu_nn::train::TrainConfig;
 use netpu_nn::zoo::ZooModel;
 use netpu_nn::{dataset, io, metrics};
-use netpu_sim::{StreamSource, Tracer};
+use netpu_sim::{Observer, StreamSource};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -142,7 +142,7 @@ fn cmd_run(args: &HashMap<String, String>) -> Result<(), String> {
     let mut netpu =
         NetPu::new(cfg, StreamSource::new(loadable.words.clone(), 1)).map_err(|e| e.to_string())?;
     if args.contains_key("trace") {
-        netpu = netpu.with_tracer(Tracer::bounded(10_000));
+        netpu = netpu.with_observer(Observer::new(10_000, false));
     }
     let cycles = run_to_completion(&mut netpu).map_err(|e| e.to_string())?;
     let (class, score) = netpu.result().expect("completed");
@@ -160,8 +160,12 @@ fn cmd_run(args: &HashMap<String, String>) -> Result<(), String> {
         println!("probabilities: {}", line.join(" "));
     }
     if let Some(path) = args.get("trace") {
-        netpu.tracer().save(path).map_err(|e| e.to_string())?;
-        println!("trace written to {path} ({} events)", netpu.tracer().len());
+        let observer = netpu.take_observer();
+        observer.save(path).map_err(|e| e.to_string())?;
+        println!(
+            "trace written to {path} ({} events)",
+            observer.events().len()
+        );
     }
     Ok(())
 }

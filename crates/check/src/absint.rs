@@ -10,7 +10,7 @@
 //! over-approximates to a trivially sound interval, so every value the
 //! simulator can produce for an admissible input lies inside the
 //! predicted bounds — the property the `absint_soundness` differential
-//! suite pins against the datapath probe.
+//! suite pins against the samples a `netpu_sim::Observer` records.
 //!
 //! The accumulator domain needs care: the hardware clamps to 32 bits
 //! once per *weight word*, so clamping at any finer granularity (e.g.

@@ -27,7 +27,7 @@ use netpu_compiler::stream::{
 };
 use netpu_compiler::{LayerSetting, LayerType, PackingMode};
 use netpu_sim::engine::Tick;
-use netpu_sim::{Cycle, DatapathProbe, Fifo, ProbeStage, StreamSource, Tracer};
+use netpu_sim::{Cycle, Fifo, Observer, ProbeStage, StreamSource};
 
 /// The Table III data-buffer cluster geometry: `(name, width, depth)`.
 pub const BUFFER_CLUSTER: [(&str, u32, usize); 10] = [
@@ -85,22 +85,17 @@ pub struct LpuBulk {
     pub tick: Tick,
 }
 
-/// Records one finalized neuron's tap values into an enabled probe:
+/// Records one finalized neuron's tap values into a sampling observer:
 /// the post-bias accumulator, the post-BN word when the route had a BN
 /// stage, and the level or score that left the TNPU.
-fn record_finalize(
-    probe: &mut DatapathProbe,
-    neuron: usize,
-    tap: crate::tnpu::NeuronTap,
-    out: TnpuOut,
-) {
-    probe.record(neuron, ProbeStage::Accumulator, i64::from(tap.acc));
+fn record_finalize(obs: &mut Observer, neuron: usize, tap: crate::tnpu::NeuronTap, out: TnpuOut) {
+    obs.sample(neuron, ProbeStage::Accumulator, i64::from(tap.acc));
     if let Some(bn) = tap.post_bn {
-        probe.record(neuron, ProbeStage::PostBn, bn.raw());
+        obs.sample(neuron, ProbeStage::PostBn, bn.raw());
     }
     match out {
-        TnpuOut::Level(l) => probe.record(neuron, ProbeStage::Level, i64::from(l)),
-        TnpuOut::Score(s) => probe.record(neuron, ProbeStage::Score, s.raw()),
+        TnpuOut::Level(l) => obs.sample(neuron, ProbeStage::Level, i64::from(l)),
+        TnpuOut::Score(s) => obs.sample(neuron, ProbeStage::Score, s.raw()),
     }
 }
 
@@ -458,16 +453,9 @@ impl Lpu {
 
     /// Advances one clock cycle of steps 2–3. `stream` is the Network
     /// Input FIFO the weight section arrives on; the NetPU only calls
-    /// this for the LPU whose weight section is current. `probe`
-    /// records intermediate datapath values when enabled (the range
-    /// analysis soundness hook).
-    pub fn tick(
-        &mut self,
-        stream: &mut StreamSource,
-        cycle: Cycle,
-        tracer: &mut Tracer,
-        probe: &mut DatapathProbe,
-    ) -> Tick {
+    /// this for the LPU whose weight section is current. `obs`
+    /// receives the LPU's events and datapath values.
+    pub fn tick(&mut self, stream: &mut StreamSource, cycle: Cycle, obs: &mut Observer) -> Tick {
         let Some(setting) = self.setting else {
             self.cycles[LayerPhase::STALL] += 1;
             return Tick::Stall;
@@ -485,7 +473,7 @@ impl Lpu {
                         batch_start: 0,
                         left: self.batch_init_cost(0),
                     };
-                    tracer.record(cycle, "lpu", || {
+                    obs.event(cycle, "lpu", || {
                         format!("lpu{} starts layer ({} neurons)", self.id, setting.neurons)
                     });
                 }
@@ -513,14 +501,12 @@ impl Lpu {
                 for i in lo..hi {
                     self.tnpus[0].load_neuron(self.params[i].clone());
                     let level = self.tnpus[0].process_input(self.inputs[i]);
-                    if probe.is_enabled() {
-                        probe.record(i, ProbeStage::Level, i64::from(level));
-                    }
+                    obs.sample(i, ProbeStage::Level, i64::from(level));
                     self.outputs.push(level);
                 }
                 if hi == n {
                     self.state = State::Done;
-                    tracer.record(cycle, "lpu", || {
+                    obs.event(cycle, "lpu", || {
                         format!("lpu{} input layer done ({n} levels)", self.id)
                     });
                 } else {
@@ -573,7 +559,7 @@ impl Lpu {
                             self.cycles[LayerPhase::WEIGHT_INGEST] += 1;
                             if self.double_buffered {
                                 self.dispatch_group(t, chunk, 0);
-                                self.after_group(batch_start, t, chunk, 1, cycle, tracer);
+                                self.after_group(batch_start, t, chunk, 1);
                             } else {
                                 self.state = State::Weights {
                                     batch_start,
@@ -592,7 +578,7 @@ impl Lpu {
                 } else {
                     self.cycles[LayerPhase::WEIGHT_DISPATCH] += 1;
                     self.dispatch_group(t, chunk, subcycle - 1);
-                    self.after_group(batch_start, t, chunk, subcycle, cycle, tracer);
+                    self.after_group(batch_start, t, chunk, subcycle);
                     Tick::Progress
                 }
             }
@@ -625,8 +611,8 @@ impl Lpu {
                 let end = (batch_start + self.tnpus.len()).min(n);
                 for (t, neuron) in (batch_start..end).enumerate() {
                     let out = self.tnpus[t].finalize();
-                    if probe.is_enabled() {
-                        record_finalize(probe, neuron, self.tnpus[t].tap(), out);
+                    if obs.is_sampling() {
+                        record_finalize(obs, neuron, self.tnpus[t].tap(), out);
                     }
                     match out {
                         TnpuOut::Level(l) => self.outputs.push(l),
@@ -638,7 +624,7 @@ impl Lpu {
                 }
                 if end == n {
                     self.state = State::Done;
-                    tracer.record(cycle, "lpu", || {
+                    obs.event(cycle, "lpu", || {
                         format!(
                             "lpu{} layer done after {} weight words",
                             self.id,
@@ -682,8 +668,7 @@ impl Lpu {
         stream: &mut StreamSource,
         cycle: Cycle,
         budget: u64,
-        tracer: &mut Tracer,
-        probe: &mut DatapathProbe,
+        obs: &mut Observer,
     ) -> LpuBulk {
         debug_assert!(budget >= 1, "bulk_tick needs a positive budget");
         let mut advanced: u64 = 0;
@@ -724,7 +709,7 @@ impl Lpu {
                             left: self.batch_init_cost(0),
                         };
                         let now = cycle + advanced;
-                        tracer.record(now, "lpu", || {
+                        obs.event(now, "lpu", || {
                             format!("lpu{} starts layer ({} neurons)", self.id, setting.neurons)
                         });
                     }
@@ -757,15 +742,13 @@ impl Lpu {
                         for i in lo..hi {
                             self.tnpus[0].load_neuron(self.params[i].clone());
                             let level = self.tnpus[0].process_input(self.inputs[i]);
-                            if probe.is_enabled() {
-                                probe.record(i, ProbeStage::Level, i64::from(level));
-                            }
+                            obs.sample(i, ProbeStage::Level, i64::from(level));
                             self.outputs.push(level);
                         }
                     }
                     if pos == n_words * per {
                         self.state = State::Done;
-                        tracer.record(cycle + advanced - 1, "lpu", || {
+                        obs.event(cycle + advanced - 1, "lpu", || {
                             format!("lpu{} input layer done ({n} levels)", self.id)
                         });
                         return progress(advanced, words, tail);
@@ -923,7 +906,7 @@ impl Lpu {
                             self.dispatch_group_fast(t, chunk, group);
                         }
                         if k == cost {
-                            self.after_group(batch_start, t, chunk, groups, cycle, tracer);
+                            self.after_group(batch_start, t, chunk, groups);
                         } else {
                             self.state = State::Weights {
                                 batch_start,
@@ -944,7 +927,7 @@ impl Lpu {
                             self.dispatch_group_fast(t, chunk, group);
                         }
                         if k == remaining {
-                            self.after_group(batch_start, t, chunk, groups, cycle, tracer);
+                            self.after_group(batch_start, t, chunk, groups);
                         } else {
                             self.state = State::Weights {
                                 batch_start,
@@ -994,8 +977,8 @@ impl Lpu {
                     let end = (batch_start + self.tnpus.len()).min(n);
                     for (t, neuron) in (batch_start..end).enumerate() {
                         let out = self.tnpus[t].finalize();
-                        if probe.is_enabled() {
-                            record_finalize(probe, neuron, self.tnpus[t].tap(), out);
+                        if obs.is_sampling() {
+                            record_finalize(obs, neuron, self.tnpus[t].tap(), out);
                         }
                         match out {
                             TnpuOut::Level(l) => self.outputs.push(l),
@@ -1007,7 +990,7 @@ impl Lpu {
                     }
                     if end == n {
                         self.state = State::Done;
-                        tracer.record(cycle + advanced - 1, "lpu", || {
+                        obs.event(cycle + advanced - 1, "lpu", || {
                             format!(
                                 "lpu{} layer done after {} weight words",
                                 self.id,
@@ -1110,15 +1093,7 @@ impl Lpu {
     /// Advances the dispatch iteration after a completed subcycle:
     /// next group of the same word, next word of the same neuron
     /// (neuron-major order), next neuron, or pipeline drain.
-    fn after_group(
-        &mut self,
-        batch_start: usize,
-        t: usize,
-        chunk: usize,
-        completed_subcycle: u32,
-        _cycle: Cycle,
-        _tracer: &mut Tracer,
-    ) {
+    fn after_group(&mut self, batch_start: usize, t: usize, chunk: usize, completed_subcycle: u32) {
         if completed_subcycle < self.dispatch_groups(chunk) {
             self.state = State::Weights {
                 batch_start,

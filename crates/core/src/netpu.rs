@@ -25,8 +25,7 @@ use netpu_compiler::{LayerSetting, LayerType, PackingMode};
 use netpu_nn::reference::to_mac_domain;
 use netpu_sim::engine::Tick;
 use netpu_sim::{
-    BulkClocked, Clocked, Cycle, DatapathProbe, SimError, Simulator, StreamSink, StreamSource,
-    Tracer,
+    BulkClocked, Clocked, Cycle, Observer, SimError, Simulator, StreamSink, StreamSource,
 };
 
 /// Cycles to reset a finished LPU for its next layer.
@@ -94,8 +93,7 @@ pub struct NetPu {
     lpus: Vec<Lpu>,
     stream: StreamSource,
     sink: StreamSink,
-    tracer: Tracer,
-    probe: DatapathProbe,
+    observer: Observer,
     state: TopState,
     settings: Vec<LayerSetting>,
     sections: Vec<Section>,
@@ -119,8 +117,7 @@ impl NetPu {
             cfg,
             stream,
             sink: StreamSink::new(),
-            tracer: Tracer::disabled(),
-            probe: DatapathProbe::disabled(),
+            observer: Observer::default(),
             state: TopState::Header,
             settings: Vec::new(),
             sections: Vec::new(),
@@ -134,17 +131,10 @@ impl NetPu {
         })
     }
 
-    /// Enables bounded event tracing.
-    pub fn with_tracer(mut self, tracer: Tracer) -> NetPu {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a datapath probe recording every intermediate
-    /// accumulator / BN / level / score value (the range-analysis
-    /// soundness hook).
-    pub fn with_probe(mut self, probe: DatapathProbe) -> NetPu {
-        self.probe = probe;
+    /// Attaches the observer that receives the run's component events
+    /// and datapath values.
+    pub fn with_observer(mut self, observer: Observer) -> NetPu {
+        self.observer = observer;
         self
     }
 
@@ -184,21 +174,10 @@ impl NetPu {
         &self.sink
     }
 
-    /// The event trace.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Takes the event trace out of the instance, leaving a disabled
-    /// tracer behind — the hand-off for per-run trace hooks.
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.tracer)
-    }
-
-    /// Takes the datapath probe out of the instance, leaving a disabled
-    /// probe behind — the hand-off for per-run probed inference.
-    pub fn take_probe(&mut self) -> DatapathProbe {
-        std::mem::take(&mut self.probe)
+    /// Takes the observer out of the instance, leaving one that records
+    /// nothing behind.
+    pub fn take_observer(&mut self) -> Observer {
+        std::mem::take(&mut self.observer)
     }
 
     fn fail(&mut self, e: StreamError) -> Tick {
@@ -256,7 +235,7 @@ impl NetPu {
                 self.result = Some((class, score));
                 self.results.push((class, score, cycle));
                 self.scores = scores;
-                self.tracer.record(cycle, "netpu", || {
+                self.observer.event(cycle, "netpu", || {
                     format!("inference done: class {class} score {score}")
                 });
             }
@@ -325,14 +304,9 @@ impl NetPu {
             }
             Section::Process(layer) => {
                 let id = self.lpu_of(layer);
-                self.probe.set_layer(layer);
-                let r = self.lpus[id].bulk_tick(
-                    &mut self.stream,
-                    cycle,
-                    budget,
-                    &mut self.tracer,
-                    &mut self.probe,
-                );
+                self.observer.set_layer(layer);
+                let r =
+                    self.lpus[id].bulk_tick(&mut self.stream, cycle, budget, &mut self.observer);
                 // Idle settlement: edges strictly between takes always
                 // saw pending data; trailing edges only count when the
                 // stream still holds words now.
@@ -477,7 +451,7 @@ impl Clocked for NetPu {
                             let setting = self.settings[layer];
                             let expect = param_words(&setting);
                             self.lpus[id].begin_layer(setting, expect, self.packing);
-                            self.tracer.record(cycle, "netpu", || {
+                            self.observer.event(cycle, "netpu", || {
                                 format!("layer {layer} settings → lpu{id} ({expect} param words)")
                             });
                             if layer == 0 {
@@ -521,13 +495,8 @@ impl Clocked for NetPu {
                     }
                     Section::Process(layer) => {
                         let id = self.lpu_of(layer);
-                        self.probe.set_layer(layer);
-                        let t = self.lpus[id].tick(
-                            &mut self.stream,
-                            cycle,
-                            &mut self.tracer,
-                            &mut self.probe,
-                        );
+                        self.observer.set_layer(layer);
+                        let t = self.lpus[id].tick(&mut self.stream, cycle, &mut self.observer);
                         if self.lpus[id].is_done() {
                             self.route_layer_output(layer, cycle);
                             if layer + 1 == self.settings.len() {
@@ -639,31 +608,25 @@ pub fn run_inference_fast(cfg: &HwConfig, words: Vec<u64>) -> Result<InferenceRu
     finish_run(&netpu, cycles, cfg)
 }
 
-/// [`run_inference_fast`] with both observation hooks attached in a
-/// single simulation: a [`Tracer`] for component events and a
-/// [`DatapathProbe`] for intermediate accumulator / BN / level / score
-/// values. Pass `Tracer::disabled()` or `DatapathProbe::disabled()` for
-/// a hook that records nothing.
+/// [`run_inference_fast`] reporting to `observer`: component events and
+/// intermediate accumulator / BN / level / score values, as far as the
+/// observer was built to record them.
 ///
-/// Both hooks are moved into the instance for the run and handed back
-/// through their `&mut` slots afterwards — *including on errors*, so a
+/// The observer is moved into the instance for the run and handed back
+/// through its `&mut` slot afterwards — *including on errors*, so a
 /// caller can inspect the events of a failed attempt. The runtime's
-/// `TraceSink` forwarding feeds both event families into a recorded
-/// trace from one run; the `netpu-check` soundness suite replays probed
-/// runs against the abstract interpreter's predicted intervals.
+/// `TraceSink` forwarding feeds both families into a recorded trace;
+/// the `netpu-check` soundness suite replays the samples against the
+/// abstract interpreter's predicted intervals.
 pub fn run_inference_observed(
     cfg: &HwConfig,
     words: Vec<u64>,
-    tracer: &mut Tracer,
-    probe: &mut DatapathProbe,
+    observer: &mut Observer,
 ) -> Result<InferenceRun, NetPuError> {
     let stream = StreamSource::new(words, 1);
-    let mut netpu = NetPu::new(*cfg, stream)?
-        .with_tracer(std::mem::take(tracer))
-        .with_probe(std::mem::take(probe));
+    let mut netpu = NetPu::new(*cfg, stream)?.with_observer(std::mem::take(observer));
     let outcome = run_to_completion_fast(&mut netpu);
-    *tracer = netpu.take_tracer();
-    *probe = netpu.take_probe();
+    *observer = netpu.take_observer();
     let cycles = outcome?;
     finish_run(&netpu, cycles, cfg)
 }

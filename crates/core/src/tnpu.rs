@@ -146,7 +146,7 @@ pub enum TnpuOut {
 }
 
 /// The intermediate values the last [`Tnpu::finalize`] observed, exposed
-/// for the datapath probe (the range-analysis soundness hook).
+/// for the observer's datapath samples (the range-analysis soundness hook).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct NeuronTap {
     /// Post-bias accumulator value entering the post-MAC stages.

@@ -6,12 +6,12 @@
 //! path is an optimization of the clock loop, not of the timing model.
 
 use netpu_compiler::{batch_stream, compile_packed, PackingMode};
-use netpu_core::netpu::{run_to_completion, run_to_completion_fast};
+use netpu_core::netpu::{run_inference_observed, run_to_completion, run_to_completion_fast};
 use netpu_core::{run_inference, run_inference_fast, HwConfig, NetPu, NetPuError};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
 use netpu_nn::{dataset, reference};
-use netpu_sim::{SimError, StreamSource};
+use netpu_sim::{Observer, SimError, StreamSource};
 
 fn config(double_buffered: bool, packing: PackingMode) -> HwConfig {
     HwConfig {
@@ -46,6 +46,41 @@ fn fast_path_is_cycle_exact_across_the_zoo() {
                     assert_eq!(fast.class, reference::infer(&model, &pixels));
                 }
             }
+        }
+    }
+}
+
+/// Both engines report to the observer through their own call sites;
+/// a recorded run must not depend on which engine produced it. Every
+/// event (cycle, scope, message) and every datapath sample (layer,
+/// neuron, stage, value) must match, in order.
+#[test]
+fn tick_and_fast_paths_hand_the_observer_identical_records() {
+    let pixels: Vec<u8> = (0..784).map(|i| (i * 13 % 241) as u8).collect();
+    let cfg = HwConfig::paper_instance();
+    let observer = || Observer::new(1 << 16, true);
+    for model_kind in [
+        ZooModel::TfcW1A1,
+        ZooModel::TfcW2A2,
+        ZooModel::SfcW1A1,
+        ZooModel::SfcW2A2,
+    ] {
+        for bn in [BnMode::Folded, BnMode::Hardware] {
+            let model = model_kind.build_untrained(5, bn).unwrap();
+            let words = netpu_compiler::compile(&model, &pixels).unwrap().words;
+            let mut netpu = NetPu::new(cfg, StreamSource::new(words.clone(), 1))
+                .unwrap()
+                .with_observer(observer());
+            run_to_completion(&mut netpu).unwrap();
+            let tick = netpu.take_observer();
+            let mut fast = observer();
+            run_inference_observed(&cfg, words, &mut fast).unwrap();
+
+            let tag = format!("{model_kind:?} {bn:?}");
+            assert!(tick.events().next().is_some(), "{tag}: no events");
+            assert!(!tick.samples().is_empty(), "{tag}: no samples");
+            assert!(tick.events().eq(fast.events()), "{tag}: events differ");
+            assert_eq!(tick.samples(), fast.samples(), "{tag}: samples differ");
         }
     }
 }

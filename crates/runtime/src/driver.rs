@@ -9,10 +9,11 @@
 //! All inference flows funnel through one entry point,
 //! [`Driver::run`], which takes an [`InferRequest`] (single frame,
 //! memoized batch, single-transfer burst, or a pre-compiled loadable)
-//! and returns an [`InferResponse`]. The historical `infer` /
-//! `infer_batch` / `infer_burst` / `run_loadable` methods remain as
-//! thin wrappers over it. `InferRequest` is also the unit of work the
-//! `netpu-serve` multi-board scheduler enqueues.
+//! and returns an [`InferResponse`]; `infer`, `infer_batch` and
+//! `infer_burst` are shorthands for it. `InferRequest` is also the unit
+//! of work the `netpu-serve` multi-board scheduler enqueues. A run is
+//! observed in one way only: through the [`TraceSink`] attached with
+//! [`DriverBuilder::trace_sink`].
 
 use crate::dma::DmaModel;
 use crate::power::PowerParams;
@@ -24,16 +25,15 @@ use netpu_core::netpu::{run_inference_fast, run_inference_observed, InferenceRun
 use netpu_core::resources::netpu_utilization;
 use netpu_core::{BatchEngine, HwConfig, SlabBreakdown};
 use netpu_nn::QuantMlp;
-use netpu_sim::{DatapathProbe, TraceEvent, Tracer};
+use netpu_sim::Observer;
 use netpu_trace::TraceSink;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Sim-tracer window forwarded per run when a [`TraceSink`] is
-/// attached but the request did not name its own capacity: enough to
-/// hold a full small-model run without letting one traced request
-/// balloon a long recording session.
+/// Simulator event window forwarded per run when a [`TraceSink`] is
+/// attached: enough to hold a full small-model run without letting one
+/// traced request balloon a long recording session.
 const SINK_TRACE_EVENTS: usize = 1024;
 
 /// One measured inference.
@@ -222,11 +222,6 @@ pub struct RequestOptions {
     pub deadline_us: Option<f64>,
     /// Retry budget on transient stream faults (serving layer only).
     pub retries: Option<u32>,
-    /// Attach a bounded event trace of this many events to the run's
-    /// response. A sink attached with [`DriverBuilder::trace_sink`]
-    /// observes every run instead, through the surface the serving
-    /// layers record to, in the replayable binary trace format.
-    pub trace_capacity: Option<usize>,
 }
 
 /// What an [`InferRequest`] asks the accelerator to do.
@@ -346,8 +341,6 @@ pub struct InferResponse {
     /// the per-frame fallback path (tail frames *and* fallback-only
     /// models) is accounted consistently.
     pub batch_slabs: Option<SlabBreakdown>,
-    /// Datapath events when the request asked for a trace.
-    pub trace: Option<Vec<TraceEvent>>,
 }
 
 impl InferResponse {
@@ -392,7 +385,6 @@ pub struct DriverBuilder {
     strict_range: bool,
     strict_equiv: bool,
     trace_sink: Option<Arc<dyn TraceSink>>,
-    probe_datapath: Option<bool>,
 }
 
 impl DriverBuilder {
@@ -429,7 +421,8 @@ impl DriverBuilder {
     /// run through the `netpu-check::symex` translation validator, and
     /// error-class equivalence findings (NPC021/NPC022/NPC024) reject
     /// admission. Pre-compiled `Loadable` payloads carry no source
-    /// claim, and `Burst` streams are compiled from the source in the
+    /// claim unless run through [`Driver::run_compiled`] with their
+    /// source, and `Burst` streams are compiled from the source in the
     /// same call, so both keep the two-tier decision. Defaults to
     /// `false`: certification re-validates the compile the driver
     /// itself just performed, which honest compiles always pass, so it
@@ -440,29 +433,16 @@ impl DriverBuilder {
         self
     }
 
-    /// Attaches a [`TraceSink`]: every run forwards its simulator
-    /// tracer events (and, with [`probe_datapath`] set, its datapath
-    /// probe samples) to the sink as `Sim` / `Probe` trace events.
-    /// Unlike a per-request bounded trace
-    /// ([`RequestOptions::trace_capacity`]), a sink observes every run
-    /// through one uniform surface shared with the serving layers,
-    /// and its recordings serialize to the replayable binary format.
-    ///
-    /// [`probe_datapath`]: DriverBuilder::probe_datapath
+    /// Attaches a [`TraceSink`]: every simulated run of a `Single`,
+    /// `Loadable` or `Batch` payload (a batch simulates its first
+    /// frame) forwards its simulator events and its datapath values
+    /// (accumulators, post-BN words, levels, scores) to the sink as
+    /// `Sim` / `Probe` trace events, followed by the timing
+    /// certificate's cycle count next to the simulator's. The sink is
+    /// the one surface the serving layers record to too, and its
+    /// recordings serialize to the replayable binary format.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> DriverBuilder {
         self.trace_sink = Some(sink);
-        self
-    }
-
-    /// Controls forwarding of intermediate datapath values
-    /// (accumulators, post-BN words, levels, scores) to the attached
-    /// [`TraceSink`]. **Defaults to on whenever a sink is attached**,
-    /// so recorded runs carry the probe samples that cross-check
-    /// absint intervals and symex witnesses on replay; pass `false` to
-    /// keep a sink recording scheduling/sim events only. No effect
-    /// without a sink.
-    pub fn probe_datapath(mut self, probe: bool) -> DriverBuilder {
-        self.probe_datapath = Some(probe);
         self
     }
 
@@ -474,7 +454,6 @@ impl DriverBuilder {
             power: self.power,
             strict_range: self.strict_range,
             strict_equiv: self.strict_equiv,
-            probe_datapath: self.probe_datapath.unwrap_or(self.trace_sink.is_some()),
             trace_sink: self.trace_sink,
             verdicts: Arc::new(VerdictStore::new()),
         }
@@ -508,12 +487,9 @@ pub struct Driver {
     /// (NPC021/NPC022/NPC024) for payloads that carry a source model
     /// (default `false`; the opt-in third admission tier).
     pub strict_equiv: bool,
-    /// Trace sink every run reports its simulator events to; `None`
-    /// (the default) records nothing.
+    /// Trace sink every run reports its simulator events and datapath
+    /// values to; `None` (the default) records nothing.
     pub trace_sink: Option<Arc<dyn TraceSink>>,
-    /// Forward datapath probe samples to the sink as well (defaults to
-    /// `true` exactly when a sink is attached).
-    pub probe_datapath: bool,
     /// The verdict store admission answers from (DESIGN.md §4.8.1).
     /// Every clone of the driver shares it, so a `netpu-serve` server's
     /// admission and its workers, and a `netpu-fleet` cache, pay a
@@ -540,7 +516,6 @@ impl Driver {
             strict_range: true,
             strict_equiv: false,
             trace_sink: None,
-            probe_datapath: None,
         }
     }
 
@@ -548,32 +523,34 @@ impl Driver {
     /// convenience wrappers and the `netpu-serve` scheduler funnel
     /// through.
     pub fn run(&self, req: InferRequest<'_>) -> Result<InferResponse, DriverError> {
-        let trace = req.options.trace_capacity;
         match req.payload {
             InferPayload::Single { model, pixels } => {
                 let loadable = compile(&model, &pixels).map_err(DriverError::Compile)?;
-                let (run, trace) = self.run_core_against(&loadable, trace, Some(&model))?;
-                Ok(InferResponse {
-                    runs: vec![run],
-                    burst_fps: None,
-                    dma_transfers: 1,
-                    batch_slabs: None,
-                    trace,
-                })
+                self.run_compiled(&loadable, Some(&model))
             }
-            InferPayload::Loadable(loadable) => {
-                let (run, trace) = self.run_core(&loadable, trace)?;
-                Ok(InferResponse {
-                    runs: vec![run],
-                    burst_fps: None,
-                    dma_transfers: 1,
-                    batch_slabs: None,
-                    trace,
-                })
-            }
-            InferPayload::Batch { model, inputs } => self.run_batch(&model, &inputs, trace),
-            InferPayload::Burst { model, inputs } => self.run_burst(&model, &inputs, trace),
+            InferPayload::Loadable(loadable) => self.run_compiled(&loadable, None),
+            InferPayload::Batch { model, inputs } => self.run_batch(&model, &inputs),
+            InferPayload::Burst { model, inputs } => self.run_burst(&model, &inputs),
         }
+    }
+
+    /// Runs one loadable, compiled from `source` when given, as a
+    /// one-frame request: under [`strict_equiv`](DriverBuilder::strict_equiv)
+    /// admission validates the stream against `source`, exactly as for a
+    /// [`InferPayload::Single`] request. The serving layer streams its
+    /// compiled single-frame requests through here, so they keep their
+    /// source through admission.
+    pub fn run_compiled(
+        &self,
+        loadable: &Loadable,
+        source: Option<&QuantMlp>,
+    ) -> Result<InferResponse, DriverError> {
+        Ok(InferResponse {
+            runs: vec![self.run_core_against(loadable, source)?],
+            burst_fps: None,
+            dma_transfers: 1,
+            batch_slabs: None,
+        })
     }
 
     /// Compiles and runs one inference.
@@ -588,8 +565,7 @@ impl Driver {
     /// Runs a pre-compiled loadable (on the cycle-exact fast path; the
     /// `fast_path` differential suite pins it to the tick path).
     pub fn run_loadable(&self, loadable: &Loadable) -> Result<MeasuredRun, DriverError> {
-        let (run, _) = self.run_core(loadable, None)?;
-        Ok(run)
+        self.run_core_against(loadable, None)
     }
 
     /// Admission for the value path (DESIGN.md §4.6): `loadable`,
@@ -655,15 +631,6 @@ impl Driver {
         Ok(resp.runs)
     }
 
-    /// Streams one loadable, optionally with a bounded event trace.
-    fn run_core(
-        &self,
-        loadable: &Loadable,
-        trace_capacity: Option<usize>,
-    ) -> Result<(MeasuredRun, Option<Vec<TraceEvent>>), DriverError> {
-        self.run_core_against(loadable, trace_capacity, None)
-    }
-
     /// Static pre-flight (DESIGN.md §4.3–4.4, §4.8). Structural errors
     /// mark streams the accelerator would reject, stall on, or panic
     /// over and always refuse admission; error-class range findings
@@ -693,103 +660,65 @@ impl Driver {
             .map_err(DriverError::Rejected)
     }
 
-    /// [`run_core`](Driver::run_core), with the request's claimed
-    /// source model when the payload carried one — the hook the
-    /// `strict_equiv` third admission tier hangs off.
+    /// Admits one loadable, with the request's claimed source model
+    /// when the payload carried one (the hook the `strict_equiv` third
+    /// admission tier hangs off), and streams it.
     fn run_core_against(
         &self,
         loadable: &Loadable,
-        trace_capacity: Option<usize>,
         source: Option<&QuantMlp>,
-    ) -> Result<(MeasuredRun, Option<Vec<TraceEvent>>), DriverError> {
+    ) -> Result<MeasuredRun, DriverError> {
         let analysis = self.admit(loadable, source)?;
-        self.stream_admitted(loadable, trace_capacity, &analysis)
+        let words = loadable.words.clone();
+        let run = match self.trace_sink.as_deref() {
+            None => run_inference_fast(&self.hw, words),
+            Some(sink) => self.observe(sink, words, &analysis),
+        };
+        Ok(self.measure(&run.map_err(DriverError::Accelerator)?, loadable.len()))
     }
 
-    /// Streams one admitted loadable, optionally with a bounded event
-    /// trace.
-    fn stream_admitted(
+    /// Simulates one admitted stream into `sink`: its events and
+    /// datapath values, then the timing certificate's cycle count next
+    /// to the simulator's. The events are forwarded even when the run
+    /// failed — a failing stream's events are exactly what an anomaly
+    /// trace exists to capture.
+    fn observe(
         &self,
-        loadable: &Loadable,
-        trace_capacity: Option<usize>,
+        sink: &dyn TraceSink,
+        words: Vec<u64>,
         analysis: &Analysis,
-    ) -> Result<(MeasuredRun, Option<Vec<TraceEvent>>), DriverError> {
-        let sink = self.trace_sink.as_deref();
-        let (run, trace) = match (trace_capacity, sink) {
-            (None, None) => (
-                run_inference_fast(&self.hw, loadable.words.clone())
-                    .map_err(DriverError::Accelerator)?,
-                None,
-            ),
-            (Some(cap), None) => {
-                let mut tracer = Tracer::bounded(cap);
-                let run = run_inference_observed(
-                    &self.hw,
-                    loadable.words.clone(),
-                    &mut tracer,
-                    &mut DatapathProbe::disabled(),
-                )
-                .map_err(DriverError::Accelerator)?;
-                (run, Some(tracer.into_events()))
+    ) -> Result<InferenceRun, NetPuError> {
+        let mut observer = Observer::new(SINK_TRACE_EVENTS, true);
+        let outcome = run_inference_observed(&self.hw, words, &mut observer);
+        let mut t_end = 0.0f64;
+        for ev in observer.events() {
+            let t_us = netpu_sim::cycles_to_us(ev.cycle, self.hw.clock_mhz);
+            t_end = t_end.max(t_us);
+            sink.record(
+                t_us,
+                netpu_trace::TraceEvent::Sim {
+                    cycle: ev.cycle,
+                    scope: ev.scope.to_string(),
+                    message: ev.message.clone(),
+                },
+            );
+        }
+        for sample in observer.samples() {
+            sink.record(t_end, netpu_trace::TraceEvent::probe(sample));
+        }
+        let run = outcome?;
+        // `xtask replay` cross-checks the closed-form timing model
+        // (DESIGN.md §4.9) against every recorded run from this pair.
+        if let Some(timing) = &analysis.timing {
+            for (key, cycles) in [
+                ("timing.predicted_cycles", timing.total_cycles()),
+                ("timing.recorded_cycles", run.cycles),
+            ] {
+                let (key, value) = (key.to_string(), cycles.to_string());
+                sink.record(t_end, netpu_trace::TraceEvent::Meta { key, value });
             }
-            (cap, Some(sink)) => {
-                let mut tracer = Tracer::bounded(cap.unwrap_or(SINK_TRACE_EVENTS));
-                let mut probe = if self.probe_datapath {
-                    DatapathProbe::enabled()
-                } else {
-                    DatapathProbe::disabled()
-                };
-                let outcome = run_inference_observed(
-                    &self.hw,
-                    loadable.words.clone(),
-                    &mut tracer,
-                    &mut probe,
-                );
-                // Forward to the sink even when the run failed — a
-                // failing stream's events are exactly what an anomaly
-                // trace exists to capture.
-                let events = tracer.into_events();
-                let mut t_end = 0.0f64;
-                for ev in &events {
-                    let t_us = netpu_sim::cycles_to_us(ev.cycle, self.hw.clock_mhz);
-                    t_end = t_end.max(t_us);
-                    sink.record(
-                        t_us,
-                        netpu_trace::TraceEvent::Sim {
-                            cycle: ev.cycle,
-                            scope: ev.scope.to_string(),
-                            message: ev.message.clone(),
-                        },
-                    );
-                }
-                for sample in probe.samples() {
-                    sink.record(t_end, netpu_trace::TraceEvent::probe(sample));
-                }
-                let run = outcome.map_err(DriverError::Accelerator)?;
-                // Annotate the trace with the static timing certificate
-                // next to the simulator's own count, so `xtask replay`
-                // can cross-check the closed-form model (DESIGN.md
-                // §4.9) against every recorded run.
-                if let Some(timing) = &analysis.timing {
-                    sink.record(
-                        t_end,
-                        netpu_trace::TraceEvent::Meta {
-                            key: "timing.predicted_cycles".to_string(),
-                            value: timing.total_cycles().to_string(),
-                        },
-                    );
-                    sink.record(
-                        t_end,
-                        netpu_trace::TraceEvent::Meta {
-                            key: "timing.recorded_cycles".to_string(),
-                            value: run.cycles.to_string(),
-                        },
-                    );
-                }
-                (run, cap.map(|_| events))
-            }
-        };
-        Ok((self.measure(&run, loadable.len()), trace))
+        }
+        Ok(run)
     }
 
     /// Attaches the DMA and power models to one simulated run.
@@ -837,7 +766,6 @@ impl Driver {
         &self,
         model: &QuantMlp,
         inputs: &[Vec<u8>],
-        trace_capacity: Option<usize>,
     ) -> Result<InferResponse, DriverError> {
         let first = match inputs.first() {
             Some(f) => f,
@@ -847,7 +775,6 @@ impl Driver {
                     burst_fps: None,
                     dma_transfers: 0,
                     batch_slabs: Some(SlabBreakdown::default()),
-                    trace: None,
                 })
             }
         };
@@ -863,7 +790,7 @@ impl Driver {
             }
         }
         let loadable = compile(model, first).map_err(DriverError::Compile)?;
-        let (template, trace) = self.run_core_against(&loadable, trace_capacity, Some(model))?;
+        let template = self.run_core_against(&loadable, Some(model))?;
         let softmax = self.hw.softmax_output;
         let engine = BatchEngine::new(model);
         // Slab sweep: fully binary models advance 64 images per u64
@@ -896,7 +823,6 @@ impl Driver {
             burst_fps: None,
             dma_transfers: inputs.len(),
             batch_slabs: Some(engine.slab_breakdown(inputs.len())),
-            trace,
         })
     }
 
@@ -904,7 +830,6 @@ impl Driver {
         &self,
         model: &QuantMlp,
         inputs: &[Vec<u8>],
-        trace_capacity: Option<usize>,
     ) -> Result<InferResponse, DriverError> {
         if inputs.is_empty() {
             return Ok(InferResponse {
@@ -912,7 +837,6 @@ impl Driver {
                 burst_fps: Some(0.0),
                 dma_transfers: 0,
                 batch_slabs: None,
-                trace: None,
             });
         }
         let words =
@@ -922,12 +846,8 @@ impl Driver {
         let stream = netpu_sim::StreamSource::new(words, 1);
         let mut netpu =
             netpu_core::NetPu::new(self.hw, stream).map_err(DriverError::Accelerator)?;
-        if let Some(cap) = trace_capacity {
-            netpu = netpu.with_tracer(Tracer::bounded(cap));
-        }
         let cycles = netpu_core::netpu::run_to_completion_fast(&mut netpu)
             .map_err(DriverError::Accelerator)?;
-        let trace = trace_capacity.map(|_| netpu.take_tracer().into_events());
         let n = inputs.len();
         let total_us = self.dma.setup_us + netpu_sim::cycles_to_us(cycles, self.hw.clock_mhz);
         let fps = n as f64 * 1e6 / total_us;
@@ -973,7 +893,6 @@ impl Driver {
             burst_fps: Some(fps),
             dma_transfers: 1,
             batch_slabs: None,
-            trace,
         })
     }
 }
@@ -1036,26 +955,6 @@ mod tests {
             .run(InferRequest::single(model.as_ref(), px))
             .unwrap();
         assert_eq!(shared, borrowed);
-    }
-
-    #[test]
-    fn traced_requests_return_events() {
-        let driver = Driver::builder().build();
-        let model = ZooModel::TfcW1A1
-            .build_untrained(4, BnMode::Folded)
-            .unwrap();
-        let mut traced = InferRequest::single(&model, vec![9u8; 784]);
-        traced.options.trace_capacity = Some(64);
-        let resp = driver.run(traced).unwrap();
-        let events = resp.trace.expect("trace requested");
-        assert!(!events.is_empty());
-        assert!(events.len() <= 64);
-        // The untraced run is unaffected.
-        let plain = driver
-            .run(InferRequest::single(&model, vec![9u8; 784]))
-            .unwrap();
-        assert_eq!(plain.trace, None);
-        assert_eq!(plain.runs, resp.runs);
     }
 
     #[test]
@@ -1224,18 +1123,13 @@ mod tests {
     fn trace_sink_observes_sim_and_probe_events() {
         use netpu_trace::{MemorySink, TraceEvent as Tev};
         let sink = Arc::new(MemorySink::new());
-        let driver = Driver::builder()
-            .trace_sink(sink.clone())
-            .probe_datapath(true)
-            .build();
+        let driver = Driver::builder().trace_sink(sink.clone()).build();
         let model = ZooModel::TfcW1A1
             .build_untrained(4, BnMode::Folded)
             .unwrap();
         let resp = driver
             .run(InferRequest::single(&model, vec![9u8; 784]))
             .unwrap();
-        // Sink runs do not attach an inline trace to the response.
-        assert_eq!(resp.trace, None);
         let records = sink.records();
         assert!(records.iter().any(|r| matches!(r.event, Tev::Sim { .. })));
         assert!(records.iter().any(|r| matches!(r.event, Tev::Probe { .. })));
@@ -1292,23 +1186,6 @@ mod tests {
         // And the decision matches the two-tier driver exactly.
         let plain = Driver::builder().build().infer(&model, &px).unwrap();
         assert_eq!(run, plain);
-    }
-
-    #[test]
-    fn probe_default_follows_the_trace_sink() {
-        use netpu_trace::MemorySink;
-        let sink = Arc::new(MemorySink::new());
-        // A sink with no explicit probe choice probes by default...
-        let probed = Driver::builder().trace_sink(sink.clone()).build();
-        assert!(probed.probe_datapath);
-        // ...an explicit opt-out wins...
-        let quiet = Driver::builder()
-            .trace_sink(sink)
-            .probe_datapath(false)
-            .build();
-        assert!(!quiet.probe_datapath);
-        // ...and sinkless drivers never probe.
-        assert!(!Driver::builder().build().probe_datapath);
     }
 
     #[test]

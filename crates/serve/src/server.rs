@@ -316,24 +316,29 @@ fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
         .deadline_us
         .or(shared.cfg.default_deadline_us);
     let retries = job.req.options.retries.unwrap_or(shared.cfg.max_retries);
-    let options = job.req.options;
-    // Normalize single-frame requests to a pre-compiled loadable, in
-    // place on the job: every delivery attempt goes out as a raw
-    // stream (the unit the fault model corrupts), compile errors
-    // surface before any DMA time is charged, and a crash-requeued job
-    // re-enters the queue already compiled.
-    if let InferPayload::Single { model, pixels } = &job.req.payload {
-        match compile(model, pixels) {
-            Ok(loadable) => job.req.payload = InferPayload::Loadable(loadable),
+    // Single-frame requests are compiled up front: every delivery
+    // attempt goes out as a raw stream (the unit the fault model
+    // corrupts) that keeps the request's model as its source through
+    // admission, and compile errors surface before any DMA time is
+    // charged.
+    let compiled;
+    let (stream, source) = match &job.req.payload {
+        InferPayload::Single { model, pixels } => match compile(model, pixels) {
+            Ok(loadable) => {
+                compiled = loadable;
+                (Some(&compiled), Some(&**model))
+            }
             Err(e) => return (Err(DriverError::Compile(e)), 0.0),
-        }
-    }
+        },
+        InferPayload::Loadable(loadable) => (Some(loadable), None),
+        _ => (None, None),
+    };
 
     let mut attempt = 0u32;
     loop {
-        // Build this attempt's payload, injecting stream faults.
-        let (attempt_payload, attempt_words) = match &job.req.payload {
-            InferPayload::Loadable(loadable) => {
+        // Run this attempt, injecting stream faults.
+        let (result, attempt_words) = match stream {
+            Some(loadable) => {
                 let mut l = loadable.clone();
                 let crash = {
                     let mut injector = lock_recover(&shared.injector);
@@ -348,15 +353,10 @@ fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
                     let _arbiter = lock_recover(&shared.arbiter);
                     panic!("injected worker crash serving request {}", job.id);
                 }
-                let words = l.len();
-                (InferPayload::Loadable(l), words)
+                (shared.driver.run_compiled(&l, source), l.len())
             }
-            p => (p.clone(), 0),
+            None => (shared.driver.run(job.req.clone()), 0),
         };
-        let result = shared.driver.run(InferRequest {
-            payload: attempt_payload,
-            options,
-        });
         match result {
             Ok(resp) => {
                 let transfer_us = response_occupancy_us(&shared.driver, &resp);
@@ -603,6 +603,31 @@ mod tests {
         let m = lenient.shutdown();
         assert_eq!((m.equiv_flagged, m.equiv_rejected), (1, 0));
         assert_eq!(m.completed, 1);
+    }
+
+    #[test]
+    fn strict_equiv_validates_single_requests_against_their_model() {
+        let (model, pixels) = (tfc(), vec![5u8; 784]);
+        let driver = Driver::builder().build();
+        let server = Server::start(
+            driver.clone(),
+            ServerConfig {
+                strict_equiv: true,
+                ..ServerConfig::default()
+            },
+        );
+        server
+            .submit(InferRequest::single(model.clone(), pixels.clone()))
+            .expect_accepted()
+            .wait()
+            .unwrap();
+        server.shutdown();
+        // The worker admitted the compiled stream against its model, so
+        // the source-keyed entry is already in the shared store.
+        let words = compile(&model, &pixels).unwrap().words;
+        let _stream = driver.verdicts.lookup(&words, &driver.hw, Some(&model));
+        let stats = driver.verdicts.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   Output FIFO.
 //! * [`engine`] — the [`Clocked`] component trait and the [`Simulator`]
 //!   run harness with deadlock detection.
-//! * [`trace`] — a bounded event trace for debugging datapath schedules.
-//! * [`probe`] — an unbounded datapath value recorder backing the
-//!   range-analysis soundness suite in `netpu-check`.
+//! * [`Observer`] — the one observation hook: a bounded ring of
+//!   component events for debugging datapath schedules and an unbounded
+//!   log of datapath values backing the range-analysis soundness suite
+//!   in `netpu-check`, each switched on when it is built.
 //!
 //! Nothing here is NetPU-specific; `netpu-finn` builds its baseline
 //! pipeline on the same kernel.
@@ -23,15 +24,13 @@
 pub mod engine;
 pub mod fifo;
 pub mod fpga;
-pub mod probe;
+pub mod observe;
 pub mod stream;
-pub mod trace;
 
 pub use engine::{BulkClocked, Clocked, SimError, Simulator};
 pub use fifo::{Fifo, FifoStats};
-pub use probe::{DatapathProbe, ProbeSample, ProbeStage};
+pub use observe::{Observer, ProbeSample, ProbeStage, TraceEvent};
 pub use stream::{StreamSink, StreamSource};
-pub use trace::{TraceEvent, Tracer};
 
 /// A clock-cycle count.
 pub type Cycle = u64;

@@ -67,9 +67,6 @@ echo "== serving reports (board sweep + fleet replay artifact reproducibility, r
 # committed reports (the section V loading-bottleneck evidence).
 cargo run -q --release -p xtask -- serve-report
 
-echo "== serving layer (release) =="
-cargo test -q --release -p netpu-serve
-
 echo "== batch throughput smoke (bitsliced kernel, release) =="
 cargo run -q --release --example batch_throughput
 
@@ -77,9 +74,6 @@ echo "== live fleet smoke (sharded FleetServer, admit-once, release) =="
 # The example serves four models to three tenants over 2 shards x 2
 # boards and asserts each model is compiled and admitted exactly once.
 cargo run -q --release --example fleet
-
-echo "== API doc-tests (release) =="
-cargo test -q --release -p netpu-runtime --doc
 
 echo "== stream fuzzer smoke (coverage-guided, seeded, release) =="
 # A short deterministic campaign over the admission/simulator

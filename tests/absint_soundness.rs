@@ -2,7 +2,7 @@
 //!
 //! The abstract interpreter promises *sound* intervals: every value the
 //! datapath actually produces must land inside the proved per-neuron
-//! bound. The [`DatapathProbe`] records every intermediate accumulator,
+//! bound. A sampling [`Observer`] records every intermediate accumulator,
 //! post-BN word, activation level, and output score; this suite replays
 //! probed runs for the whole model zoo and 1000+ random models and
 //! asserts zero out-of-interval observations.
@@ -22,7 +22,7 @@ use netpu_nn::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, Outpu
 use netpu_nn::zoo::ZooModel;
 use netpu_runtime::{Driver, DriverError, InferRequest};
 use netpu_serve::{Server, ServerConfig, Submit};
-use netpu_sim::{DatapathProbe, ProbeSample, ProbeStage, Tracer};
+use netpu_sim::{Observer, ProbeSample, ProbeStage};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,10 +68,10 @@ fn assert_sound(words: &[u64], cfg: &HwConfig, tag: &str) {
             analyzed.report
         );
     });
-    let mut probe = DatapathProbe::enabled();
-    let run = run_inference_observed(cfg, words.to_vec(), &mut Tracer::disabled(), &mut probe)
+    let mut probe = Observer::new(0, true);
+    let run = run_inference_observed(cfg, words.to_vec(), &mut probe)
         .unwrap_or_else(|e| panic!("{tag}: simulator failed: {e}"));
-    assert!(!probe.is_empty(), "{tag}: probe recorded nothing");
+    assert!(!probe.samples().is_empty(), "{tag}: probe recorded nothing");
     assert_samples_bounded(probe.samples(), &analysis, tag);
     // The winning score itself is a Score-stage sample, so it must also
     // sit inside the output layer's proved interval.

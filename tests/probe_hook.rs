@@ -1,18 +1,19 @@
-//! Datapath probe hook contract (DESIGN.md §4.4 soundness hook).
+//! Observation hook contract (DESIGN.md §4.4 soundness hook).
 //!
-//! Two obligations: a disabled probe costs nothing on the hot path (no
-//! buffer is ever allocated across a full inference), and an enabled
-//! probe's recorded values are the values the accelerator actually
+//! Three obligations: a disabled observer costs nothing on the hot path
+//! (no buffer is ever allocated across a full inference), a sampling
+//! observer's recorded values are the values the accelerator actually
 //! produced — its output-layer score samples reproduce the class and
-//! score `Driver::run` reports for the same loadable.
+//! score `Driver::run` reports for the same loadable — and a run that
+//! fails hands its observer back with what it recorded before failing.
 
 use netpu_compiler::compile;
 use netpu_core::netpu::run_inference_observed;
-use netpu_core::{run_inference_fast, HwConfig};
+use netpu_core::{run_inference_fast, HwConfig, NetPuError};
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
 use netpu_runtime::{Driver, InferRequest};
-use netpu_sim::{DatapathProbe, ProbeStage, Tracer};
+use netpu_sim::{Observer, ProbeStage};
 
 fn tfc_words() -> Vec<u64> {
     let model = ZooModel::TfcW1A1
@@ -23,20 +24,14 @@ fn tfc_words() -> Vec<u64> {
 
 #[test]
 fn disabled_probe_never_allocates_across_a_full_run() {
-    let mut probe = DatapathProbe::disabled();
-    let run = run_inference_observed(
-        &HwConfig::paper_instance(),
-        tfc_words(),
-        &mut Tracer::disabled(),
-        &mut probe,
-    )
-    .unwrap();
-    // The run completed (thousands of record() call sites were hit) yet
-    // the probe never grew a buffer: the disabled path is one branch.
+    let mut probe = Observer::default();
+    let run = run_inference_observed(&HwConfig::paper_instance(), tfc_words(), &mut probe).unwrap();
+    // The run completed (thousands of hook call sites were hit) yet
+    // the observer never grew a buffer: the disabled path is one branch.
     assert!(run.cycles > 0);
-    assert!(probe.is_empty());
+    assert!(probe.samples().is_empty());
     assert_eq!(probe.capacity(), 0);
-    assert!(!probe.is_enabled());
+    assert!(!probe.is_sampling());
 }
 
 #[test]
@@ -44,12 +39,12 @@ fn probed_run_matches_unprobed_fast_path() {
     let cfg = HwConfig::paper_instance();
     let words = tfc_words();
     let plain = run_inference_fast(&cfg, words.clone()).unwrap();
-    let mut probe = DatapathProbe::enabled();
-    let probed = run_inference_observed(&cfg, words, &mut Tracer::disabled(), &mut probe).unwrap();
+    let mut probe = Observer::new(0, true);
+    let probed = run_inference_observed(&cfg, words, &mut probe).unwrap();
     assert_eq!(probed.class, plain.class);
     assert_eq!(probed.score, plain.score);
     assert_eq!(probed.cycles, plain.cycles);
-    assert!(!probe.is_empty());
+    assert!(!probe.samples().is_empty());
 }
 
 #[test]
@@ -65,8 +60,8 @@ fn probe_scores_reproduce_driver_outputs() {
     let response = driver.run(InferRequest::loadable(loadable)).unwrap();
     let measured = &response.runs[0];
 
-    let mut probe = DatapathProbe::enabled();
-    let run = run_inference_observed(&cfg, words, &mut Tracer::disabled(), &mut probe).unwrap();
+    let mut probe = Observer::new(0, true);
+    let run = run_inference_observed(&cfg, words, &mut probe).unwrap();
     assert_eq!(run.class, measured.class);
 
     // The output layer's Score samples are the MaxOut inputs: their
@@ -90,4 +85,23 @@ fn probe_scores_reproduce_driver_outputs() {
         .unwrap();
     assert_eq!(best_neuron, run.class);
     assert_eq!(best_score, run.score.raw());
+}
+
+#[test]
+fn failed_run_hands_back_the_events_recorded_before_the_failure() {
+    let mut words = tfc_words();
+    words.truncate(words.len() / 2); // starves a weight section
+    let mut observer = Observer::new(64, true);
+    let err = run_inference_observed(&HwConfig::paper_instance(), words, &mut observer)
+        .expect_err("a truncated stream cannot complete");
+    assert!(matches!(err, NetPuError::Sim(_)), "{err:?}");
+    // The layers reached before the stream ran dry were announced and
+    // sampled; no inference completed.
+    let messages: Vec<&str> = observer.events().map(|e| e.message.as_str()).collect();
+    assert!(
+        messages.iter().any(|m| m.starts_with("layer 0 settings")),
+        "{messages:?}"
+    );
+    assert!(!messages.iter().any(|m| m.starts_with("inference done")));
+    assert!(!observer.samples().is_empty());
 }
