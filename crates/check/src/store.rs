@@ -188,22 +188,12 @@ impl<V> VerdictStore<V> {
         }
     }
 
-    /// [`analyze`] with the structural and range tiers, plus
-    /// translation validation against `source` when one is given,
-    /// answered from the store when an equal stream (up to its input
-    /// section) was analyzed on an equal `cfg` against the same source.
-    /// The returned analysis never carries the range bounds.
-    pub fn analyze(
-        &self,
-        words: &[u64],
-        cfg: &HwConfig,
-        source: Option<&QuantMlp>,
-    ) -> Arc<Analysis> {
-        Arc::clone(&self.lookup(words, cfg, source).analysis)
-    }
-
-    /// [`analyze`](Self::analyze), returning the whole entry: the
-    /// analysis, the stored words, the view and the value slot. A stream
+    /// The entry for `words`: [`analyze`] with the structural and range
+    /// tiers, plus translation validation against `source` when one is
+    /// given, answered from the store when an equal stream (up to its
+    /// input section) was analyzed on an equal `cfg` against the same
+    /// source. The entry holds the analysis (never with the range
+    /// bounds), the stored words, the view and the value slot. A stream
     /// the store does not keep comes back in an entry of its own.
     pub fn lookup(
         &self,
@@ -558,7 +548,7 @@ mod tests {
         for seed in 0..64 {
             let source = random_model(seed);
             let loadable = netpu_compiler::compile(&source, &vec![1u8; source.input.len]).unwrap();
-            store.analyze(&loadable.words, &cfg, None);
+            store.lookup(&loadable.words, &cfg, None);
             assert!(store.stats().bytes <= budget);
         }
         let stats = store.stats();

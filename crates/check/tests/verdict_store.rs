@@ -87,11 +87,11 @@ proptest! {
         }
         let claim = certified.then_some(&source);
         let store = VerdictStore::default();
-        store.analyze(&with_random_input(&loadable, warm_px), &cfg(), claim);
+        store.lookup(&with_random_input(&loadable, warm_px), &cfg(), claim);
 
         let probe = with_random_input(&loadable, probe_px);
         let hits = store.stats().hits;
-        let stored = store.analyze(&probe, &cfg(), claim);
+        let stored = store.lookup(&probe, &cfg(), claim).analysis().clone();
         let fresh = analyze(&probe, &cfg(), Tiers { source: claim });
         let tag = format!("model {pick}/{seed}, pixels {warm_px:#x} then {probe_px:#x}");
         assert_agree(&fresh, &stored, &tag);
@@ -107,13 +107,19 @@ fn npc020_fires_even_when_the_store_saw_only_covered_pixels() {
     let mut loadable = compile(&source, &vec![100u8; 784]).unwrap();
     loadable.set_declared_input_range(10, 200);
     let store = VerdictStore::default();
-    let warm = store.analyze(&loadable.words, &cfg(), None);
+    let warm = store
+        .lookup(&loadable.words, &cfg(), None)
+        .analysis()
+        .clone();
     assert!(!warm.report.fired(RuleId::Npc020), "{}", warm.report);
 
     let mut pixels = vec![100u8; 784];
     pixels[5] = 255;
     loadable.replace_input(&pixels).unwrap();
-    let probe = store.analyze(&loadable.words, &cfg(), None);
+    let probe = store
+        .lookup(&loadable.words, &cfg(), None)
+        .analysis()
+        .clone();
     assert!(probe.report.fired(RuleId::Npc020), "{}", probe.report);
     assert_agree(
         &analyze(&loadable.words, &cfg(), Tiers::default()),
@@ -126,7 +132,10 @@ fn npc020_fires_even_when_the_store_saw_only_covered_pixels() {
     // Covered pixels again: the warm entry answers.
     pixels[5] = 10;
     loadable.replace_input(&pixels).unwrap();
-    let again = store.analyze(&loadable.words, &cfg(), None);
+    let again = store
+        .lookup(&loadable.words, &cfg(), None)
+        .analysis()
+        .clone();
     assert!(!again.report.fired(RuleId::Npc020));
     assert_eq!(store.stats().hits, 1);
 }
@@ -136,8 +145,14 @@ fn keys_isolate_the_source_model_and_the_instance() {
     let source = model(1, 2);
     let loadable = compile(&source, &vec![0u8; 784]).unwrap();
     let store = VerdictStore::default();
-    let plain = store.analyze(&loadable.words, &cfg(), None);
-    let certified = store.analyze(&loadable.words, &cfg(), Some(&source));
+    let plain = store
+        .lookup(&loadable.words, &cfg(), None)
+        .analysis()
+        .clone();
+    let certified = store
+        .lookup(&loadable.words, &cfg(), Some(&source))
+        .analysis()
+        .clone();
     assert!(!plain.report.fired(RuleId::Npc026));
     assert!(
         certified.report.fired(RuleId::Npc026),
@@ -147,14 +162,20 @@ fn keys_isolate_the_source_model_and_the_instance() {
 
     // Another source model is a different key and gets its own verdict.
     let other = model(1, 3);
-    let forged = store.analyze(&loadable.words, &cfg(), Some(&other));
+    let forged = store
+        .lookup(&loadable.words, &cfg(), Some(&other))
+        .analysis()
+        .clone();
     assert!(forged.report.has_equiv_errors(), "{}", forged.report);
 
     let narrow = HwConfig {
         accumulator_bits: 8,
         ..cfg()
     };
-    let narrowed = store.analyze(&loadable.words, &narrow, None);
+    let narrowed = store
+        .lookup(&loadable.words, &narrow, None)
+        .analysis()
+        .clone();
     assert!(narrowed.report.fired(RuleId::Npc014), "{}", narrowed.report);
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 4));

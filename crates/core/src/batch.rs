@@ -177,6 +177,11 @@ pub fn run_batch_fast(
                     .softmax_output
                     .then(|| netpu_arith::softmax::softmax(&out.scores)),
                 breakdown: template.breakdown.clone(),
+                results: template
+                    .results
+                    .iter()
+                    .map(|&(_, _, done_at)| (out.class, score, done_at))
+                    .collect(),
             }
         })
         .collect())

@@ -573,6 +573,9 @@ pub struct InferenceRun {
     pub probabilities: Option<Vec<f64>>,
     /// Per-layer, per-phase cycle breakdown; sums to `cycles`.
     pub breakdown: CycleBreakdown,
+    /// Every completed inference of the stream, one per loadable of a
+    /// burst: `(class, score, completion cycle)` ([`NetPu::results`]).
+    pub results: Vec<(usize, Fix, Cycle)>,
 }
 
 /// Convenience driver: streams a compiled loadable through a fresh
@@ -642,6 +645,7 @@ fn finish_run(netpu: &NetPu, cycles: Cycle, cfg: &HwConfig) -> Result<InferenceR
         latency_us: netpu_sim::cycles_to_us(cycles, cfg.clock_mhz),
         probabilities: netpu.probabilities(),
         breakdown: netpu.breakdown.clone(),
+        results: netpu.results.clone(),
     })
 }
 

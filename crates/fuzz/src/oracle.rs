@@ -183,9 +183,9 @@ fn through_warm_store(cfg: &HwConfig, words: &[u64]) -> (Report, StoreStats) {
     if let Some(span) = payload_span(words) {
         let mut warm = words.to_vec();
         warm[span].iter_mut().for_each(|w| *w = !*w);
-        store.analyze(&warm, cfg, None);
+        store.lookup(&warm, cfg, None);
     }
-    let report = store.analyze(words, cfg, None).report.clone();
+    let report = store.lookup(words, cfg, None).analysis().report.clone();
     (report, store.stats())
 }
 

@@ -11,7 +11,9 @@
 //! memoized batch, single-transfer burst, or a pre-compiled loadable)
 //! and returns an [`InferResponse`]; `infer`, `infer_batch` and
 //! `infer_burst` are shorthands for it. `InferRequest` is also the unit
-//! of work the `netpu-serve` multi-board scheduler enqueues. A run is
+//! of work the `netpu-serve` multi-board scheduler enqueues. Every
+//! stream is admitted by one call, [`Driver::admit`], under the
+//! driver's one policy, and simulated by one function. A run is
 //! observed in one way only: through the [`TraceSink`] attached with
 //! [`DriverBuilder::trace_sink`].
 
@@ -19,7 +21,7 @@ use crate::dma::DmaModel;
 use crate::power::PowerParams;
 use crate::value::{self, ValueKernel, ValueSlot};
 use netpu_arith::Fix;
-use netpu_check::{Analysis, RejectReason, VerdictStore};
+use netpu_check::{Analysis, RejectReason, StoredStream, VerdictStore};
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_core::netpu::{run_inference_fast, run_inference_observed, InferenceRun, NetPuError};
 use netpu_core::resources::netpu_utilization;
@@ -29,6 +31,7 @@ use netpu_sim::Observer;
 use netpu_trace::TraceSink;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Simulator event window forwarded per run when a [`TraceSink`] is
@@ -159,6 +162,12 @@ impl std::fmt::Display for DriverError {
                 "deadline {deadline_us} us exceeded: ready at {elapsed_us:.1} us"
             ),
         }
+    }
+}
+
+impl From<RejectReason> for DriverError {
+    fn from(reason: RejectReason) -> DriverError {
+        DriverError::Rejected(reason)
     }
 }
 
@@ -366,6 +375,27 @@ impl InferResponse {
     }
 }
 
+/// A loadable [`Driver::admit`] let through, tied to the verdict-store
+/// entry that admitted it: [`Driver::run_admitted`] streams exactly
+/// this loadable, under this entry's certificate.
+pub struct Admitted<'l> {
+    loadable: Cow<'l, Loadable>,
+    stream: Arc<StoredStream<ValueSlot>>,
+}
+
+impl Admitted<'_> {
+    /// The admitted loadable.
+    pub fn loadable(&self) -> &Loadable {
+        &self.loadable
+    }
+
+    /// The stream's analysis: every finding, and the timing
+    /// certificate.
+    pub fn analysis(&self) -> &Arc<Analysis> {
+        self.stream.analysis()
+    }
+}
+
 /// Builds a [`Driver`] from parts; unset parts default to the paper's
 /// measurement setup (Table V instance, Zynq UltraScale+ PS DMA,
 /// Ultra96-V2 power coefficients).
@@ -417,30 +447,30 @@ impl DriverBuilder {
     }
 
     /// Enables the opt-in **third admission tier**: requests that carry
-    /// their source model (`Single`/`Batch` payloads) are additionally
-    /// run through the `netpu-check::symex` translation validator, and
-    /// error-class equivalence findings (NPC021/NPC022/NPC024) reject
-    /// admission. Pre-compiled `Loadable` payloads carry no source
-    /// claim unless run through [`Driver::run_compiled`] with their
-    /// source, and `Burst` streams are compiled from the source in the
-    /// same call, so both keep the two-tier decision. Defaults to
-    /// `false`: certification re-validates the compile the driver
-    /// itself just performed, which honest compiles always pass, so it
-    /// is a (costly) defense against compiler bugs and tampered
-    /// streams rather than everyday hygiene.
+    /// their source model (`Single`/`Batch` payloads, and every frame
+    /// of a `Burst`, as `Single`) are additionally run through the
+    /// `netpu-check::symex` translation validator, and error-class
+    /// equivalence findings (NPC021/NPC022/NPC024) reject admission.
+    /// Pre-compiled `Loadable` payloads carry no source claim unless run
+    /// through [`Driver::run_compiled`] or [`Driver::admit`] with their
+    /// source. Defaults to `false`: certification re-validates the
+    /// compile the driver itself just performed, which honest compiles
+    /// always pass, so it is a (costly) defense against compiler bugs
+    /// and tampered streams rather than everyday hygiene.
     pub fn strict_equiv(mut self, strict: bool) -> DriverBuilder {
         self.strict_equiv = strict;
         self
     }
 
     /// Attaches a [`TraceSink`]: every simulated run of a `Single`,
-    /// `Loadable` or `Batch` payload (a batch simulates its first
-    /// frame) forwards its simulator events and its datapath values
-    /// (accumulators, post-BN words, levels, scores) to the sink as
-    /// `Sim` / `Probe` trace events, followed by the timing
-    /// certificate's cycle count next to the simulator's. The sink is
-    /// the one surface the serving layers record to too, and its
-    /// recordings serialize to the replayable binary format.
+    /// `Loadable`, `Batch` or `Burst` payload (a batch simulates its
+    /// first frame, a burst its whole stream) forwards its simulator
+    /// events and its datapath values (accumulators, post-BN words,
+    /// levels, scores) to the sink as `Sim` / `Probe` trace events,
+    /// followed by the timing certificate's cycle count (for a burst of
+    /// `n` frames, its `burst_cycles(n)`) next to the simulator's. The
+    /// sink is the one surface the serving layers record to too, and
+    /// its recordings serialize to the replayable binary format.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> DriverBuilder {
         self.trace_sink = Some(sink);
         self
@@ -490,11 +520,11 @@ pub struct Driver {
     /// Trace sink every run reports its simulator events and datapath
     /// values to; `None` (the default) records nothing.
     pub trace_sink: Option<Arc<dyn TraceSink>>,
-    /// The verdict store admission answers from (DESIGN.md §4.8.1).
-    /// Every clone of the driver shares it, so a `netpu-serve` server's
-    /// admission and its workers, and a `netpu-fleet` cache, pay a
-    /// stream's analysis once. Its value slots hold each stream's
-    /// [`ValueKernel`] ([`Driver::admit_values`]).
+    /// The verdict store [`Driver::admit`] answers from (DESIGN.md
+    /// §4.8.1). Every clone of the driver shares it, so a `netpu-serve`
+    /// server and a `netpu-fleet` cache pay a stream's analysis once.
+    /// Its value slots hold each stream's [`ValueKernel`]
+    /// ([`Driver::admit_values`]).
     pub verdicts: Arc<VerdictStore<ValueSlot>>,
 }
 
@@ -545,56 +575,78 @@ impl Driver {
         loadable: &Loadable,
         source: Option<&QuantMlp>,
     ) -> Result<InferResponse, DriverError> {
+        let admitted = self.admit(Cow::Borrowed(loadable), self.claim(source))?;
+        self.run_admitted(&admitted)
+    }
+
+    /// Compiles and runs one inference.
+    pub fn infer(&self, model: &QuantMlp, pixels: &[u8]) -> Result<MeasuredRun, DriverError> {
+        only(self.run(InferRequest::single(model, pixels.to_vec()))?)
+    }
+
+    /// Runs a pre-compiled loadable (on the cycle-exact fast path; the
+    /// `fast_path` differential suite pins it to the tick path).
+    pub fn run_loadable(&self, loadable: &Loadable) -> Result<MeasuredRun, DriverError> {
+        only(self.run_compiled(loadable, None)?)
+    }
+
+    /// The one admission call (DESIGN.md §4.8, §4.8.1): one verdict-store
+    /// lookup of `loadable`, validated against `source` when one is
+    /// given, then the driver's policy: structural errors always refuse,
+    /// error-class range findings under [`strict_range`](DriverBuilder::strict_range),
+    /// equivalence findings under [`strict_equiv`](DriverBuilder::strict_equiv).
+    /// Findings a lenient driver admits stay readable in
+    /// [`Admitted::analysis`]; a refusal carries the verifier report.
+    pub fn admit<'l>(
+        &self,
+        loadable: Cow<'l, Loadable>,
+        source: Option<&QuantMlp>,
+    ) -> Result<Admitted<'l>, RejectReason> {
+        let stream = self.verdicts.lookup(&loadable.words, &self.hw, source);
+        stream
+            .analysis()
+            .verdict(self.strict_range, self.strict_equiv)
+            .into_result()?;
+        Ok(Admitted { loadable, stream })
+    }
+
+    /// Streams an admitted loadable as a one-frame request.
+    pub fn run_admitted(&self, admitted: &Admitted<'_>) -> Result<InferResponse, DriverError> {
+        let words = admitted.loadable.words.clone();
+        let run = self.simulate(words, Some(admitted.analysis()), 1)?;
+        let len = admitted.loadable.len();
         Ok(InferResponse {
-            runs: vec![self.run_core_against(loadable, source)?],
+            runs: vec![self.price(run.class, run.score, run.cycles, run.probabilities, len)],
             burst_fps: None,
             dma_transfers: 1,
             batch_slabs: None,
         })
     }
 
-    /// Compiles and runs one inference.
-    pub fn infer(&self, model: &QuantMlp, pixels: &[u8]) -> Result<MeasuredRun, DriverError> {
-        let resp = self.run(InferRequest::single(model, pixels.to_vec()))?;
-        resp.runs
-            .into_iter()
-            .next()
-            .ok_or(DriverError::EmptyResponse)
-    }
-
-    /// Runs a pre-compiled loadable (on the cycle-exact fast path; the
-    /// `fast_path` differential suite pins it to the tick path).
-    pub fn run_loadable(&self, loadable: &Loadable) -> Result<MeasuredRun, DriverError> {
-        self.run_core_against(loadable, None)
-    }
-
     /// Admission for the value path (DESIGN.md §4.6): `loadable`,
-    /// compiled from `source`, is looked up in the verdict store (under
-    /// [`strict_equiv`](DriverBuilder::strict_equiv), against `source`)
-    /// and refused as [`run`](Driver::run) would refuse it. The entry's
-    /// [`ValueKernel`] is built on the stream's first value request and
-    /// cross-checked once against the simulator on the zero input; a
-    /// failed cross-check stays recorded and refuses the stream on every
-    /// later call. The returned run is the zero-input inference priced
-    /// from the timing certificate, so a stream the store still holds is
-    /// admitted with one lookup: no simulation and no weight decode.
+    /// compiled from `source`, is admitted as [`run_compiled`](Driver::run_compiled)
+    /// would admit it. The entry's [`ValueKernel`] is built on the
+    /// stream's first value request and cross-checked once against the
+    /// simulator on the zero input; a failed cross-check stays recorded
+    /// and refuses the stream on every later call. The returned run is
+    /// the zero-input inference priced from the timing certificate, so a
+    /// stream the store still holds is admitted with one lookup: no
+    /// simulation and no weight decode.
     pub fn admit_values(
         &self,
         loadable: &Loadable,
         source: &QuantMlp,
     ) -> Result<(ValueKernel, MeasuredRun), DriverError> {
-        let source = Some(source).filter(|_| self.strict_equiv);
-        let stream = self.verdicts.lookup(&loadable.words, &self.hw, source);
-        self.gate(stream.analysis(), source.is_some())?;
+        let admitted = self.admit(Cow::Borrowed(loadable), self.claim(Some(source)))?;
         let value = Arc::clone(
             self.verdicts
-                .value(&stream, value::build)
+                .value(&admitted.stream, value::build)
                 .as_ref()
                 .map_err(Clone::clone)?,
         );
         let ((class, score), probabilities) = value.zero_input();
         let run = self.price(class, score, value.cycles(), probabilities, loadable.len());
-        Ok((ValueKernel::new(stream, value), run))
+        Ok((ValueKernel::new(admitted.stream, value), run))
     }
 
     /// Streams a pre-packaged burst of inferences through one DMA
@@ -631,63 +683,27 @@ impl Driver {
         Ok(resp.runs)
     }
 
-    /// Static pre-flight (DESIGN.md §4.3–4.4, §4.8). Structural errors
-    /// mark streams the accelerator would reject, stall on, or panic
-    /// over and always refuse admission; error-class range findings
-    /// (provable accumulator/comparator unsoundness) refuse only under
-    /// strict admission; and when the request carries its source model
-    /// and `strict_equiv` is on, symbolic inequivalence against that
-    /// source refuses too. Rejected streams never cost simulation or
-    /// DMA time. The gate is the shared `AdmissionVerdict` policy, so
-    /// this decision is identical to the serving layers' and the
-    /// fuzzer's.
-    fn admit(
-        &self,
-        loadable: &Loadable,
-        source: Option<&QuantMlp>,
-    ) -> Result<Arc<Analysis>, DriverError> {
-        let source = source.filter(|_| self.strict_equiv);
-        let analysis = self.verdicts.analyze(&loadable.words, &self.hw, source);
-        self.gate(&analysis, source.is_some())?;
-        Ok(analysis)
+    /// `source` when this driver validates against it: under
+    /// [`strict_equiv`](DriverBuilder::strict_equiv).
+    fn claim<'m>(&self, source: Option<&'m QuantMlp>) -> Option<&'m QuantMlp> {
+        source.filter(|_| self.strict_equiv)
     }
 
-    /// The shared admission policy over a stream's analysis.
-    fn gate(&self, analysis: &Analysis, strict_equiv: bool) -> Result<(), DriverError> {
-        analysis
-            .verdict(self.strict_range, strict_equiv)
-            .into_result()
-            .map_err(DriverError::Rejected)
-    }
-
-    /// Admits one loadable, with the request's claimed source model
-    /// when the payload carried one (the hook the `strict_equiv` third
-    /// admission tier hangs off), and streams it.
-    fn run_core_against(
+    /// Simulates an admitted stream of `frames` loadables, one or a
+    /// burst, on the fast engine. With a sink attached, the run's events
+    /// and datapath values go to it, then the cycle count `analysis`
+    /// certifies for the stream next to the simulator's. The events are
+    /// forwarded even when the run failed — a failing stream's events
+    /// are exactly what an anomaly trace exists to capture.
+    fn simulate(
         &self,
-        loadable: &Loadable,
-        source: Option<&QuantMlp>,
-    ) -> Result<MeasuredRun, DriverError> {
-        let analysis = self.admit(loadable, source)?;
-        let words = loadable.words.clone();
-        let run = match self.trace_sink.as_deref() {
-            None => run_inference_fast(&self.hw, words),
-            Some(sink) => self.observe(sink, words, &analysis),
-        };
-        Ok(self.measure(&run.map_err(DriverError::Accelerator)?, loadable.len()))
-    }
-
-    /// Simulates one admitted stream into `sink`: its events and
-    /// datapath values, then the timing certificate's cycle count next
-    /// to the simulator's. The events are forwarded even when the run
-    /// failed — a failing stream's events are exactly what an anomaly
-    /// trace exists to capture.
-    fn observe(
-        &self,
-        sink: &dyn TraceSink,
         words: Vec<u64>,
-        analysis: &Analysis,
-    ) -> Result<InferenceRun, NetPuError> {
+        analysis: Option<&Analysis>,
+        frames: u64,
+    ) -> Result<InferenceRun, DriverError> {
+        let Some(sink) = self.trace_sink.as_deref() else {
+            return run_inference_fast(&self.hw, words).map_err(DriverError::Accelerator);
+        };
         let mut observer = Observer::new(SINK_TRACE_EVENTS, true);
         let outcome = run_inference_observed(&self.hw, words, &mut observer);
         let mut t_end = 0.0f64;
@@ -706,12 +722,12 @@ impl Driver {
         for sample in observer.samples() {
             sink.record(t_end, netpu_trace::TraceEvent::probe(sample));
         }
-        let run = outcome?;
+        let run = outcome.map_err(DriverError::Accelerator)?;
         // `xtask replay` cross-checks the closed-form timing model
         // (DESIGN.md §4.9) against every recorded run from this pair.
-        if let Some(timing) = &analysis.timing {
+        if let Some(timing) = analysis.and_then(|a| a.timing.as_ref()) {
             for (key, cycles) in [
-                ("timing.predicted_cycles", timing.total_cycles()),
+                ("timing.predicted_cycles", timing.burst_cycles(frames)),
                 ("timing.recorded_cycles", run.cycles),
             ] {
                 let (key, value) = (key.to_string(), cycles.to_string());
@@ -719,18 +735,6 @@ impl Driver {
             }
         }
         Ok(run)
-    }
-
-    /// Attaches the DMA and power models to one simulated run.
-    fn measure(&self, run: &InferenceRun, stream_words: usize) -> MeasuredRun {
-        let probabilities = run.probabilities.clone();
-        self.price(
-            run.class,
-            run.score,
-            run.cycles,
-            probabilities,
-            stream_words,
-        )
     }
 
     /// One inference's measurements from its class, score and cycle
@@ -767,16 +771,13 @@ impl Driver {
         model: &QuantMlp,
         inputs: &[Vec<u8>],
     ) -> Result<InferResponse, DriverError> {
-        let first = match inputs.first() {
-            Some(f) => f,
-            None => {
-                return Ok(InferResponse {
-                    runs: Vec::new(),
-                    burst_fps: None,
-                    dma_transfers: 0,
-                    batch_slabs: Some(SlabBreakdown::default()),
-                })
-            }
+        let Some(first) = inputs.first() else {
+            return Ok(InferResponse {
+                runs: Vec::new(),
+                burst_fps: None,
+                dma_transfers: 0,
+                batch_slabs: Some(SlabBreakdown::default()),
+            });
         };
         // Same validation `Loadable::replace_input` performs on the
         // sequential path, hoisted in front of any simulation time.
@@ -790,7 +791,7 @@ impl Driver {
             }
         }
         let loadable = compile(model, first).map_err(DriverError::Compile)?;
-        let template = self.run_core_against(&loadable, Some(model))?;
+        let template = only(self.run_compiled(&loadable, Some(model))?)?;
         let softmax = self.hw.softmax_output;
         let engine = BatchEngine::new(model);
         // Slab sweep: fully binary models advance 64 images per u64
@@ -826,29 +827,37 @@ impl Driver {
         })
     }
 
+    /// One stream of every frame's loadable back to back (§III.B.3).
+    /// Each frame's loadable is admitted as a `Single` request of that
+    /// frame would be, then the whole stream is simulated once.
     fn run_burst(
         &self,
         model: &QuantMlp,
         inputs: &[Vec<u8>],
     ) -> Result<InferResponse, DriverError> {
-        if inputs.is_empty() {
+        let Some(first) = inputs.first() else {
             return Ok(InferResponse {
                 runs: Vec::new(),
                 burst_fps: Some(0.0),
                 dma_transfers: 0,
                 batch_slabs: None,
             });
-        }
-        let words =
-            netpu_compiler::batch_stream(model, inputs, netpu_compiler::PackingMode::Lanes8)
+        };
+        let mut loadable = compile(model, first).map_err(DriverError::Compile)?;
+        let mut words = Vec::with_capacity(loadable.len() * inputs.len());
+        let mut analysis = None;
+        for pixels in inputs {
+            loadable
+                .replace_input(pixels)
                 .map_err(DriverError::Compile)?;
-        let total_words = words.len();
-        let stream = netpu_sim::StreamSource::new(words, 1);
-        let mut netpu =
-            netpu_core::NetPu::new(self.hw, stream).map_err(DriverError::Accelerator)?;
-        let cycles = netpu_core::netpu::run_to_completion_fast(&mut netpu)
-            .map_err(DriverError::Accelerator)?;
+            let admitted = self.admit(Cow::Borrowed(&loadable), self.claim(Some(model)))?;
+            analysis = Some(Arc::clone(admitted.analysis()));
+            words.extend_from_slice(&loadable.words);
+        }
         let n = inputs.len();
+        let total_words = words.len();
+        let run = self.simulate(words, analysis.as_deref(), n as u64)?;
+        let cycles = run.cycles;
         let total_us = self.dma.setup_us + netpu_sim::cycles_to_us(cycles, self.hw.clock_mhz);
         let fps = n as f64 * 1e6 / total_us;
         let util = netpu_utilization(&self.hw);
@@ -859,11 +868,10 @@ impl Driver {
         // so the per-frame figures sum back to the burst totals.
         let setup_share = self.dma.setup_us / n as f64;
         let base_words = total_words / n;
-        let results = netpu.results().to_vec();
-        let mut runs = Vec::with_capacity(results.len());
+        let mut runs = Vec::with_capacity(run.results.len());
         let mut prev_end = 0u64;
-        for (i, (class, score, done_at)) in results.iter().enumerate() {
-            let end = if i + 1 == results.len() {
+        for (i, (class, score, done_at)) in run.results.iter().enumerate() {
+            let end = if i + 1 == run.results.len() {
                 cycles
             } else {
                 done_at + 1
@@ -895,6 +903,14 @@ impl Driver {
             batch_slabs: None,
         })
     }
+}
+
+/// The one run of a one-frame response.
+fn only(resp: InferResponse) -> Result<MeasuredRun, DriverError> {
+    resp.runs
+        .into_iter()
+        .next()
+        .ok_or(DriverError::EmptyResponse)
 }
 
 #[cfg(test)]
@@ -1094,6 +1110,62 @@ mod tests {
         let total_cycles: u64 = resp.runs.iter().map(|r| r.cycles).sum();
         assert!(resp.runs.iter().all(|r| r.cycles > 0));
         assert!(total_cycles > 0);
+    }
+
+    #[test]
+    fn bursts_are_admitted_as_single_requests() {
+        let driver = Driver::builder()
+            .hw(HwConfig {
+                accumulator_bits: 8,
+                ..HwConfig::paper_instance()
+            })
+            .build();
+        let model = ZooModel::TfcW2A2
+            .build_untrained(7, BnMode::Folded)
+            .unwrap();
+        let inputs = vec![vec![0u8; 784], vec![200u8; 784]];
+        let single = driver.infer(&model, &inputs[0]).unwrap_err();
+        let DriverError::Rejected(reason) = &single else {
+            panic!("expected Rejected, got {single:?}");
+        };
+        let report = reason.report().expect("invalid carries the report");
+        assert!(report.fired(netpu_check::RuleId::Npc014), "{report}");
+        let burst = driver.run(InferRequest::burst(&model, inputs)).unwrap_err();
+        assert_eq!(burst, single);
+    }
+
+    #[test]
+    fn traced_bursts_are_recorded() {
+        use netpu_trace::{MemorySink, TraceEvent as Tev};
+        let sink = Arc::new(MemorySink::new());
+        let driver = Driver::builder().trace_sink(sink.clone()).build();
+        let model = ZooModel::TfcW1A1
+            .build_untrained(4, BnMode::Folded)
+            .unwrap();
+        let inputs = vec![vec![9u8; 784], vec![90u8; 784], vec![190u8; 784]];
+        let resp = driver
+            .run(InferRequest::burst(&model, inputs.clone()))
+            .unwrap();
+        let records = sink.records();
+        assert!(records.iter().any(|r| matches!(r.event, Tev::Sim { .. })));
+        assert!(records.iter().any(|r| matches!(r.event, Tev::Probe { .. })));
+        let meta = |key: &str| {
+            records.iter().find_map(|r| match &r.event {
+                Tev::Meta { key: k, value } if k == key => Some(value.clone()),
+                _ => None,
+            })
+        };
+        let predicted = meta("timing.predicted_cycles").expect("predicted-cycles annotation");
+        let recorded = meta("timing.recorded_cycles").expect("recorded-cycles annotation");
+        assert_eq!(predicted, recorded, "burst timing diverged");
+        let total: u64 = resp.runs.iter().map(|r| r.cycles).sum();
+        assert_eq!(recorded, total.to_string());
+        // Observation leaves the burst's answers unchanged.
+        let plain = Driver::builder()
+            .build()
+            .run(InferRequest::burst(&model, inputs))
+            .unwrap();
+        assert_eq!(plain, resp);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod value;
 pub use cluster::{Cluster, ClusterThroughput};
 pub use dma::DmaModel;
 pub use driver::{
-    Driver, DriverBuilder, DriverError, InferPayload, InferRequest, InferResponse, MeasuredRun,
-    ModelSource, RequestOptions,
+    Admitted, Driver, DriverBuilder, DriverError, InferPayload, InferRequest, InferResponse,
+    MeasuredRun, ModelSource, RequestOptions,
 };
 pub use netpu_check::{AdmissionVerdict, RejectReason};
 pub use netpu_trace::TraceSink;

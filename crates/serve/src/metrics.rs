@@ -83,7 +83,7 @@ pub struct MetricsSnapshot {
     /// whether or not admission refused them.
     pub range_flagged: u64,
     /// Range-flagged submissions actually refused at admission
-    /// (strict-range servers only; always ≤ `range_flagged`).
+    /// (strict-range drivers only; always ≤ `range_flagged`).
     pub range_rejected: u64,
     /// Certified submissions whose translation validation found
     /// error-class inequivalence against the claimed source model
@@ -92,11 +92,10 @@ pub struct MetricsSnapshot {
     /// submissions can contribute.
     pub equiv_flagged: u64,
     /// Equivalence-flagged submissions actually refused at admission
-    /// (strict-equiv servers only; always ≤ `equiv_flagged`).
+    /// (strict-equiv drivers only; always ≤ `equiv_flagged`).
     pub equiv_rejected: u64,
     /// Admission lookups answered from the driver's verdict store,
-    /// counting the workers' lookups and those of every driver clone
-    /// sharing the store.
+    /// counting those of every driver clone sharing the store.
     pub verdict_hits: u64,
     /// Admission lookups that ran a fresh analysis: the first sight of
     /// each distinct stream, plus every stream the store never keeps.

@@ -1,7 +1,10 @@
 //! The multi-board inference server.
 //!
 //! A [`Server`] owns a bounded admission queue and one worker thread
-//! per board. Every refusal — full queue, closed server, verifier
+//! per board. Admission is the driver's: a loadable payload is admitted
+//! at submission by [`Driver::admit`], under the driver's policy, and
+//! queued with its admission, so its worker looks nothing up again.
+//! Every refusal — full queue, closed server, verifier
 //! findings, exhausted crash-recovery budget — is answered with the
 //! workspace's unified [`Submit::Denied`]`(`[`RejectReason`]`)`, so
 //! clients pattern-match one structured surface across the whole
@@ -35,15 +38,20 @@ use crate::faults::{FaultInjector, FaultPlan};
 use crate::metrics::{Counters, MetricsSnapshot};
 use crate::queue::BoundedQueue;
 use crate::worker::{self, lock_recover, Job, PoolCounters, Served, Stage, Submission, WorkerPool};
-use netpu_check::{AdmissionVerdict, RejectReason};
+use netpu_check::RejectReason;
 use netpu_compiler::compile;
 use netpu_nn::QuantMlp;
-use netpu_runtime::{Driver, DriverError, InferPayload, InferRequest, InferResponse};
+use netpu_runtime::{
+    Admitted, Driver, DriverError, InferPayload, InferRequest, InferResponse, RequestOptions,
+};
 use netpu_trace::{TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Server configuration.
+/// Server configuration. The admission policy is not here: it is the
+/// driver's ([`DriverBuilder::strict_range`](netpu_runtime::DriverBuilder::strict_range),
+/// [`DriverBuilder::strict_equiv`](netpu_runtime::DriverBuilder::strict_equiv)).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Number of boards (and worker threads).
@@ -56,24 +64,6 @@ pub struct ServerConfig {
     pub max_retries: u32,
     /// Stream faults to inject (tests the retry and crash paths).
     pub faults: FaultPlan,
-    /// Reject submissions whose pre-flight range analysis proves the
-    /// datapath can overflow or leave the comparator's domain
-    /// (error-class NPC014/NPC018/NPC020 findings, DESIGN.md §4.4).
-    /// Lenient servers still count such submissions in
-    /// [`MetricsSnapshot::range_flagged`] but admit them.
-    pub strict_range: bool,
-    /// Reject [`Server::submit_certified`] submissions whose stream the
-    /// translation validator proves computes a *different function*
-    /// than the claimed source model (error-class NPC021/NPC022/NPC024
-    /// findings, DESIGN.md §4.8). Also propagated to the workers'
-    /// driver, so `Single`/`Batch` payloads — which carry their source
-    /// model by construction — get the same third tier on their
-    /// compiled streams. Lenient servers still count certified
-    /// submissions with equivalence findings in
-    /// [`MetricsSnapshot::equiv_flagged`] but admit them. Off by
-    /// default: the third tier costs a symbolic execution per
-    /// admission.
-    pub strict_equiv: bool,
     /// How many times a request whose worker died mid-serve is put
     /// back on the queue before crash recovery gives up and rejects it
     /// with [`RejectReason::WorkerCrash`].
@@ -91,8 +81,6 @@ impl Default for ServerConfig {
             default_deadline_us: None,
             max_retries: 0,
             faults: FaultPlan::None,
-            strict_range: true,
-            strict_equiv: false,
             crash_requeues: 1,
             trace: None,
         }
@@ -121,7 +109,14 @@ pub type Submit = Submission<ServeResponse>;
 /// Handle to one queued [`Server`] request.
 pub type Ticket = worker::Ticket<ServeResponse>;
 
-type ServeJob = Job<InferRequest<'static>, ServeResponse>;
+type ServeJob = Job<Queued, ServeResponse>;
+
+/// A queued request. A `Loadable` payload travels as its admission at
+/// submission; every other payload as submitted.
+enum Queued {
+    Admitted(Admitted<'static>, RequestOptions),
+    Request(InferRequest<'static>),
+}
 
 struct Shared {
     cfg: ServerConfig,
@@ -134,7 +129,7 @@ struct Shared {
 }
 
 impl Stage for Shared {
-    type Req = InferRequest<'static>;
+    type Req = Queued;
     type Resp = ServeResponse;
 
     fn queue(&self, _queue: usize) -> &BoundedQueue<ServeJob> {
@@ -169,15 +164,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the server: spawns one worker thread per board.
-    pub fn start(mut driver: Driver, cfg: ServerConfig) -> Server {
+    /// Starts the server: spawns one worker thread per board. The
+    /// driver's policy admits every request.
+    pub fn start(driver: Driver, cfg: ServerConfig) -> Server {
         assert!(cfg.boards > 0, "at least one board");
         assert!(cfg.queue_capacity > 0, "queue bound must be positive");
-        // The server's admission policy is authoritative: a lenient
-        // server must not have its workers re-reject admitted streams
-        // through the driver's own (default-strict) range gate.
-        driver.strict_range = cfg.strict_range;
-        driver.strict_equiv = cfg.strict_equiv;
         let shared = Arc::new(Shared {
             driver,
             counters: Counters::default(),
@@ -204,8 +195,9 @@ impl Server {
     /// the [`symex`](netpu_check::symex) translation validator
     /// certifies the stream bit-precisely equivalent to `source`.
     /// Equivalence findings are always counted in
-    /// [`MetricsSnapshot::equiv_flagged`]; they deny admission only
-    /// under [`ServerConfig::strict_equiv`]. Payloads other than
+    /// [`MetricsSnapshot::equiv_flagged`]; they deny admission only on a
+    /// [`strict_equiv`](netpu_runtime::DriverBuilder::strict_equiv)
+    /// driver. Payloads other than
     /// [`InferPayload::Loadable`] carry no separate stream to validate
     /// (the worker compiles them from their own source, where the
     /// driver applies the same tier) and are admitted exactly like
@@ -214,16 +206,15 @@ impl Server {
         self.admit(Some(source), req)
     }
 
-    /// The one admission path. A loadable payload gets the static
-    /// pre-flight before a queue slot is taken, so a stream the
+    /// The one submission path. A loadable payload is admitted by
+    /// [`Driver::admit`] before a queue slot is taken, so a stream the
     /// accelerator would reject never reaches a worker; with a claimed
-    /// `source` the pre-flight adds the translation-validation tier.
-    /// The pre-flight is a lookup in the driver's verdict store, which
-    /// the workers' own admission then hits too; the flag and reject
-    /// counters still count every submission.
+    /// `source` admission adds the translation-validation tier. The flag
+    /// and reject counters count every submission, from the admitted
+    /// analysis or from the report the refusal carries.
     fn admit(&self, source: Option<&QuantMlp>, req: InferRequest<'static>) -> Submit {
         let shared = &*self.shared;
-        let c = &shared.counters;
+        let (c, driver) = (&shared.counters, &shared.driver);
         let bump = |counter: &AtomicU64, hit: bool| {
             if hit {
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -238,31 +229,34 @@ impl Server {
                 model: 0,
             },
         );
-        let mut range_flagged = false;
-        if let InferPayload::Loadable(loadable) = &req.payload {
-            let driver = &shared.driver;
-            let analysis = driver.verdicts.analyze(&loadable.words, &driver.hw, source);
-            let (range_errors, equiv_errors) = (
-                analysis.report.has_range_errors(),
-                analysis.report.has_equiv_errors(),
-            );
-            bump(&c.range_flagged, range_errors);
-            bump(&c.equiv_flagged, equiv_errors);
-            let strict_range = shared.cfg.strict_range;
-            let strict_equiv = source.is_some() && shared.cfg.strict_equiv;
-            match analysis.verdict(strict_range, strict_equiv) {
-                AdmissionVerdict::Admitted {
-                    range_flagged: flagged,
-                } => range_flagged = flagged,
-                AdmissionVerdict::Rejected(reason) => {
-                    bump(&c.range_rejected, range_errors && strict_range);
-                    bump(&c.equiv_rejected, equiv_errors && strict_equiv);
-                    bump(&c.rejected, true);
-                    return shared.deny(id, 0.0, reason);
+        let (queued, range_flagged) = match req.payload {
+            InferPayload::Loadable(loadable) => {
+                let admitted = driver.admit(Cow::Owned(loadable), source);
+                let report = match &admitted {
+                    Ok(admitted) => Some(&admitted.analysis().report),
+                    Err(reason) => reason.report(),
+                };
+                let (range, equiv) = report.map_or((false, false), |r| {
+                    (r.has_range_errors(), r.has_equiv_errors())
+                });
+                bump(&c.range_flagged, range);
+                bump(&c.equiv_flagged, equiv);
+                match admitted {
+                    Ok(admitted) => (Queued::Admitted(admitted, req.options), range),
+                    Err(reason) => {
+                        bump(&c.range_rejected, range && driver.strict_range);
+                        bump(&c.equiv_rejected, equiv && driver.strict_equiv);
+                        bump(&c.rejected, true);
+                        return shared.deny(id, 0.0, reason);
+                    }
                 }
             }
-        }
-        let submitted = shared.enqueue(0, id, 0.0, range_flagged, req);
+            payload => {
+                let options = req.options;
+                (Queued::Request(InferRequest { payload, options }), false)
+            }
+        };
+        let submitted = shared.enqueue(0, id, 0.0, range_flagged, queued);
         bump(
             &c.rejected,
             matches!(submitted, Submit::Denied(RejectReason::QueueFull { .. })),
@@ -293,131 +287,125 @@ impl Server {
     }
 }
 
-/// DMA occupancy of a served request: one setup per transfer plus the
-/// bandwidth-bound streaming time of every word.
-fn response_occupancy_us(driver: &Driver, resp: &InferResponse) -> f64 {
-    if resp.dma_transfers == 0 {
-        return 0.0;
-    }
-    driver
-        .dma
-        .occupancy_us(resp.total_stream_words(), driver.hw.clock_mhz)
-        + (resp.dma_transfers - 1) as f64 * driver.dma.setup_us
-}
-
-/// One serving attempt: compile, deliver the stream (retrying injected
+/// One serving attempt: deliver the request (retrying injected
 /// faults), grant the DMA, and check the deadline. Terminal events are
 /// stamped at the grant's completion time, or at 0.0 when no grant
 /// decided the outcome.
 fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
-    let deadline_us = job
-        .req
-        .options
-        .deadline_us
-        .or(shared.cfg.default_deadline_us);
-    let retries = job.req.options.retries.unwrap_or(shared.cfg.max_retries);
-    // Single-frame requests are compiled up front: every delivery
-    // attempt goes out as a raw stream (the unit the fault model
-    // corrupts) that keeps the request's model as its source through
-    // admission, and compile errors surface before any DMA time is
-    // charged.
-    let compiled;
-    let (stream, source) = match &job.req.payload {
-        InferPayload::Single { model, pixels } => match compile(model, pixels) {
-            Ok(loadable) => {
-                compiled = loadable;
-                (Some(&compiled), Some(&**model))
-            }
-            Err(e) => return (Err(DriverError::Compile(e)), 0.0),
-        },
-        InferPayload::Loadable(loadable) => (Some(loadable), None),
-        _ => (None, None),
+    let options = match &job.req {
+        Queued::Admitted(_, options) => *options,
+        Queued::Request(req) => req.options,
     };
+    let retries = options.retries.unwrap_or(shared.cfg.max_retries);
+    let (resp, attempts) = match deliver(shared, job, retries) {
+        Ok(delivered) => delivered,
+        Err(e) => return (Err(e), 0.0),
+    };
+    // DMA occupancy: one setup per transfer plus the bandwidth-bound
+    // streaming time of every word.
+    let (dma, clock) = (&shared.driver.dma, shared.driver.hw.clock_mhz);
+    let transfer_us = match resp.dma_transfers {
+        0 => 0.0,
+        n => dma.occupancy_us(resp.total_stream_words(), clock) + (n - 1) as f64 * dma.setup_us,
+    };
+    let grant = grant(shared, job.id, transfer_us, resp.total_latency_us());
+    if let Some(deadline) = options.deadline_us.or(shared.cfg.default_deadline_us) {
+        if grant.complete_us > deadline {
+            let err = DriverError::Timeout {
+                deadline_us: deadline,
+                elapsed_us: grant.complete_us,
+            };
+            return (Err(err), grant.complete_us);
+        }
+    }
+    shared
+        .counters
+        .frames_completed
+        .fetch_add(resp.runs.len() as u64, Ordering::Relaxed);
+    if let Some(breakdown) = resp.batch_slabs {
+        shared.counters.observe_batch_slabs(breakdown);
+    }
+    shared.counters.observe_latency(grant.complete_us);
+    let served = ServeResponse {
+        response: resp,
+        board: grant.board,
+        start_us: grant.start_us,
+        complete_us: grant.complete_us,
+        attempts,
+    };
+    (Ok(served), grant.complete_us)
+}
 
+/// Runs a request's delivery attempts until one succeeds or the retry
+/// budget is spent, returning the response and the attempts it took.
+///
+/// Every attempt of a loadable goes out as a raw stream, the unit the
+/// fault model corrupts. A clean attempt streams the loadable under its
+/// admission at submission; a corrupted one is admitted afresh.
+/// Single-frame requests are compiled up front and every attempt keeps
+/// the request's model as its source through admission, so compile
+/// errors surface before any DMA time is charged. Other payloads carry
+/// no one stream to fault and run once.
+fn deliver(
+    shared: &Shared,
+    job: &ServeJob,
+    retries: u32,
+) -> Result<(InferResponse, u32), DriverError> {
+    let driver = &shared.driver;
+    let compiled;
+    let (stream, source, admitted) = match &job.req {
+        Queued::Admitted(admitted, _) => (admitted.loadable(), None, Some(admitted)),
+        Queued::Request(req) => match &req.payload {
+            InferPayload::Single { model, pixels } => {
+                compiled = compile(model, pixels).map_err(DriverError::Compile)?;
+                (&compiled, Some(&**model), None)
+            }
+            _ => return driver.run(req.clone()).map(|resp| (resp, 1)),
+        },
+    };
     let mut attempt = 0u32;
     loop {
-        // Run this attempt, injecting stream faults.
-        let (result, attempt_words) = match stream {
-            Some(loadable) => {
-                let mut l = loadable.clone();
-                let crash = {
-                    let mut injector = lock_recover(&shared.injector);
-                    injector.corrupt(attempt, &mut l.words);
-                    injector.should_crash()
-                };
-                if crash {
-                    // The injected death happens "mid-DMA": the panic
-                    // unwinds while holding the arbiter lock, poisoning
-                    // it — the worst state a real crash leaves behind
-                    // and exactly what `lock_recover` must absorb.
-                    let _arbiter = lock_recover(&shared.arbiter);
-                    panic!("injected worker crash serving request {}", job.id);
-                }
-                (shared.driver.run_compiled(&l, source), l.len())
-            }
-            None => (shared.driver.run(job.req.clone()), 0),
+        let mut l = stream.clone();
+        let (corrupted, crash) = {
+            let mut injector = lock_recover(&shared.injector);
+            let corrupted = injector.corrupt(attempt, &mut l.words);
+            (corrupted, injector.should_crash())
         };
-        match result {
-            Ok(resp) => {
-                let transfer_us = response_occupancy_us(&shared.driver, &resp);
-                let latency_us = resp.total_latency_us();
-                let grant = grant(shared, job.id, transfer_us, latency_us);
-                if let Some(deadline) = deadline_us {
-                    if grant.complete_us > deadline {
-                        let err = DriverError::Timeout {
-                            deadline_us: deadline,
-                            elapsed_us: grant.complete_us,
-                        };
-                        return (Err(err), grant.complete_us);
-                    }
-                }
-                shared
-                    .counters
-                    .frames_completed
-                    .fetch_add(resp.runs.len() as u64, Ordering::Relaxed);
-                if let Some(breakdown) = resp.batch_slabs {
-                    shared.counters.observe_batch_slabs(breakdown);
-                }
-                shared.counters.observe_latency(grant.complete_us);
-                let served = ServeResponse {
-                    response: resp,
-                    board: grant.board,
-                    start_us: grant.start_us,
-                    complete_us: grant.complete_us,
-                    attempts: attempt + 1,
-                };
-                return (Ok(served), grant.complete_us);
-            }
-            Err(e) => {
-                // Only accelerator-side stream faults are transient;
-                // compile errors would fail identically on every retry.
-                let retryable = matches!(
-                    e,
-                    DriverError::Accelerator(_)
-                        | DriverError::Rejected(RejectReason::Invalid { .. })
-                );
-                if !retryable || attempt >= retries {
-                    return (Err(e), 0.0);
-                }
-                // The rejected stream still occupied the shared DMA:
-                // charge a transfer-only grant before the retry goes
-                // back to the queue of attempts.
-                let wasted = shared
-                    .driver
-                    .dma
-                    .occupancy_us(attempt_words, shared.driver.hw.clock_mhz);
-                grant(shared, job.id, wasted, wasted);
-                shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-                attempt += 1;
-                shared.trace(
-                    0.0,
-                    TraceEvent::Retried {
-                        request: job.id,
-                        attempt: u64::from(attempt),
-                    },
-                );
-            }
+        if crash {
+            // The injected death happens "mid-DMA": the panic unwinds
+            // while holding the arbiter lock, poisoning it — the worst
+            // state a real crash leaves behind and exactly what
+            // `lock_recover` must absorb.
+            let _arbiter = lock_recover(&shared.arbiter);
+            panic!("injected worker crash serving request {}", job.id);
         }
+        let result = match admitted {
+            Some(admitted) if !corrupted => driver.run_admitted(admitted),
+            _ => driver.run_compiled(&l, source),
+        };
+        // Only accelerator-side stream faults are transient; compile
+        // errors would fail identically on every retry.
+        match result {
+            Ok(resp) => return Ok((resp, attempt + 1)),
+            Err(
+                DriverError::Accelerator(_) | DriverError::Rejected(RejectReason::Invalid { .. }),
+            ) if attempt < retries => {}
+            Err(e) => return Err(e),
+        }
+        // The rejected stream still occupied the shared DMA: charge a
+        // transfer-only grant before the retry goes back to the queue of
+        // attempts.
+        let wasted = driver.dma.occupancy_us(l.len(), driver.hw.clock_mhz);
+        grant(shared, job.id, wasted, wasted);
+        shared.counters.retried.fetch_add(1, Ordering::Relaxed);
+        attempt += 1;
+        shared.trace(
+            0.0,
+            TraceEvent::Retried {
+                request: job.id,
+                attempt: u64::from(attempt),
+            },
+        );
     }
 }
 
@@ -513,11 +501,8 @@ mod tests {
 
         // A lenient server flags the same stream but serves it anyway.
         let server = Server::start(
-            Driver::builder().build(),
-            ServerConfig {
-                strict_range: false,
-                ..ServerConfig::default()
-            },
+            Driver::builder().strict_range(false).build(),
+            ServerConfig::default(),
         );
         let ticket = server
             .submit(InferRequest::loadable(loadable))
@@ -532,11 +517,8 @@ mod tests {
         let mut loadable = compile(&tfc(), &vec![5u8; 784]).unwrap();
         loadable.set_declared_input_range(10, 5);
         let server = Server::start(
-            Driver::builder().build(),
-            ServerConfig {
-                strict_range: false,
-                ..ServerConfig::default()
-            },
+            Driver::builder().strict_range(false).build(),
+            ServerConfig::default(),
         );
         for pixel in [1u8, 2, 3] {
             loadable.replace_input(&vec![pixel; 784]).unwrap();
@@ -547,9 +529,9 @@ mod tests {
         }
         let m = server.shutdown();
         assert_eq!((m.completed, m.range_flagged, m.range_rejected), (3, 3, 0));
-        // One analysis; every later admission, the workers' included,
-        // is a lookup.
-        assert_eq!((m.verdict_misses, m.verdict_hits), (1, 5));
+        // One analysis; every later admission is a lookup, and the
+        // workers stream the admitted entry without one.
+        assert_eq!((m.verdict_misses, m.verdict_hits), (1, 2));
     }
 
     #[test]
@@ -567,11 +549,8 @@ mod tests {
         let forged = compile(&forged, &vec![5u8; 784]).unwrap();
 
         let strict = Server::start(
-            Driver::builder().build(),
-            ServerConfig {
-                strict_equiv: true,
-                ..ServerConfig::default()
-            },
+            Driver::builder().strict_equiv(true).build(),
+            ServerConfig::default(),
         );
         match strict.submit_certified(&model, InferRequest::loadable(forged.clone())) {
             Submit::Denied(reason) => {
@@ -606,16 +585,30 @@ mod tests {
     }
 
     #[test]
+    fn a_certified_loadable_is_analyzed_once() {
+        let model = tfc();
+        let honest = compile(&model, &vec![5u8; 784]).unwrap();
+        let server = Server::start(
+            Driver::builder().strict_equiv(true).build(),
+            ServerConfig::default(),
+        );
+        server
+            .submit_certified(&model, InferRequest::loadable(honest))
+            .expect_accepted()
+            .wait()
+            .unwrap();
+        let m = server.shutdown();
+        assert_eq!(m.completed, 1);
+        // Admission analyzed the stream against its model; the worker
+        // streamed that admission without a second lookup.
+        assert_eq!((m.verdict_misses, m.verdict_hits), (1, 0));
+    }
+
+    #[test]
     fn strict_equiv_validates_single_requests_against_their_model() {
         let (model, pixels) = (tfc(), vec![5u8; 784]);
-        let driver = Driver::builder().build();
-        let server = Server::start(
-            driver.clone(),
-            ServerConfig {
-                strict_equiv: true,
-                ..ServerConfig::default()
-            },
-        );
+        let driver = Driver::builder().strict_equiv(true).build();
+        let server = Server::start(driver.clone(), ServerConfig::default());
         server
             .submit(InferRequest::single(model.clone(), pixels.clone()))
             .expect_accepted()

@@ -49,7 +49,6 @@ fn main() {
             default_deadline_us: Some(50_000.0),
             max_retries: 2,
             faults: FaultPlan::FailFirstAttempts(1),
-            strict_range: true,
             ..ServerConfig::default()
         },
     );

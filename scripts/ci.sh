@@ -75,6 +75,13 @@ echo "== live fleet smoke (sharded FleetServer, admit-once, release) =="
 # boards and asserts each model is compiled and admitted exactly once.
 cargo run -q --release --example fleet
 
+echo "== serving smoke (retried loadables on a 4-board Server, release) =="
+# The example corrupts every request's first delivery attempt: the
+# corrupted stream is admitted afresh and denied, the clean retry
+# streams under its admission at submission, and every served request
+# must report 2 attempts.
+cargo run -q --release --example serving
+
 echo "== stream fuzzer smoke (coverage-guided, seeded, release) =="
 # A short deterministic campaign over the admission/simulator
 # differential oracle; any crasher class fails the gate. The committed
