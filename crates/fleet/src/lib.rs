@@ -17,11 +17,13 @@
 //!   simulator. Its workers are `netpu-serve`'s crash-only
 //!   [`WorkerPool`](netpu_serve::WorkerPool), one per board, each
 //!   bound to its shard's queue.
-//! * [`sched`] — swap-aware placement and bounded EDF window
-//!   reordering over per-board weight residency, amortizing the weight
-//!   stream the way the paper's runtime-reconfiguration design intends.
-//! * [`replay`] — the deterministic virtual-time traffic harness
-//!   behind the committed `artifacts/serve/fleet_replay.tsv` report.
+//! * [`sched`] — swap-aware placement over per-board weight
+//!   residency, amortizing the weight stream the way the paper's
+//!   runtime-reconfiguration design intends.
+//! * [`replay`] — the deterministic traffic harness behind the
+//!   committed `artifacts/serve/fleet_replay.tsv` report: it drives a
+//!   live [`FleetServer`] at virtual arrival times, so the report
+//!   measures the dispatcher the fleet runs.
 
 pub mod cache;
 pub mod metrics;
@@ -35,8 +37,6 @@ pub use metrics::{FleetMetrics, ShardStats};
 pub use netpu_runtime::{ValueKernel, SHADOW_EVERY};
 pub use netpu_serve::{AdmissionVerdict, RejectReason, TraceSink};
 pub use replay::{run_replay, ReplayConfig, ReplayReport, TenantRow};
-pub use sched::{BoardPool, Candidate, DispatchPolicy, Placement};
-pub use shard::{
-    route, FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetSubmit, FleetTicket,
-};
+pub use sched::{BoardPool, DispatchPolicy, Placement};
+pub use shard::{FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetSubmit, FleetTicket};
 pub use tenant::{TenantLimiter, TenantPolicy, TokenBucket};

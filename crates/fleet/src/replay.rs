@@ -1,11 +1,14 @@
-//! Deterministic synthetic-traffic replay over the fleet scheduler.
+//! Deterministic synthetic-traffic replay through the live fleet.
 //!
 //! The harness generates a seeded bursty heavy-tail arrival process
-//! (many tenants × many models × few boards), pushes it through the
-//! same admission pipeline, cache, token buckets, and
-//! [`BoardPool`] placement the live server uses, and measures the
-//! resulting schedule entirely in virtual µs. Everything is a pure
-//! function of [`ReplayConfig`] — one thread, no wall clock, no
+//! (many tenants × many models × few boards) and drives a live
+//! [`FleetServer`] with it: each request is submitted at its virtual
+//! arrival time and its ticket awaited before the next submit, so the
+//! token buckets, shard routing, compiled-model cache, value kernel,
+//! [`SHADOW_EVERY`](crate::SHADOW_EVERY) oracle and board placement
+//! are the ones every live request goes through, and the schedule is
+//! measured entirely in virtual µs. Everything is a pure function of
+//! [`ReplayConfig`] — one request in flight, no wall clock, no
 //! `HashMap` iteration — so the same config reproduces the same
 //! [`ReplayReport`] bit for bit on any host; the determinism suite
 //! asserts exactly that.
@@ -19,18 +22,19 @@
 //! [`ClusterThroughput`] transfer bound from the paper's §V loading
 //! economics.
 
-use crate::cache::{AdmittedModel, CompiledModelCache};
-use crate::sched::{BoardPool, Candidate, DispatchPolicy};
-use crate::shard::route;
-use crate::tenant::{TenantLimiter, TenantPolicy};
+use crate::cache::CompiledModelCache;
+use crate::sched::DispatchPolicy;
+use crate::shard::{FleetConfig, FleetRequest, FleetServer, FleetSubmit};
+use crate::tenant::TenantPolicy;
 use netpu_arith::cast;
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
+use netpu_nn::QuantMlp;
 use netpu_runtime::{ClusterThroughput, Driver, DriverError};
+use netpu_serve::RejectReason;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Shape of one replay run. Everything downstream is a pure function
@@ -57,9 +61,6 @@ pub struct ReplayConfig {
     pub burst_prob: f64,
     /// Probability a gap stretches 8×: heavy-tail lulls between bursts.
     pub lull_prob: f64,
-    /// Dispatch reorder window (1 = strict FIFO order even for
-    /// swap-aware placement).
-    pub window: usize,
     /// Per-request completion deadline relative to arrival, µs.
     pub deadline_us: f64,
     /// Board placement / dispatch ordering policy.
@@ -84,7 +85,6 @@ impl ReplayConfig {
             mean_interarrival_us: 40.0,
             burst_prob: 0.35,
             lull_prob: 0.05,
-            window: 32,
             deadline_us: 50_000.0,
             policy: DispatchPolicy::SwapAware,
             tenant_policy: TenantPolicy {
@@ -108,7 +108,6 @@ impl ReplayConfig {
             mean_interarrival_us: 60.0,
             burst_prob: 0.3,
             lull_prob: 0.05,
-            window: 16,
             deadline_us: 50_000.0,
             policy: DispatchPolicy::SwapAware,
             tenant_policy: TenantPolicy {
@@ -205,7 +204,6 @@ pub struct ReplayReport {
 
 struct GenRequest {
     arrival_us: f64,
-    deadline_us: f64,
     tenant: usize,
     model: usize,
 }
@@ -213,84 +211,70 @@ struct GenRequest {
 /// Runs one replay. Deterministic: identical `cfg` (including seed)
 /// yields an identical report.
 pub fn run_replay(driver: &Driver, cfg: &ReplayConfig) -> Result<ReplayReport, DriverError> {
-    let models = admit_zoo(driver, cfg)?;
     let traffic = generate_traffic(cfg);
-
-    // Front door: token buckets in arrival order, before sharding —
-    // exactly where the live server throttles.
-    let mut limiter = TenantLimiter::new(cfg.tenant_policy);
-    let mut offered_per_tenant = vec![0u64; cfg.tenants];
-    let mut throttled_per_tenant = vec![0u64; cfg.tenants];
-    let mut admitted_requests: Vec<GenRequest> = Vec::with_capacity(traffic.len());
-    for req in traffic {
-        offered_per_tenant[req.tenant] += 1;
-        if limiter.try_admit(cast::u64_from_usize(req.tenant), req.arrival_us) {
-            admitted_requests.push(req);
-        } else {
-            throttled_per_tenant[req.tenant] += 1;
-        }
-    }
-
-    // Shard by model id, preserving arrival order within each shard.
-    let mut per_shard: Vec<VecDeque<GenRequest>> =
-        (0..cfg.shards).map(|_| VecDeque::new()).collect();
-    for req in admitted_requests {
-        let shard = route(models.0[req.model].id, cfg.shards);
-        per_shard[shard].push_back(req);
-    }
-
-    // Dispatch each shard's queue through its own board pool.
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut completed_per_tenant = vec![0u64; cfg.tenants];
-    let mut latency_per_tenant = vec![0.0f64; cfg.tenants];
-    let mut deadline_missed = 0u64;
-    let mut swaps = 0u64;
-    let mut resident_hits = 0u64;
-    let mut placements = 0u64;
-    let mut makespan_us = 0.0f64;
-    let mut dma_util_sum = 0.0f64;
-    let mut active_shards = 0usize;
-    for mut pending in per_shard {
-        if pending.is_empty() {
-            continue;
-        }
-        active_shards += 1;
-        let mut pool = BoardPool::new(cfg.boards_per_shard);
-        while !pending.is_empty() {
-            let span = pending.len().min(cfg.window.max(1));
-            let window: Vec<Candidate<'_>> = pending
-                .iter()
-                .take(span)
-                .map(|r| Candidate {
-                    model: &models.0[r.model],
-                    arrival_us: r.arrival_us,
-                    deadline_us: r.deadline_us,
-                })
-                .collect();
-            let pick = pool.pick_next(cfg.policy, &window);
-            let Some(req) = pending.remove(pick) else {
-                break;
-            };
-            let placement = pool.place(cfg.policy, &models.0[req.model], req.arrival_us);
-            let latency = placement.grant.complete_us - req.arrival_us;
-            latencies.push(latency);
-            completed_per_tenant[req.tenant] += 1;
-            latency_per_tenant[req.tenant] += latency;
-            if placement.grant.complete_us > req.deadline_us {
-                deadline_missed += 1;
+    let (models, per_shard_bound) = admit_zoo(driver, cfg, &traffic)?;
+    let fleet = FleetServer::start(
+        driver.clone(),
+        FleetConfig {
+            shards: cfg.shards,
+            boards_per_shard: cfg.boards_per_shard,
+            policy: cfg.policy,
+            tenant_policy: cfg.tenant_policy,
+            cache_capacity_bytes: cfg.cache_capacity_bytes,
+            ..FleetConfig::default()
+        },
+    );
+    let mut tenants: Vec<TenantRow> = (0..cfg.tenants)
+        .map(|t| TenantRow {
+            tenant: cast::u64_from_usize(t),
+            offered: 0,
+            throttled: 0,
+            completed: 0,
+            mean_latency_us: 0.0,
+        })
+        .collect();
+    let mut latencies: Vec<f64> = Vec::with_capacity(traffic.len());
+    // One request in flight: the fleet sees the arrivals in order, so
+    // its schedule is a pure function of the traffic.
+    let driven = traffic.iter().enumerate().try_for_each(|(i, gen)| {
+        let row = &mut tenants[gen.tenant];
+        row.offered += 1;
+        let model = &models[gen.model];
+        let req = FleetRequest {
+            tenant: row.tenant,
+            model_id: cast::u64_from_usize(gen.model),
+            model: Arc::clone(model),
+            pixels: vec![cast::lo8(cast::u64_from_usize(i)); model.input.len],
+            deadline_us: Some(cfg.deadline_us),
+        };
+        let ticket = match fleet.submit_at(req, gen.arrival_us) {
+            FleetSubmit::Accepted(ticket) => ticket,
+            FleetSubmit::Denied(RejectReason::Throttled { .. }) => {
+                row.throttled += 1;
+                return Ok(());
             }
-        }
-        swaps += pool.swaps();
-        resident_hits += pool.resident_hits();
-        placements += pool.placements();
-        let makespan = pool.arbiter().makespan_us();
-        makespan_us = makespan_us.max(makespan);
-        if makespan > 0.0 {
-            dma_util_sum += pool.arbiter().dma_busy_us() / makespan;
+            FleetSubmit::Denied(reason) => return Err(DriverError::Rejected(reason)),
+        };
+        // A deadline miss still ran to completion on its board.
+        let latency = match ticket.wait() {
+            Ok(resp) => resp.latency_us,
+            Err(DriverError::Timeout { elapsed_us, .. }) => elapsed_us,
+            Err(e) => return Err(e),
+        };
+        latencies.push(latency);
+        row.completed += 1;
+        row.mean_latency_us += latency;
+        Ok(())
+    });
+    let m = fleet.shutdown();
+    driven?;
+    for row in &mut tenants {
+        if row.completed > 0 {
+            row.mean_latency_us /= cast::f64_from_u64(row.completed);
         }
     }
 
-    let completed = cast::u64_from_usize(latencies.len());
+    let completed = m.completed + m.timed_out;
     latencies.sort_by(f64::total_cmp);
     let mean_us = if latencies.is_empty() {
         0.0
@@ -298,32 +282,20 @@ pub fn run_replay(driver: &Driver, cfg: &ReplayConfig) -> Result<ReplayReport, D
         latencies.iter().sum::<f64>() / cast::f64_from_usize(latencies.len())
     };
 
-    // Analytic transfer bound, request-weighted over the admitted
-    // models' cold-service figures: each shard owns its own DMA, so the
-    // per-shard bound sums across shards.
-    let (weighted_latency, weighted_transfer) = request_weighted_costs(&models.0, &models.1);
-    let per_shard_bound =
-        ClusterThroughput::from_parts(cfg.boards_per_shard, weighted_latency, weighted_transfer)?;
+    // Each shard owns its own DMA, so the per-shard bound sums across
+    // shards.
     let analytic_fps_bound = per_shard_bound.fps * cast::f64_from_usize(cfg.shards);
+    let makespan_us = m.shards.iter().map(|s| s.makespan_us).fold(0.0, f64::max);
     let measured_fps = if makespan_us > 0.0 {
         cast::f64_from_u64(completed) * 1e6 / makespan_us
     } else {
         0.0
     };
-
-    let cache_stats = models.2;
-    let tenants: Vec<TenantRow> = (0..cfg.tenants)
-        .map(|t| TenantRow {
-            tenant: cast::u64_from_usize(t),
-            offered: offered_per_tenant[t],
-            throttled: throttled_per_tenant[t],
-            completed: completed_per_tenant[t],
-            mean_latency_us: if completed_per_tenant[t] > 0 {
-                latency_per_tenant[t] / cast::f64_from_u64(completed_per_tenant[t])
-            } else {
-                0.0
-            },
-        })
+    let active: Vec<f64> = m
+        .shards
+        .iter()
+        .filter(|s| s.makespan_us > 0.0)
+        .map(|s| s.dma_busy_us / s.makespan_us)
         .collect();
     let ratios: Vec<f64> = tenants
         .iter()
@@ -338,30 +310,22 @@ pub fn run_replay(driver: &Driver, cfg: &ReplayConfig) -> Result<ReplayReport, D
         shards: cfg.shards,
         models: cfg.models,
         offered: cast::u64_from_usize(cfg.requests),
-        throttled: throttled_per_tenant.iter().sum(),
+        throttled: m.throttled,
         completed,
-        deadline_missed,
+        deadline_missed: m.timed_out,
         p50_us: quantile(&latencies, 0.50),
         p99_us: quantile(&latencies, 0.99),
         p999_us: quantile(&latencies, 0.999),
         mean_us,
         jain_fairness: jain(&ratios),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
-        cache_hit_rate: cache_stats.hit_rate().unwrap_or(0.0),
-        cache_evictions: cache_stats.evictions,
-        swaps,
-        swaps_per_request: if completed > 0 {
-            cast::f64_from_u64(swaps) / cast::f64_from_u64(completed)
-        } else {
-            0.0
-        },
-        resident_hits,
-        resident_hit_rate: if placements > 0 {
-            cast::f64_from_u64(resident_hits) / cast::f64_from_u64(placements)
-        } else {
-            0.0
-        },
+        cache_hits: m.cache.hits,
+        cache_misses: m.cache.misses,
+        cache_hit_rate: m.cache.hit_rate().unwrap_or(0.0),
+        cache_evictions: m.cache.evictions,
+        swaps: m.shards.iter().map(|s| s.swaps).sum(),
+        swaps_per_request: m.swaps_per_placement().unwrap_or(0.0),
+        resident_hits: m.shards.iter().map(|s| s.resident_hits).sum(),
+        resident_hit_rate: m.resident_hit_rate().unwrap_or(0.0),
         makespan_us,
         measured_fps,
         analytic_fps_bound,
@@ -370,81 +334,65 @@ pub fn run_replay(driver: &Driver, cfg: &ReplayConfig) -> Result<ReplayReport, D
         } else {
             0.0
         },
-        dma_utilization: if active_shards > 0 {
-            dma_util_sum / cast::f64_from_usize(active_shards)
-        } else {
+        dma_utilization: if active.is_empty() {
             0.0
+        } else {
+            active.iter().sum::<f64>() / cast::f64_from_usize(active.len())
         },
         tenants,
     })
 }
 
-type AdmittedZoo = (Vec<Arc<AdmittedModel>>, Vec<u64>, crate::cache::CacheStats);
-
-/// Builds and admits `cfg.models` distinct untrained zoo models,
-/// then replays the request stream's cache lookups so the reported
-/// hit/miss figures match what the live path would see. Weight seeds
-/// that fail strict admission (untrained weights occasionally trip the
-/// range analyzer) deterministically step to the next seed.
-fn admit_zoo(driver: &Driver, cfg: &ReplayConfig) -> Result<AdmittedZoo, DriverError> {
+/// Builds `cfg.models` distinct untrained zoo models (model `i` is
+/// fleet id `i`) and one shard's analytic [`ClusterThroughput`] bound
+/// at the request-weighted mean cold-service latency and transfer. Weight
+/// seeds that fail strict admission (untrained weights occasionally
+/// trip the range analyzer) deterministically step to the next seed.
+/// Admission runs on a scratch cache, so the fleet's own cache still
+/// sees each model's first request as its miss.
+fn admit_zoo(
+    driver: &Driver,
+    cfg: &ReplayConfig,
+    traffic: &[GenRequest],
+) -> Result<(Vec<Arc<QuantMlp>>, ClusterThroughput), DriverError> {
     let cache = CompiledModelCache::new(driver.clone(), cfg.cache_capacity_bytes);
-    let mut admitted = Vec::with_capacity(cfg.models);
-    for i in 0..cfg.models {
+    let mut counts = vec![0u64; cfg.models];
+    for req in traffic {
+        counts[req.model] += 1;
+    }
+    let total = cast::f64_from_u64(counts.iter().sum::<u64>().max(1));
+    let (mut latency, mut transfer) = (0.0, 0.0);
+    let mut models = Vec::with_capacity(cfg.models);
+    for (i, &n) in counts.iter().enumerate() {
         let zoo = ZooModel::ALL[i % ZooModel::ALL.len()];
         let id = cast::u64_from_usize(i);
         let mut last_err = DriverError::EmptyResponse;
         let mut ok = None;
         for attempt in 0u64..24 {
             let seed = 1_000 + id + attempt * cast::u64_from_usize(cfg.models.max(1));
-            let model = match zoo.build_untrained(seed, BnMode::Folded) {
-                Ok(m) => m,
-                Err(_) => continue,
+            let Ok(model) = zoo.build_untrained(seed, BnMode::Folded) else {
+                continue;
             };
             match cache.get_or_admit(id, &model) {
-                Ok(m) => {
-                    ok = Some(m);
+                Ok(admitted) => {
+                    ok = Some((model, admitted));
                     break;
                 }
                 Err(e) => last_err = e,
             }
         }
-        match ok {
-            Some(m) => admitted.push(m),
-            None => return Err(last_err),
-        }
+        let (model, admitted) = ok.ok_or(last_err)?;
+        let w = cast::f64_from_u64(n) / total;
+        latency += w * admitted.run.measured_latency_us;
+        transfer += w * admitted.transfer_us;
+        models.push(Arc::new(model));
     }
-    // Replay the per-request lookups the live path would issue, so the
-    // cache's hit statistics reflect the workload (every request after
-    // a model's first is a hit).
-    let traffic = generate_traffic(cfg);
-    for req in &traffic {
-        let _ = cache.lookup(admitted[req.model].id);
+    // An empty workload prices a nominal 1 µs compute-bound request.
+    if traffic.is_empty() {
+        (latency, transfer) = (1.0, 0.0);
     }
-    let request_counts = {
-        let mut counts = vec![0u64; cfg.models];
-        for req in &traffic {
-            counts[req.model] += 1;
-        }
-        counts
-    };
-    let stats = cache.stats();
-    Ok((admitted, request_counts, stats))
-}
-
-/// Request-weighted mean `(cold_latency_us, cold_transfer_us)`.
-fn request_weighted_costs(models: &[Arc<AdmittedModel>], counts: &[u64]) -> (f64, f64) {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return (1.0, 0.0);
-    }
-    let mut latency = 0.0;
-    let mut transfer = 0.0;
-    for (model, &n) in models.iter().zip(counts) {
-        let w = cast::f64_from_u64(n) / cast::f64_from_u64(total);
-        latency += w * model.run.measured_latency_us;
-        transfer += w * model.transfer_us;
-    }
-    (latency, transfer)
+    let bound = ClusterThroughput::from_parts(cfg.boards_per_shard, latency, transfer)?;
+    Ok((models, bound))
 }
 
 /// The seeded bursty heavy-tail arrival process.
@@ -479,7 +427,6 @@ fn generate_traffic(cfg: &ReplayConfig) -> Vec<GenRequest> {
         };
         out.push(GenRequest {
             arrival_us: t,
-            deadline_us: t + cfg.deadline_us,
             tenant,
             model,
         });
@@ -569,6 +516,22 @@ mod tests {
             "measured {} exceeds the analytic bound {}",
             report.measured_fps,
             report.analytic_fps_bound
+        );
+    }
+
+    #[test]
+    fn cache_figures_count_only_the_requests_the_fleet_served() {
+        // Throttled requests never reach the cache: each model's first
+        // served request is its one admission, every later one a hit.
+        let cfg = ReplayConfig::smoke();
+        let report = run_replay(&Driver::builder().build(), &cfg).unwrap();
+        assert!(report.throttled > 0, "the smoke workload throttles");
+        let models = cast::u64_from_usize(cfg.models);
+        assert_eq!(report.cache_misses, models);
+        assert_eq!(report.cache_hits, report.completed - models);
+        assert_eq!(
+            report.cache_hit_rate,
+            cast::f64_from_u64(report.completed - models) / cast::f64_from_u64(report.completed)
         );
     }
 

@@ -5,35 +5,31 @@
 //! sections' DMA occupancy entirely ([`AdmittedModel::weight_stream_us`]),
 //! while any other placement re-streams them and *swaps* the board's
 //! residency. [`BoardPool`] tracks which model each board holds and
-//! offers two policies:
+//! offers two placement policies; either way, requests are placed in
+//! the order their shard queue hands them out:
 //!
-//! * [`DispatchPolicy::NaiveFifo`] — the `netpu-serve` baseline:
-//!   head-of-queue onto the earliest-free board, residency ignored at
-//!   choice time (hits still happen by accident and are charged
-//!   honestly).
-//! * [`DispatchPolicy::SwapAware`] — placement minimizes estimated
+//! * [`DispatchPolicy::NaiveFifo`] — the `netpu-serve` baseline: the
+//!   earliest-free board, residency ignored at choice time (hits still
+//!   happen by accident and are charged honestly).
+//! * [`DispatchPolicy::SwapAware`] — the board minimizing estimated
 //!   completion *including* the swap premium, so an affinity board is
 //!   preferred whenever waiting for it beats re-streaming weights
-//!   elsewhere; dispatch order may promote a request out of a bounded
-//!   queue window when its deadline is at risk (earliest-deadline-first
-//!   among at-risk candidates), with a per-position bypass penalty so
-//!   reordering stays bounded and head-of-line requests cannot be
-//!   starved.
+//!   elsewhere.
 //!
 //! All timing is virtual-µs through [`DmaArbiter`], so identical
 //! request sequences produce identical schedules on any host.
 
 use crate::cache::AdmittedModel;
-use netpu_arith::cast;
 use netpu_serve::{DmaArbiter, Grant};
 use serde::Serialize;
 
-/// How the dispatcher picks boards and orders its queue window.
+/// How the dispatcher picks a board for each request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum DispatchPolicy {
-    /// Head-of-queue onto the earliest-free board.
+    /// The earliest-free board.
     NaiveFifo,
-    /// Residency-affine placement with bounded EDF window reordering.
+    /// Residency-affine placement: the board whose estimated
+    /// completion, swap premium included, is earliest.
     #[default]
     SwapAware,
 }
@@ -48,10 +44,6 @@ impl DispatchPolicy {
     }
 }
 
-/// Virtual-µs the bypass penalty charges per queue position skipped
-/// when a later window candidate is promoted over the head.
-const BYPASS_PENALTY_US: f64 = 2.0;
-
 /// One placement decision.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Placement {
@@ -61,18 +53,6 @@ pub struct Placement {
     pub resident_hit: bool,
     /// The placement displaced another model's residency.
     pub swapped: bool,
-}
-
-/// A dispatch candidate in the queue window.
-#[derive(Clone, Copy, Debug)]
-pub struct Candidate<'a> {
-    /// The admitted model the request targets.
-    pub model: &'a AdmittedModel,
-    /// Request arrival, virtual µs.
-    pub arrival_us: f64,
-    /// Absolute completion deadline, virtual µs (`f64::INFINITY` for
-    /// best-effort requests).
-    pub deadline_us: f64,
 }
 
 /// A shard's boards: the DMA arbiter plus per-board weight residency.
@@ -129,27 +109,6 @@ impl BoardPool {
         self.resident.get(board).copied().flatten()
     }
 
-    /// Estimated `(board, complete_us, resident_hit)` for placing
-    /// `model` arriving at `arrival_us` under `policy`, without
-    /// committing anything.
-    pub fn estimate(
-        &self,
-        policy: DispatchPolicy,
-        model: &AdmittedModel,
-        arrival_us: f64,
-    ) -> (usize, f64, bool) {
-        let board = match policy {
-            DispatchPolicy::NaiveFifo => self.earliest_free_board(),
-            DispatchPolicy::SwapAware => self.swap_aware_board(model, arrival_us),
-        };
-        let hit = self.resident.get(board).copied().flatten() == Some(model.id);
-        (
-            board,
-            self.completion_on(board, model, arrival_us, hit),
-            hit,
-        )
-    }
-
     /// Places `model` on the board `policy` chooses, committing the
     /// grant and updating residency.
     pub fn place(
@@ -158,7 +117,11 @@ impl BoardPool {
         model: &AdmittedModel,
         arrival_us: f64,
     ) -> Placement {
-        let (board, _, resident_hit) = self.estimate(policy, model, arrival_us);
+        let board = match policy {
+            DispatchPolicy::NaiveFifo => self.earliest_free_board(),
+            DispatchPolicy::SwapAware => self.swap_aware_board(model, arrival_us),
+        };
+        let resident_hit = self.resident[board] == Some(model.id);
         let (transfer_us, latency_us) = model.service_cost(resident_hit);
         let grant = self
             .arbiter
@@ -178,38 +141,6 @@ impl BoardPool {
             resident_hit,
             swapped,
         }
-    }
-
-    /// Picks which window candidate to dispatch next. `NaiveFifo`
-    /// always takes the head. `SwapAware` promotes the earliest
-    /// deadline among candidates whose deadline the estimated schedule
-    /// would already miss; otherwise it takes the candidate with the
-    /// cheapest estimated completion plus a per-position bypass
-    /// penalty. Returns an index into `window` (0 when empty-adjacent
-    /// callers pass a single item).
-    pub fn pick_next(&self, policy: DispatchPolicy, window: &[Candidate<'_>]) -> usize {
-        if window.len() <= 1 || policy == DispatchPolicy::NaiveFifo {
-            return 0;
-        }
-        let mut best_at_risk: Option<(f64, usize)> = None;
-        let mut best_effort: Option<(f64, usize)> = None;
-        for (i, c) in window.iter().enumerate() {
-            let (_, complete_us, _) = self.estimate(policy, c.model, c.arrival_us);
-            if complete_us > c.deadline_us {
-                // Deadline already at risk: EDF among these, stale
-                // residency on whatever board it lands on is preempted.
-                let key = (c.deadline_us, i);
-                if best_at_risk.is_none_or(|(d, j)| key < (d, j)) {
-                    best_at_risk = Some(key);
-                }
-            } else {
-                let score = complete_us + BYPASS_PENALTY_US * cast::f64_from_usize(i);
-                if best_effort.is_none_or(|(s, j)| (score, i) < (s, j)) {
-                    best_effort = Some((score, i));
-                }
-            }
-        }
-        best_at_risk.or(best_effort).map_or(0, |(_, i)| i)
     }
 
     fn earliest_free_board(&self) -> usize {
@@ -322,42 +253,5 @@ mod tests {
             hit.grant.complete_us,
             miss.grant.complete_us
         );
-    }
-
-    #[test]
-    fn window_promotes_at_risk_deadlines_first() {
-        let a = admitted(1, ZooModel::SfcW1A1);
-        let b = admitted(2, ZooModel::SfcW2A2);
-        let pool = BoardPool::new(1);
-        let relaxed = Candidate {
-            model: &a,
-            arrival_us: 0.0,
-            deadline_us: f64::INFINITY,
-        };
-        let urgent = Candidate {
-            model: &b,
-            arrival_us: 0.0,
-            deadline_us: 1.0, // impossible: already at risk
-        };
-        let picked = pool.pick_next(DispatchPolicy::SwapAware, &[relaxed, urgent]);
-        assert_eq!(picked, 1, "EDF promotes the at-risk request");
-        // FIFO never reorders.
-        assert_eq!(
-            pool.pick_next(DispatchPolicy::NaiveFifo, &[relaxed, urgent]),
-            0
-        );
-    }
-
-    #[test]
-    fn bypass_penalty_keeps_equal_candidates_in_order() {
-        let a = admitted(1, ZooModel::SfcW1A1);
-        let pool = BoardPool::new(2);
-        let c = Candidate {
-            model: &a,
-            arrival_us: 0.0,
-            deadline_us: f64::INFINITY,
-        };
-        // Identical candidates: the head must win.
-        assert_eq!(pool.pick_next(DispatchPolicy::SwapAware, &[c, c, c]), 0);
     }
 }

@@ -189,7 +189,7 @@ pub struct FleetServer {
 /// FNV-1a over the model id: the shard-routing hash. `std`'s default
 /// hasher is seeded per-process, which would make routing — and with it
 /// residency behaviour — non-reproducible across runs.
-pub fn route(model_id: u64, shards: usize) -> usize {
+fn route(model_id: u64, shards: usize) -> usize {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in model_id.to_le_bytes() {
         hash ^= u64::from(byte);
@@ -228,26 +228,33 @@ impl FleetServer {
     /// queue-bound refusals return immediately so the caller can shed
     /// or defer load.
     pub fn submit(&self, req: FleetRequest) -> FleetSubmit {
+        self.submit_at(req, self.now_us())
+    }
+
+    /// [`submit`](Self::submit) at a caller-supplied arrival time: the
+    /// token buckets and the board pools read `arrival_us` as the
+    /// request's arrival. The replay harness submits at virtual arrival
+    /// times through this.
+    pub(crate) fn submit_at(&self, req: FleetRequest, arrival_us: f64) -> FleetSubmit {
         use std::sync::atomic::Ordering;
         let c = &self.shared.counters;
         c.bump(&c.submitted);
         let id = self.shared.next_request.fetch_add(1, Ordering::Relaxed);
-        let now_us = self.now_us();
         self.shared.trace(
-            now_us,
+            arrival_us,
             TraceEvent::Submitted {
                 request: id,
                 tenant: req.tenant,
                 model: req.model_id,
             },
         );
-        if !lock_recover(&self.shared.limiter).try_admit(req.tenant, now_us) {
+        if !lock_recover(&self.shared.limiter).try_admit(req.tenant, arrival_us) {
             c.bump(&c.throttled);
             let reason = RejectReason::Throttled { tenant: req.tenant };
-            return self.shared.deny(id, now_us, reason);
+            return self.shared.deny(id, arrival_us, reason);
         }
         let shard = route(req.model_id, self.shared.cfg.shards);
-        let submitted = self.shared.enqueue(shard, id, now_us, false, req);
+        let submitted = self.shared.enqueue(shard, id, arrival_us, false, req);
         if let FleetSubmit::Denied(RejectReason::QueueFull { .. }) = submitted {
             c.bump(&c.rejected_busy);
         }

@@ -3,9 +3,10 @@
 //! Fairness in the fleet is enforced at admission, not at dispatch: a
 //! tenant that floods the front door is throttled before its requests
 //! occupy shard queue slots, so a bursty tenant cannot starve the rest
-//! of the board pool. Buckets run in the same clock domain as the
-//! scheduler — virtual µs in the replay harness, wall-clock µs in the
-//! live server — so throttling behaviour is identical in both.
+//! of the board pool. Buckets read the arrival time the fleet stamps on
+//! each request — wall-clock µs from `submit`, virtual µs when the
+//! replay harness submits — so throttling behaviour is identical under
+//! both clocks.
 
 use std::collections::HashMap;
 

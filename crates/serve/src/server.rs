@@ -383,13 +383,14 @@ fn deliver(
             Some(admitted) if !corrupted => driver.run_admitted(admitted),
             _ => driver.run_compiled(&l, source),
         };
-        // Only accelerator-side stream faults are transient; compile
-        // errors would fail identically on every retry.
+        // Only a stream fault the injector put in is transient: a clean
+        // stream the driver refuses would fail identically on every
+        // retry.
         match result {
             Ok(resp) => return Ok((resp, attempt + 1)),
             Err(
                 DriverError::Accelerator(_) | DriverError::Rejected(RejectReason::Invalid { .. }),
-            ) if attempt < retries => {}
+            ) if corrupted && attempt < retries => {}
             Err(e) => return Err(e),
         }
         // The rejected stream still occupied the shared DMA: charge a
@@ -475,6 +476,43 @@ mod tests {
         let m = server.shutdown();
         assert_eq!((m.completed, m.failed), (0, 1));
         assert_eq!(m.dma_busy_us, 0.0);
+    }
+
+    #[test]
+    fn clean_refusals_are_not_retried() {
+        // A single request is compiled by its worker, so a range-unsound
+        // model reaches the driver's admission there, uncorrupted: the
+        // refusal is final and costs no DMA time.
+        let driver = Driver::builder()
+            .hw(netpu_core::HwConfig {
+                accumulator_bits: 8,
+                ..netpu_core::HwConfig::paper_instance()
+            })
+            .build();
+        let model = ZooModel::TfcW2A2
+            .build_untrained(7, BnMode::Folded)
+            .unwrap();
+        let server = Server::start(
+            driver,
+            ServerConfig {
+                max_retries: 2,
+                ..ServerConfig::default()
+            },
+        );
+        let outcome = server
+            .submit(InferRequest::single(Arc::new(model), vec![0u8; 784]))
+            .expect_accepted()
+            .wait();
+        assert!(
+            matches!(
+                outcome,
+                Err(DriverError::Rejected(RejectReason::Invalid { .. }))
+            ),
+            "{outcome:?}"
+        );
+        let m = server.shutdown();
+        assert_eq!((m.failed, m.retried), (1, 0));
+        assert_eq!(m.dma_busy_us, 0.0, "a refused stream wastes no grant");
     }
 
     #[test]

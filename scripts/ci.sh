@@ -64,7 +64,10 @@ cargo run -q --release -p xtask -- dse --smoke
 echo "== serving reports (board sweep + fleet replay artifact reproducibility, release) =="
 # Re-runs the virtual-time Server board sweep and the acceptance-scale
 # fleet replay and fails if artifacts/serve/*.tsv differ from the
-# committed reports (the section V loading-bottleneck evidence).
+# committed reports (the section V loading-bottleneck evidence). The
+# fleet replay runs the live FleetServer at virtual arrival times, so
+# every replayed request goes through the live cache, value kernel,
+# shadow oracle and board placement.
 cargo run -q --release -p xtask -- serve-report
 
 echo "== batch throughput smoke (bitsliced kernel, release) =="
