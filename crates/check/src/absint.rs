@@ -94,8 +94,9 @@ fn tighten_parity((lo, hi): (i64, i64), p: Parity) -> (i64, i64) {
 }
 
 /// Smallest signed two's-complement width holding every value of the
-/// interval.
-fn signed_width((lo, hi): (i64, i64)) -> u8 {
+/// interval: the one width rule of the range analysis, the translation
+/// validator's exact widths and the design-space search.
+pub fn signed_width((lo, hi): (i64, i64)) -> u8 {
     for bits in 1u8..=63 {
         let min = -(1i64 << (bits - 1));
         let max = (1i64 << (bits - 1)) - 1;
@@ -515,6 +516,8 @@ mod tests {
         assert_eq!(signed_width((0, 0)), 1);
         assert_eq!(signed_width((-1, 0)), 1);
         assert_eq!(signed_width((0, 1)), 2);
+        assert_eq!(signed_width((0, 127)), 8);
+        assert_eq!(signed_width((-128, 0)), 8);
         assert_eq!(signed_width((-128, 127)), 8);
         assert_eq!(signed_width((-129, 0)), 9);
         assert_eq!(signed_width((0, 128)), 9);

@@ -85,8 +85,8 @@ pub use absint::{LayerBounds, NeuronBounds, RangeAnalysis};
 pub use diag::{Diagnostic, Report, RuleId, Severity};
 pub use store::{payload_span, StoreStats, StoredStream, VerdictStore};
 pub use symex::{certify, compile_certified, Certificate, CertifyError, CertifyOutcome, Witness};
-pub use timing::{DmaParams, StreamTiming, TimingSpec};
-pub use verdict::{AdmissionVerdict, RejectReason};
+pub use timing::{DmaModel, StreamTiming, TimingSpec};
+pub use verdict::RejectReason;
 
 use netpu_compiler::{Loadable, StreamView};
 use netpu_core::HwConfig;
@@ -116,14 +116,6 @@ pub struct Analysis {
     /// condition as `timing`. A [`VerdictStore`] keeps findings and the
     /// certificate only, so analyses it serves carry `None`.
     pub range: Option<RangeAnalysis>,
-}
-
-impl Analysis {
-    /// The admission verdict under the given policy
-    /// ([`AdmissionVerdict::from_report_tiers`]).
-    pub fn verdict(&self, strict_range: bool, strict_equiv: bool) -> AdmissionVerdict {
-        AdmissionVerdict::from_report_tiers(self.report.clone(), strict_range, strict_equiv)
-    }
 }
 
 /// Runs the verifier over a raw word stream (e.g. one received over a

@@ -15,9 +15,11 @@ use netpu_arith::{cast, ActivationKind, Fix};
 use netpu_compiler::settings::MAX_FIELD_WIDTH;
 use netpu_compiler::stream::{
     input_words, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path, weight_field_bits,
-    weight_words_mode, MAGIC, VERSION,
+    MAGIC, VERSION,
 };
-use netpu_compiler::{LayerSetting, LayerType, PackingMode};
+use netpu_compiler::{
+    is_layer_sequence, Header, LayerSetting, LayerType, PackingMode, SectionKind, StreamLayout,
+};
 use netpu_core::resources::{netpu_utilization, ULTRA96_V2};
 use netpu_core::HwConfig;
 
@@ -28,33 +30,6 @@ const PARAM_BUFFER_DEPTH: usize = 2048;
 
 /// Bytes per stream word, for diagnostic offsets.
 const WORD: usize = 8;
-
-/// 32-bit activation-parameter values per neuron for a layer setting
-/// (mirrors the compiler's section sizing).
-fn act_param_u32s(setting: &LayerSetting) -> usize {
-    match setting.activation {
-        ActivationKind::Sign => 1,
-        ActivationKind::MultiThreshold => setting.out_precision.multi_threshold_count(),
-        ActivationKind::Relu | ActivationKind::Sigmoid | ActivationKind::Tanh => 2,
-    }
-}
-
-/// Parameter-section words of a layer (mirrors the compiler).
-fn param_section_words(setting: &LayerSetting) -> usize {
-    let neurons = cast::usize_from_u32(setting.neurons);
-    let mut words = 0usize;
-    if setting.layer_type != LayerType::Input {
-        words += if setting.bn_folded {
-            neurons.div_ceil(8)
-        } else {
-            neurons
-        };
-    }
-    if setting.layer_type != LayerType::Output {
-        words += (neurons * act_param_u32s(setting)).div_ceil(2);
-    }
-    words
-}
 
 /// Runs every rule over a raw word stream against an instance config.
 ///
@@ -138,40 +113,35 @@ fn run_segment(words: &[u64], cfg: &HwConfig) -> (Report, Option<usize>) {
         );
         return (report, None);
     };
-    if cast::lo16(header) != MAGIC {
+    let Header {
+        magic,
+        version,
+        layers: n,
+        packing: mode,
+        ..
+    } = Header::decode(header);
+    if magic != MAGIC {
         report.push(
             RuleId::Npc001,
             Severity::Error,
             Some(0),
             None,
-            format!(
-                "header magic {:#06x}, expected {MAGIC:#06x}",
-                cast::lo16(header)
-            ),
+            format!("header magic {magic:#06x}, expected {MAGIC:#06x}"),
         );
         return (report, None);
     }
-    if cast::lo8(header >> 16) != VERSION {
+    if version != VERSION {
         report.push(
             RuleId::Npc001,
             Severity::Error,
             Some(0),
             None,
-            format!(
-                "stream version {}, this instance speaks {VERSION}",
-                cast::lo8(header >> 16)
-            ),
+            format!("stream version {version}, this instance speaks {VERSION}"),
         );
         return (report, None);
     }
-    let mode = if header >> 40 & 1 == 1 {
-        PackingMode::Dense
-    } else {
-        PackingMode::Lanes8
-    };
 
     // NPC002 — layer count.
-    let n = cast::usize_sat(header >> 24 & 0xFFFF);
     if n < 2 {
         report.push(
             RuleId::Npc002,
@@ -219,12 +189,7 @@ fn run_segment(words: &[u64], cfg: &HwConfig) -> (Report, Option<usize>) {
     }
 
     // NPC002 — layer sequence.
-    let seq_ok = settings[0].layer_type == LayerType::Input
-        && settings[n - 1].layer_type == LayerType::Output
-        && settings[1..n - 1]
-            .iter()
-            .all(|s| s.layer_type == LayerType::Hidden);
-    if !seq_ok {
+    if !is_layer_sequence(&settings) {
         report.push(
             RuleId::Npc002,
             Severity::Error,
@@ -326,24 +291,9 @@ fn run_segment(words: &[u64], cfg: &HwConfig) -> (Report, Option<usize>) {
         return (report, None);
     }
 
-    // Recompute the section layout (§III.B.3 interleave): input block,
-    // then P0, (P1, W0), (P2, W1), …, W(n−1).
-    let mut pos = 1 + n;
-    let in_words = input_words(cast::usize_from_u32(settings[0].neurons));
-    pos += in_words;
-    let mut sections: Vec<(bool, usize, usize, usize)> = Vec::new(); // (is_params, layer, start, len)
-    sections.push((true, 0, pos, param_section_words(&settings[0])));
-    pos += param_section_words(&settings[0]);
-    for k in 1..n {
-        sections.push((true, k, pos, param_section_words(&settings[k])));
-        pos += param_section_words(&settings[k]);
-        let wlen = weight_words_mode(&settings[k - 1], mode);
-        sections.push((false, k - 1, pos, wlen));
-        pos += wlen;
-    }
-    let wlen = weight_words_mode(&settings[n - 1], mode);
-    sections.push((false, n - 1, pos, wlen));
-    pos += wlen;
+    // Recompute the section layout (§III.B.3 interleave).
+    let layout = StreamLayout::of(&settings, mode);
+    let pos = layout.words();
 
     // NPC005 — exact stream length.
     if words.len() < pos {
@@ -363,13 +313,13 @@ fn run_segment(words: &[u64], cfg: &HwConfig) -> (Report, Option<usize>) {
     // validates them as a loadable in their own right.
 
     // Per-section parameter rules.
-    for &(is_params, k, start, len) in &sections {
-        let s = &settings[k];
-        let body = &words[start..start + len];
-        if is_params {
-            check_param_section(&mut report, s, k, start, body);
-        } else {
-            check_weight_section(&mut report, s, k, start, body, mode);
+    for (kind, k, span) in &layout.sections {
+        let (s, body) = (&settings[*k], &words[span.clone()]);
+        match kind {
+            SectionKind::Params => check_param_section(&mut report, s, *k, span.start, body),
+            SectionKind::Weights => {
+                check_weight_section(&mut report, s, *k, span.start, body, mode)
+            }
         }
     }
 

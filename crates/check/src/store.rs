@@ -41,7 +41,7 @@ use crate::analyze;
 use crate::{analyze_over, Analysis, Tiers};
 use netpu_arith::cast;
 use netpu_arith::quant::LANES_PER_WORD;
-use netpu_compiler::{declared_input_range, input_section, StreamView};
+use netpu_compiler::{input_section, Header, StreamView};
 use netpu_core::HwConfig;
 use netpu_nn::QuantMlp;
 use std::collections::HashMap;
@@ -410,7 +410,7 @@ fn footprint<V>(entry: &StoredStream<V>) -> usize {
 pub fn payload_span(words: &[u64]) -> Option<Range<usize>> {
     let span = input_section(words).ok()?;
     let input = &words[span.clone()];
-    if let Some((lo, hi)) = declared_input_range(words[0]) {
+    if let Some((lo, hi)) = Header::decode(words[0]).input_range {
         let pixels = input_pixels(words)?;
         let narrow = lo <= hi && (lo > 0 || hi < u8::MAX);
         let uncovered = |i: usize| {

@@ -47,6 +47,7 @@
 //! | NPC025 | warning | provably-dead output slice under MaxOut |
 //! | NPC026 | info | exact minimal accumulator width, tightening NPC019 |
 
+use crate::absint::signed_width;
 use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::{cast, Fix, Precision};
 use netpu_compiler::{compile, decode, Decoded, Loadable, StreamError};
@@ -453,26 +454,14 @@ fn fc_envelope(weights: &[i32], inputs: &[(i64, i64)], bias: Option<i32>) -> ((i
         let b = i64::from(w) * xhi;
         lo += a.min(b);
         hi += a.max(b);
-        width = width.max(signed_width(lo, hi));
+        width = width.max(signed_width((lo, hi)));
     }
     if let Some(b) = bias {
         lo += i64::from(b);
         hi += i64::from(b);
-        width = width.max(signed_width(lo, hi));
+        width = width.max(signed_width((lo, hi)));
     }
     ((lo, hi), width)
-}
-
-/// Two's-complement bit width covering every value in `[lo, hi]`.
-fn signed_width(lo: i64, hi: i64) -> u8 {
-    let need = |v: i64| -> u32 {
-        if v >= 0 {
-            65 - v.leading_zeros()
-        } else {
-            65 - (!v).leading_zeros()
-        }
-    };
-    cast::u8_sat(u64::from(need(lo).max(need(hi)).max(1)))
 }
 
 /// Evaluates one hidden/input neuron's post stage at accumulator `acc`.
@@ -560,7 +549,7 @@ fn canonicalize(mlp: &QuantMlp, (plo, phi): (u8, u8)) -> ModelSem {
         // the probe domain is the pre-bias accumulator.
         let ((alo, ahi), w) = fc_envelope(row, &mac, None);
         min_width = min_width.max(
-            w.max(signed_width(
+            w.max(signed_width((
                 alo + mlp
                     .output
                     .bias
@@ -571,7 +560,7 @@ fn canonicalize(mlp: &QuantMlp, (plo, phi): (u8, u8)) -> ModelSem {
                     .bias
                     .as_ref()
                     .map_or(0, |b| i64::from(b[n]).max(0)),
-            )),
+            ))),
         );
         for &wv in row {
             fnv(&mut digest, word(i64::from(wv)));
@@ -1211,15 +1200,6 @@ mod tests {
         assert_eq!(form.base, 0);
         assert_eq!(form.steps, vec![(-5, 1), (10, 2)]);
         assert_eq!(form.level_range(), (0, 2));
-    }
-
-    #[test]
-    fn signed_width_matches_twos_complement() {
-        assert_eq!(signed_width(0, 0), 1);
-        assert_eq!(signed_width(0, 127), 8);
-        assert_eq!(signed_width(-128, 0), 8);
-        assert_eq!(signed_width(-129, 0), 9);
-        assert_eq!(signed_width(0, 128), 9);
     }
 
     #[test]

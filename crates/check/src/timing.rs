@@ -25,10 +25,8 @@
 
 use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::cast;
-use netpu_compiler::stream::{
-    input_words, neuron_weight_words_mode, param_words, weight_words_mode,
-};
-use netpu_compiler::{Decoded, LayerSetting, LayerType, PackingMode};
+use netpu_compiler::stream::{neuron_weight_words_mode, param_words};
+use netpu_compiler::{Decoded, LayerSetting, LayerType, PackingMode, StreamLayout};
 use netpu_core::lpu::{
     dispatch_groups, init_cycles_per_neuron, input_word_cycles, write_out_cycles, PIPELINE_DEPTH,
 };
@@ -36,51 +34,65 @@ use netpu_core::netpu::RESET_CYCLES;
 use netpu_core::resources::netpu_utilization;
 use netpu_core::{CycleBreakdown, HwConfig, LayerCycles, LayerPhase, StreamPhase};
 
-/// Off-chip DMA channel parameters for the §V transfer-latency half of
-/// the analysis. Mirrors the runtime's `DmaModel` formulas exactly (the
-/// checker cannot depend on the runtime crate, which sits above it), so
-/// statically derived cold/resident figures agree bit-for-bit with the
-/// driver's measured ones whenever the cycle prediction is exact.
+/// The DMA / Processing System transfer path: a per-transfer setup cost
+/// plus a bandwidth-bound streaming time. The paper's *measured*
+/// latencies (Table VI) exceed the simulated ones (Table V) by a
+/// near-constant ≈6 µs — the DMA descriptor setup and Zynq UltraScale+
+/// PS control overhead per inference; the accelerator's own pipeline
+/// time is the limiting factor whenever DMA bandwidth ≥ one 64-bit word
+/// per cycle. The runtime driver prices its measured latencies with
+/// this model (`netpu_runtime::DmaModel` re-exports it), and the §V
+/// cold/resident figures of a [`StreamTiming`] use it too, so the two
+/// agree bit-for-bit whenever the cycle prediction is exact.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DmaParams {
-    /// Per-transfer setup + PS control overhead in microseconds.
+pub struct DmaModel {
+    /// Per-transfer setup + PS control overhead in microseconds
+    /// (descriptor writes, cache maintenance, interrupt handling).
     pub setup_us: f64,
     /// Sustained bandwidth in 64-bit words per accelerator clock cycle.
     pub words_per_cycle: f64,
 }
 
-impl Default for DmaParams {
-    fn default() -> DmaParams {
-        DmaParams::zynq_uls()
+impl Default for DmaModel {
+    fn default() -> DmaModel {
+        DmaModel::zynq_uls()
     }
 }
 
-impl DmaParams {
-    /// The Zynq UltraScale+ PS/DMA path of the Ultra96-V2 (the Table VI
-    /// − Table V gap, ≈5.9 µs per inference).
-    pub fn zynq_uls() -> DmaParams {
-        DmaParams {
+impl DmaModel {
+    /// The Zynq UltraScale+ PS/DMA path of the Ultra96-V2, calibrated to
+    /// the Table VI − Table V gap (≈5.9 µs per inference).
+    pub fn zynq_uls() -> DmaModel {
+        DmaModel {
             setup_us: 5.9,
             words_per_cycle: 1.0,
         }
     }
 
-    /// An ideal channel: no setup, unlimited bandwidth.
-    pub fn ideal() -> DmaParams {
-        DmaParams {
+    /// An ideal channel (no setup, unlimited bandwidth): measured equals
+    /// simulated.
+    pub fn ideal() -> DmaModel {
+        DmaModel {
             setup_us: 0.0,
             words_per_cycle: f64::INFINITY,
         }
     }
 
-    /// Channel occupancy of one transfer: setup plus bandwidth-bound
-    /// streaming time.
+    /// Time the channel itself is occupied by one transfer of
+    /// `stream_words` words: the per-transfer setup plus the
+    /// bandwidth-bound streaming time. This is the *shared-resource*
+    /// cost a multi-board host pays per inference — while one board's
+    /// loadable streams, no other board can be fed.
     pub fn occupancy_us(&self, stream_words: usize, clock_mhz: f64) -> f64 {
         self.setup_us + self.streaming_us(stream_words, clock_mhz)
     }
 
-    /// Wall-clock latency of one inference: setup plus the larger of
-    /// the pipeline time and the transfer time.
+    /// Wall-clock latency of one inference given the accelerator's
+    /// simulated latency and the stream length: setup plus the larger
+    /// of the pipeline time and the transfer time. The accelerator
+    /// consumes at most one word per cycle, so with
+    /// `words_per_cycle ≥ 1` the pipeline time dominates; a slower
+    /// channel stretches the transfer instead.
     pub fn measured_latency_us(
         &self,
         sim_latency_us: f64,
@@ -106,8 +118,8 @@ impl DmaParams {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimingSpec {
     /// DMA channel model for the cold/resident transfer figures.
-    /// Defaults to [`DmaParams::zynq_uls`].
-    pub dma: DmaParams,
+    /// Defaults to [`DmaModel::zynq_uls`].
+    pub dma: DmaModel,
     /// Declared request deadline on the cold end-to-end latency, µs.
     pub deadline_us: Option<f64>,
 }
@@ -183,25 +195,40 @@ impl StreamTiming {
         clock_mhz * 1e6 / cast::f64_from_u64(self.steady_state_cycles())
     }
 
+    /// DMA channel occupancy of the full stream.
+    pub fn transfer_us(&self, dma: &DmaModel, clock_mhz: f64) -> f64 {
+        dma.occupancy_us(self.stream_words, clock_mhz)
+    }
+
+    /// DMA channel occupancy of the resident prefix alone.
+    pub fn resident_transfer_us(&self, dma: &DmaModel, clock_mhz: f64) -> f64 {
+        dma.occupancy_us(self.resident_words, clock_mhz)
+    }
+
+    /// DMA channel occupancy the weight and parameter sections add to
+    /// the resident prefix: what a resident model saves per request.
+    pub fn weight_stream_us(&self, dma: &DmaModel, clock_mhz: f64) -> f64 {
+        (self.transfer_us(dma, clock_mhz) - self.resident_transfer_us(dma, clock_mhz)).max(0.0)
+    }
+
     /// §V cold reconfiguration latency: DMA setup plus the larger of
     /// the pipeline time and the full-stream transfer time.
-    pub fn cold_latency_us(&self, dma: &DmaParams, clock_mhz: f64) -> f64 {
+    pub fn cold_latency_us(&self, dma: &DmaModel, clock_mhz: f64) -> f64 {
         dma.measured_latency_us(self.latency_us(clock_mhz), self.stream_words, clock_mhz)
     }
 
     /// §V resident streaming latency: the weights stay on the board, so
     /// only the resident prefix (header + settings + input) re-streams.
-    /// Mirrors the fleet cache's admission economics exactly.
-    pub fn resident_latency_us(&self, dma: &DmaParams, clock_mhz: f64) -> f64 {
-        let transfer = dma.occupancy_us(self.stream_words, clock_mhz);
-        let resident_transfer = dma.occupancy_us(self.resident_words, clock_mhz);
-        let weight_stream = (transfer - resident_transfer).max(0.0);
-        (self.cold_latency_us(dma, clock_mhz) - weight_stream).max(resident_transfer)
+    /// The fleet cache's swap economics read this.
+    pub fn resident_latency_us(&self, dma: &DmaModel, clock_mhz: f64) -> f64 {
+        let weight_stream = self.weight_stream_us(dma, clock_mhz);
+        (self.cold_latency_us(dma, clock_mhz) - weight_stream)
+            .max(self.resident_transfer_us(dma, clock_mhz))
     }
 
     /// `true` when the off-chip streaming time exceeds the on-chip
     /// pipeline time — the NPC031 DMA-bound classification.
-    pub fn dma_bound(&self, dma: &DmaParams, clock_mhz: f64) -> bool {
+    pub fn dma_bound(&self, dma: &DmaModel, clock_mhz: f64) -> bool {
         dma.occupancy_us(self.stream_words, clock_mhz) - dma.setup_us > self.latency_us(clock_mhz)
     }
 }
@@ -224,9 +251,7 @@ pub fn analyze_settings(
     cfg: &HwConfig,
 ) -> StreamTiming {
     let n_layers = settings.len();
-    let input_len = settings
-        .first()
-        .map_or(0, |s| cast::usize_from_u32(s.neurons));
+    let layout = StreamLayout::of(settings, packing);
     let mut breakdown = CycleBreakdown::default();
     breakdown.layers = settings
         .iter()
@@ -234,19 +259,12 @@ pub fn analyze_settings(
         .collect();
     breakdown[StreamPhase::HEADER] = 1;
     breakdown[StreamPhase::SETTINGS] = cast::u64_from_usize(n_layers);
-    breakdown[StreamPhase::INPUT_INGEST] = cast::u64_from_usize(input_words(input_len));
+    breakdown[StreamPhase::INPUT_INGEST] = cast::u64_from_usize(layout.input.len());
     breakdown[StreamPhase::RESET] = cast::u64_from_usize(n_layers.saturating_sub(1)) * RESET_CYCLES;
-    let stream_words = 1
-        + n_layers
-        + input_words(input_len)
-        + settings
-            .iter()
-            .map(|s| param_words(s) + weight_words_mode(s, packing))
-            .sum::<usize>();
     StreamTiming {
         breakdown,
-        stream_words,
-        resident_words: 1 + n_layers + input_words(input_len),
+        stream_words: layout.words(),
+        resident_words: layout.input.end,
         settings: settings.to_vec(),
         packing,
     }
@@ -526,13 +544,57 @@ mod tests {
     }
 
     #[test]
-    fn dma_params_mirror_runtime_model() {
-        let dma = DmaParams::zynq_uls();
-        // 1000 words at 100 MHz and 1 word/cycle stream in 10 us.
-        let occ = dma.occupancy_us(1000, 100.0);
-        assert!((occ - 15.9).abs() < 1e-9);
-        let ideal = DmaParams::ideal();
-        assert_eq!(ideal.occupancy_us(1000, 100.0), 0.0);
-        assert_eq!(ideal.measured_latency_us(42.0, 1000, 100.0), 42.0);
+    fn full_bandwidth_adds_only_setup() {
+        let dma = DmaModel::zynq_uls();
+        let m = dma.measured_latency_us(172.165, 10_000, 100.0);
+        assert!((m - (172.165 + 5.9)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ideal_channel_is_transparent() {
+        let dma = DmaModel::ideal();
+        assert_eq!(dma.measured_latency_us(42.0, 1_000_000, 100.0), 42.0);
+    }
+
+    #[test]
+    fn slow_channel_becomes_transfer_bound() {
+        let dma = DmaModel {
+            setup_us: 1.0,
+            words_per_cycle: 0.25,
+        };
+        // 10,000 words at 0.25 words/cycle and 100 MHz → 400 µs transfer,
+        // dominating a 100 µs pipeline.
+        let m = dma.measured_latency_us(100.0, 10_000, 100.0);
+        assert!((m - 401.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn occupancy_counts_setup_and_streaming() {
+        let dma = DmaModel::zynq_uls();
+        // 1,000 words at 1 word/cycle and 100 MHz → 10 µs + 5.9 µs setup.
+        assert!((dma.occupancy_us(1_000, 100.0) - 15.9).abs() < 1e-9);
+        // An ideal channel is occupied only conceptually: zero time.
+        assert_eq!(DmaModel::ideal().occupancy_us(1_000_000, 100.0), 0.0);
+    }
+
+    #[test]
+    fn table6_gap_reproduced() {
+        // Table V simulated vs Table VI measured pairs (µs).
+        let pairs = [
+            (38.745, 44.64),
+            (133.785, 139.75),
+            (974.745, 980.63),
+            (172.165, 178.18),
+            (882.085, 888.0),
+            (7408.225, 7414.13),
+        ];
+        let dma = DmaModel::zynq_uls();
+        for (sim, measured) in pairs {
+            let m = dma.measured_latency_us(sim, 0, 100.0);
+            assert!(
+                (m - measured).abs() < 0.3,
+                "sim {sim}: model {m} vs measured {measured}"
+            );
+        }
     }
 }

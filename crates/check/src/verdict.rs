@@ -1,24 +1,18 @@
-//! The unified admission verdict: one structured rejection surface.
+//! Admission refusals: one structured rejection surface.
 //!
-//! Before this module, the stack had three parallel ways of saying
-//! "no": `DriverError::Check(Report)` from the driver's pre-flight,
-//! `Submit::Invalid { report }` from the serving layer, and the fleet's
-//! ad-hoc `Throttled` / `Busy` variants. A client (or the stream
-//! fuzzer) comparing rejections across layers had to pattern-match
-//! three shapes carrying three different payloads.
-//!
-//! [`AdmissionVerdict`] and [`RejectReason`] collapse those surfaces:
-//! every admission gate in the workspace — [`Driver::run`],
-//! `netpu-serve` submit, `netpu-fleet` submit, the compiled-model
-//! cache, and `netpu-fuzz` — now answers with the same machine-readable
-//! type, carrying the NPC rule IDs and byte offsets of verifier
-//! findings where they exist. The trace layer (`netpu-trace`) encodes
-//! the same [`RejectReason::code`] strings, so a recorded trace and a
-//! live client observe identical reasons.
-//!
-//! [`Driver::run`]: https://docs.rs/netpu-runtime
+//! [`RejectReason`] is the one shape every "no" in the workspace takes:
+//! the admission policy over a verifier analysis ([`Analysis::admit`],
+//! which the runtime driver applies to every loadable it admits, and
+//! through it the `netpu-serve` and `netpu-fleet` submit paths and the
+//! compiled-model cache), and the serving layers' own backpressure,
+//! throttling, shutdown and crash-recovery refusals. It carries the NPC
+//! rule IDs and byte offsets of verifier findings where they exist. The
+//! trace layer (`netpu-trace`) encodes the same [`RejectReason::code`]
+//! strings, so a recorded trace and a live client observe identical
+//! reasons.
 
 use crate::diag::{Report, RuleId};
+use crate::Analysis;
 use std::fmt;
 
 /// Why an admission gate refused a request.
@@ -128,85 +122,25 @@ impl fmt::Display for RejectReason {
 
 impl std::error::Error for RejectReason {}
 
-/// The outcome of one admission decision: admit (possibly with
-/// advisory range findings) or reject with a structured reason.
-#[derive(Clone, PartialEq, Debug)]
-pub enum AdmissionVerdict {
-    /// The stream may proceed to the accelerator.
-    Admitted {
-        /// `true` when error-class range findings fired but the gate
-        /// was lenient (`strict_range == false`) and let them through.
-        range_flagged: bool,
-    },
-    /// The stream (or request) was refused.
-    Rejected(RejectReason),
-}
-
-impl AdmissionVerdict {
-    /// Applies the workspace's two-tier admission policy to a verifier
-    /// [`Report`]: structural errors (NPC001–NPC013) always reject;
-    /// error-class range findings (NPC014–NPC020) reject only under
-    /// `strict_range`. This is the single decision point the driver,
-    /// the serving layers, and the fuzzer all share.
-    pub fn from_report(report: Report, strict_range: bool) -> AdmissionVerdict {
-        AdmissionVerdict::from_report_tiers(report, strict_range, false)
-    }
-
-    /// The full three-tier policy: structural errors always reject,
-    /// error-class range findings reject under `strict_range`, and
+impl Analysis {
+    /// The workspace's admission policy over this analysis' report:
+    /// structural errors (NPC001–NPC013) always refuse, error-class
+    /// range findings (NPC014–NPC020) refuse under `strict_range`, and
     /// error-class equivalence findings (NPC021/NPC022/NPC024, from the
-    /// [`symex`](crate::symex) translation validator) reject under
-    /// `strict_equiv`. Gates without a claimed source model never see
-    /// equivalence findings, so they pass `strict_equiv = false` via
-    /// [`from_report`](AdmissionVerdict::from_report).
-    pub fn from_report_tiers(
-        report: Report,
-        strict_range: bool,
-        strict_equiv: bool,
-    ) -> AdmissionVerdict {
-        let range = report.has_range_errors();
-        let equiv = report.has_equiv_errors();
-        if report.has_structural_errors() || (strict_range && range) || (strict_equiv && equiv) {
-            AdmissionVerdict::Rejected(RejectReason::Invalid { report })
-        } else {
-            AdmissionVerdict::Admitted {
-                range_flagged: range,
-            }
+    /// [`symex`](crate::symex) translation validator) refuse under
+    /// `strict_equiv`. Findings a lenient policy admits stay readable in
+    /// the report; the report is cloned into the reason only on refusal.
+    pub fn admit(&self, strict_range: bool, strict_equiv: bool) -> Result<(), RejectReason> {
+        let report = &self.report;
+        if report.has_structural_errors()
+            || (strict_range && report.has_range_errors())
+            || (strict_equiv && report.has_equiv_errors())
+        {
+            return Err(RejectReason::Invalid {
+                report: report.clone(),
+            });
         }
-    }
-
-    /// `true` for [`AdmissionVerdict::Admitted`].
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionVerdict::Admitted { .. })
-    }
-
-    /// The rejection reason, when refused.
-    pub fn reason(&self) -> Option<&RejectReason> {
-        match self {
-            AdmissionVerdict::Rejected(reason) => Some(reason),
-            AdmissionVerdict::Admitted { .. } => None,
-        }
-    }
-
-    /// Converts into a `Result`, for gates that propagate rejections
-    /// as errors.
-    pub fn into_result(self) -> Result<(), RejectReason> {
-        match self {
-            AdmissionVerdict::Admitted { .. } => Ok(()),
-            AdmissionVerdict::Rejected(reason) => Err(reason),
-        }
-    }
-}
-
-impl fmt::Display for AdmissionVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionVerdict::Admitted {
-                range_flagged: true,
-            } => f.write_str("admitted (range findings flagged)"),
-            AdmissionVerdict::Admitted { .. } => f.write_str("admitted"),
-            AdmissionVerdict::Rejected(reason) => write!(f, "rejected: {reason}"),
-        }
+        Ok(())
     }
 }
 
@@ -215,20 +149,26 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
 
-    fn report_with(rule: RuleId, severity: Severity, offset: Option<usize>) -> Report {
+    fn analysis(report: Report) -> Analysis {
+        Analysis {
+            report,
+            timing: None,
+            range: None,
+        }
+    }
+
+    fn report_with(rule: RuleId, severity: Severity, offset: Option<usize>) -> Analysis {
         let mut r = Report::default();
         r.push(rule, severity, offset, None, "test finding".into());
-        r
+        analysis(r)
     }
 
     #[test]
     fn structural_errors_always_reject() {
         for strict in [true, false] {
-            let verdict = AdmissionVerdict::from_report(
-                report_with(RuleId::Npc001, Severity::Error, Some(0)),
-                strict,
-            );
-            let reason = verdict.reason().expect("rejected");
+            let verdict =
+                report_with(RuleId::Npc001, Severity::Error, Some(0)).admit(strict, false);
+            let reason = verdict.expect_err("rejected");
             assert_eq!(reason.code(), "INVALID_STREAM");
             assert_eq!(reason.rules(), vec![(RuleId::Npc001, Some(0))]);
             assert!(!reason.is_transient());
@@ -237,34 +177,20 @@ mod tests {
 
     #[test]
     fn range_errors_reject_only_under_strict() {
-        let report = report_with(RuleId::Npc014, Severity::Error, None);
+        let analysis = report_with(RuleId::Npc014, Severity::Error, None);
         assert!(matches!(
-            AdmissionVerdict::from_report(report.clone(), true),
-            AdmissionVerdict::Rejected(RejectReason::Invalid { .. })
+            analysis.admit(true, false),
+            Err(RejectReason::Invalid { .. })
         ));
-        assert_eq!(
-            AdmissionVerdict::from_report(report, false),
-            AdmissionVerdict::Admitted {
-                range_flagged: true
-            }
-        );
+        assert_eq!(analysis.admit(false, false), Ok(()));
+        assert!(analysis.report.has_range_errors());
     }
 
     #[test]
     fn warnings_admit_cleanly() {
-        let verdict = AdmissionVerdict::from_report(
-            report_with(RuleId::Npc007, Severity::Warning, Some(16)),
-            true,
-        );
-        assert_eq!(
-            verdict,
-            AdmissionVerdict::Admitted {
-                range_flagged: false
-            }
-        );
-        assert!(verdict.is_admitted());
-        assert_eq!(verdict.reason(), None);
-        assert!(verdict.into_result().is_ok());
+        let analysis = report_with(RuleId::Npc007, Severity::Warning, Some(16));
+        assert_eq!(analysis.admit(true, true), Ok(()));
+        assert!(!analysis.report.has_range_errors());
     }
 
     #[test]
@@ -314,10 +240,7 @@ mod tests {
             None,
             "short".into(),
         );
-        let reason = AdmissionVerdict::from_report(report, true)
-            .reason()
-            .cloned()
-            .expect("rejected");
+        let reason = analysis(report).admit(true, false).expect_err("rejected");
         assert_eq!(reason.rules(), vec![(RuleId::Npc005, Some(24))]);
         assert!(reason.report().is_some());
     }

@@ -1,7 +1,7 @@
 //! The verdict store answers a stream exactly as a fresh analysis does,
 //! whatever its input section holds.
 
-use netpu_check::{analyze, AdmissionVerdict, Analysis, RuleId, Tiers, VerdictStore};
+use netpu_check::{analyze, Analysis, RuleId, Tiers, VerdictStore};
 use netpu_compiler::{compile, Loadable};
 use netpu_core::HwConfig;
 use netpu_nn::export::BnMode;
@@ -37,13 +37,18 @@ fn with_random_input(loadable: &Loadable, mut seed: u64) -> Vec<u64> {
     words
 }
 
-/// What an admission layer can observe of a verdict: admitted (with the
-/// range flag) or the rejection's rules and offsets. Witness text may
-/// differ, because symex uses the stream's pixels as a search hint.
-fn observable(v: AdmissionVerdict) -> (Option<bool>, Vec<(RuleId, Option<usize>)>) {
-    match v {
-        AdmissionVerdict::Admitted { range_flagged } => (Some(range_flagged), Vec::new()),
-        AdmissionVerdict::Rejected(reason) => (None, reason.rules()),
+/// What an admission layer can observe of a verdict under a policy:
+/// admitted (with the range flag) or the rejection's rules and offsets.
+/// Witness text may differ, because symex uses the stream's pixels as a
+/// search hint.
+fn observable(
+    a: &Analysis,
+    strict_range: bool,
+    strict_equiv: bool,
+) -> (Option<bool>, Vec<(RuleId, Option<usize>)>) {
+    match a.admit(strict_range, strict_equiv) {
+        Ok(()) => (Some(a.report.has_range_errors()), Vec::new()),
+        Err(reason) => (None, reason.rules()),
     }
 }
 
@@ -55,8 +60,8 @@ fn assert_agree(fresh: &Analysis, stored: &Analysis, tag: &str) {
     for strict_range in [false, true] {
         for strict_equiv in [false, true] {
             assert_eq!(
-                observable(fresh.verdict(strict_range, strict_equiv)),
-                observable(stored.verdict(strict_range, strict_equiv)),
+                observable(fresh, strict_range, strict_equiv),
+                observable(stored, strict_range, strict_equiv),
                 "{tag}: strict_range {strict_range}, strict_equiv {strict_equiv}"
             );
         }

@@ -8,11 +8,7 @@
 //! from the stream itself, which keeps the file format free of
 //! redundant (and desynchronisable) metadata.
 
-use crate::settings::LayerSetting;
-use crate::stream::{
-    input_words, param_words, weight_words_mode, Loadable, PackingMode, SectionKind, StreamError,
-    StreamLayout, MAGIC, VERSION,
-};
+use crate::stream::{read_settings, Header, Loadable, StreamError, StreamLayout};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use netpu_arith::cast;
 
@@ -74,57 +70,15 @@ fn crc32(data: &[u8]) -> u32 {
 /// Recomputes a stream's section layout from its own headers — the
 /// inverse of what `compile` records. Fails on malformed streams.
 pub fn layout_of(words: &[u64]) -> Result<StreamLayout, StreamError> {
-    if words.is_empty() {
-        return Err(StreamError::Truncated { at: 0 });
+    let &word = words.first().ok_or(StreamError::Truncated { at: 0 })?;
+    let header = Header::parse(word)?;
+    let truncated = StreamError::Truncated { at: words.len() };
+    if header.layers < 2 {
+        return Err(truncated);
     }
-    let header = words[0];
-    if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
-        return Err(StreamError::BadHeader(header));
-    }
-    let mode = if header >> 40 & 1 == 1 {
-        PackingMode::Dense
-    } else {
-        PackingMode::Lanes8
-    };
-    let n = cast::usize_sat((header >> 24) & 0xFFFF);
-    if n < 2 || words.len() < 1 + n {
-        return Err(StreamError::Truncated { at: words.len() });
-    }
-    let mut settings = Vec::with_capacity(n);
-    for &w in &words[1..1 + n] {
-        settings.push(LayerSetting::decode(w).map_err(StreamError::BadSetting)?);
-    }
-    let mut layout = StreamLayout {
-        header: 0..1,
-        settings: 1..1 + n,
-        ..StreamLayout::default()
-    };
-    let mut pos = 1 + n;
-    let in_words = input_words(cast::usize_from_u32(settings[0].neurons));
-    layout.input = pos..pos + in_words;
-    pos += in_words;
-    let mut push = |kind: SectionKind, layer: usize, len: usize, pos: &mut usize| {
-        layout.sections.push((kind, layer, *pos..*pos + len));
-        *pos += len;
-    };
-    push(SectionKind::Params, 0, param_words(&settings[0]), &mut pos);
-    for k in 1..n {
-        push(SectionKind::Params, k, param_words(&settings[k]), &mut pos);
-        push(
-            SectionKind::Weights,
-            k - 1,
-            weight_words_mode(&settings[k - 1], mode),
-            &mut pos,
-        );
-    }
-    push(
-        SectionKind::Weights,
-        n - 1,
-        weight_words_mode(&settings[n - 1], mode),
-        &mut pos,
-    );
-    if pos > words.len() {
-        return Err(StreamError::Truncated { at: words.len() });
+    let layout = StreamLayout::of(&read_settings(words, header.layers)?, header.packing);
+    if layout.words() > words.len() {
+        return Err(truncated);
     }
     Ok(layout)
 }
@@ -194,7 +148,7 @@ impl Loadable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{compile, compile_packed};
+    use crate::stream::{compile, compile_packed, PackingMode};
     use netpu_nn::export::BnMode;
     use netpu_nn::zoo::ZooModel;
 

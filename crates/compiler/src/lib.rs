@@ -14,10 +14,15 @@
 //!   [`stream::decode`] validator that expands a view into the full
 //!   model.
 //!
-//! The word-count functions ([`stream::param_words`],
-//! [`stream::weight_words`], [`stream::neuron_weight_words`]) are shared
-//! with the accelerator model in `netpu-core`, which consumes the stream
-//! word-by-word exactly as the hardware would.
+//! The stream format itself lives in [`stream`] once: the header word's
+//! codec ([`Header`]), the §III.B.3 section order ([`section_at`]), the
+//! section sizes ([`stream::param_words`],
+//! [`stream::weight_words_mode`], [`stream::act_param_u32s`]) and the
+//! section map they add up to ([`StreamLayout::of`]). The container
+//! ([`file::layout_of`]), the `netpu-check` verifier and timing
+//! certificate, and the accelerator model in `netpu-core`, which
+//! consumes the stream word by word exactly as the hardware would, all
+//! read the format through these functions instead of restating it.
 
 //! With the test-only `inject` cargo feature, [`inject`] adds a seeded
 //! miscompile harness: semantic mutations compiled into structurally
@@ -31,9 +36,8 @@ pub mod settings;
 pub mod stream;
 
 pub use file::FileError;
-pub use settings::{LayerSetting, LayerType, SettingError};
+pub use settings::{is_layer_sequence, LayerSetting, LayerType, SettingError};
 pub use stream::{
-    batch_stream, compile, compile_packed, declared_input_range, decode, input_section,
-    splice_input, Decoded, Loadable, PackingMode, SectionKind, StreamError, StreamLayout,
-    StreamView,
+    batch_stream, compile, compile_packed, decode, input_section, section_at, splice_input,
+    Decoded, Header, Loadable, PackingMode, SectionKind, StreamError, StreamLayout, StreamView,
 };

@@ -139,6 +139,19 @@ impl LayerSetting {
     }
 }
 
+/// `true` when `settings` run Input, Hidden*, Output: the only layer
+/// sequence the NetPU schedules.
+pub fn is_layer_sequence(settings: &[LayerSetting]) -> bool {
+    match settings {
+        [first, hidden @ .., last] => {
+            first.layer_type == LayerType::Input
+                && last.layer_type == LayerType::Output
+                && hidden.iter().all(|s| s.layer_type == LayerType::Hidden)
+        }
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //! processing. This module encodes a [`QuantMlp`] plus one inference
 //! input into that stream and decodes it back for validation.
 
-use crate::settings::{LayerSetting, LayerType, SettingError};
+use crate::settings::{is_layer_sequence, LayerSetting, LayerType, SettingError};
 use netpu_arith::quant::LANES_PER_WORD;
 use netpu_arith::{cast, ActivationKind, Fix, Precision, QuantParams};
 use netpu_nn::kernel::{PackedMlp, WeightField, WeightRows};
@@ -34,27 +34,72 @@ pub const VERSION: u8 = 1;
 /// Decoders (hardware and checker alike) built before the flag existed
 /// ignore bits 41 and up, so the metadata is backward compatible.
 const RANGE_FLAG: u64 = 1 << 41;
-/// Header bits 42..50: declared minimum input pixel value.
-const RANGE_MIN_SHIFT: u32 = 42;
-/// Header bits 50..58: declared maximum input pixel value.
-const RANGE_MAX_SHIFT: u32 = 50;
 
-/// The declared input range carried in a header word, when the encoder
-/// recorded one (streams from compilers predating the bit 41 flag carry
-/// none; analyses fall back to the full `0..=255` pixel range).
-///
-/// The range is a *host claim* about every input this loadable will ever
-/// be run with; `netpu-check`'s NPC020 verifies the claim against the
-/// stream's own input section before any bound derived from it is
-/// trusted.
-pub fn declared_input_range(header: u64) -> Option<(u8, u8)> {
-    if header & RANGE_FLAG == 0 {
-        return None;
+/// The stream's header word, every field decoded. Bit layout (LSB
+/// first): `[0:16]` magic, `[16:24]` version, `[24:40]` layer count,
+/// `[40]` dense packing flag, `[41]` input-range flag, `[42:50]` /
+/// `[50:58]` declared minimum / maximum input pixel value. This is the
+/// one codec of the word: the compiler, the container, the verifier
+/// and the accelerator model all read and write it here, each applying
+/// its own acceptance rules to the fields.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Header {
+    /// Format magic ([`MAGIC`] in a stream this format speaks).
+    pub magic: u16,
+    /// Format version ([`VERSION`] in a stream this format speaks).
+    pub version: u8,
+    /// Layer count.
+    pub layers: usize,
+    /// Weight packing mode.
+    pub packing: PackingMode,
+    /// The declared input range, when the encoder recorded one (streams
+    /// from compilers predating the bit 41 flag carry none; analyses
+    /// fall back to the full `0..=255` pixel range). The range is a
+    /// *host claim* about every input this loadable will ever be run
+    /// with; `netpu-check`'s NPC020 verifies the claim against the
+    /// stream's own input section before any bound derived from it is
+    /// trusted.
+    pub input_range: Option<(u8, u8)>,
+}
+
+impl Header {
+    /// Decodes every field of a header word, valid or not.
+    pub fn decode(word: u64) -> Header {
+        Header {
+            magic: cast::lo16(word),
+            version: cast::lo8(word >> 16),
+            layers: cast::usize_sat(word >> 24 & 0xFFFF),
+            packing: if word >> 40 & 1 == 1 {
+                PackingMode::Dense
+            } else {
+                PackingMode::Lanes8
+            },
+            input_range: (word & RANGE_FLAG != 0)
+                .then(|| (cast::lo8(word >> 42), cast::lo8(word >> 50))),
+        }
     }
-    Some((
-        cast::lo8(header >> RANGE_MIN_SHIFT),
-        cast::lo8(header >> RANGE_MAX_SHIFT),
-    ))
+
+    /// [`Header::decode`] of a word whose magic and version this format
+    /// speaks, else [`StreamError::BadHeader`].
+    pub fn parse(word: u64) -> Result<Header, StreamError> {
+        let header = Header::decode(word);
+        if header.magic != MAGIC || header.version != VERSION {
+            return Err(StreamError::BadHeader(word));
+        }
+        Ok(header)
+    }
+
+    /// The header word: the inverse of [`Header::decode`].
+    pub fn encode(&self) -> u64 {
+        let range = self.input_range.map_or(0, |(lo, hi)| {
+            RANGE_FLAG | u64::from(lo) << 42 | u64::from(hi) << 50
+        });
+        u64::from(self.magic)
+            | u64::from(self.version) << 16
+            | cast::u64_from_usize(self.layers) << 24
+            | u64::from(self.packing == PackingMode::Dense) << 40
+            | range
+    }
 }
 
 /// What a stream section carries.
@@ -64,6 +109,26 @@ pub enum SectionKind {
     Params,
     /// Per-layer weights.
     Weights,
+}
+
+/// Section `i` of an `n`-layer stream's parameter and weight sections,
+/// in the §III.B.3 order: P0, then P(k+1) before W(k), then W(n−1). This
+/// is the one statement of the interleave; the encoder, the decoders,
+/// the verifier and the accelerator model all walk it.
+pub fn section_at(n: usize, i: usize) -> (SectionKind, usize) {
+    match i {
+        0 => (SectionKind::Params, 0),
+        _ if i + 1 >= 2 * n => (SectionKind::Weights, n.saturating_sub(1)),
+        _ if i % 2 == 1 => (SectionKind::Params, i.div_ceil(2)),
+        _ => (SectionKind::Weights, i / 2 - 1),
+    }
+}
+
+/// The dataset-input section of an `n`-layer stream whose first layer
+/// takes `pixels` pixels: right after the header word and the `n`
+/// layer settings.
+fn input_span(n: usize, pixels: u32) -> Range<usize> {
+    1 + n..1 + n + input_words(cast::usize_from_u32(pixels))
 }
 
 /// Section map of an encoded loadable (word offsets into the stream).
@@ -77,6 +142,48 @@ pub struct StreamLayout {
     pub input: Range<usize>,
     /// `(kind, layer index, word range)` in emitted order.
     pub sections: Vec<(SectionKind, usize, Range<usize>)>,
+}
+
+impl StreamLayout {
+    /// The section map of a stream with these layer settings under
+    /// `mode`: the header word, the settings, the first layer's input,
+    /// then the [`section_at`] order, each section sized by
+    /// [`param_words`] or [`weight_words_mode`].
+    pub fn of(settings: &[LayerSetting], mode: PackingMode) -> StreamLayout {
+        let n = settings.len();
+        let input = input_span(n, settings.first().map_or(0, |s| s.neurons));
+        let mut end = input.end;
+        let sections = (0..2 * n)
+            .map(|i| {
+                let (kind, k) = section_at(n, i);
+                let start = end;
+                end += match kind {
+                    SectionKind::Params => param_words(&settings[k]),
+                    SectionKind::Weights => weight_words_mode(&settings[k], mode),
+                };
+                (kind, k, start..end)
+            })
+            .collect();
+        StreamLayout {
+            header: 0..1,
+            settings: 1..1 + n,
+            input,
+            sections,
+        }
+    }
+
+    /// Stream words the layout spans: where the next loadable of a
+    /// burst begins.
+    pub fn words(&self) -> usize {
+        self.sections.last().map_or(self.input.end, |s| s.2.end)
+    }
+
+    /// The word range of layer `layer`'s `kind` section (empty when the
+    /// layout has none).
+    pub fn section(&self, kind: SectionKind, layer: usize) -> Range<usize> {
+        let found = self.sections.iter().find(|s| s.0 == kind && s.1 == layer);
+        found.map_or(0..0, |s| s.2.clone())
+    }
 }
 
 /// An encoded loadable: the word stream plus its section map.
@@ -119,13 +226,6 @@ pub enum StreamError {
     /// The stream uses a weight packing mode this accelerator instance
     /// was not generated with.
     PackingUnsupported,
-    /// A layer's payload slice was absent when the interleave replay
-    /// went to reconstruct the model (an internal decode inconsistency,
-    /// surfaced as an error instead of a panic).
-    MissingSection {
-        /// Layer whose payload was missing.
-        layer: usize,
-    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -143,9 +243,6 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::InconsistentQuanParams { layer } => {
                 write!(f, "layer {layer}: inconsistent per-neuron QUAN parameters")
-            }
-            StreamError::MissingSection { layer } => {
-                write!(f, "layer {layer}: payload slice missing during decode")
             }
             StreamError::PackingUnsupported => {
                 f.write_str("stream packing mode unsupported by this instance")
@@ -297,7 +394,7 @@ pub fn extract_weight(word: u64, idx: usize, setting: &LayerSetting, mode: Packi
 
 /// 32-bit activation-parameter words per neuron (thresholds or QUAN
 /// scale+offset), before pair packing.
-fn act_param_u32s(setting: &LayerSetting) -> usize {
+pub fn act_param_u32s(setting: &LayerSetting) -> usize {
     match setting.activation {
         ActivationKind::Sign => 1,
         ActivationKind::MultiThreshold => setting.out_precision.multi_threshold_count(),
@@ -530,60 +627,36 @@ pub fn compile_packed(
         mlp.validate().map_err(StreamError::InvalidModel)?;
     }
     let settings = model_settings(mlp);
-    let n = settings.len();
-    let sized = |s: &LayerSetting| param_words(s) + weight_words_mode(s, mode);
-    let size = 1 + n + input_words(pixels.len()) + settings.iter().map(sized).sum::<usize>();
-    let mut words = Vec::with_capacity(size);
-    let mut layout = StreamLayout::default();
-
-    // (1) Header: magic | version | layer count | packing flag (bit 40)
-    // | declared input range (bit 41 flag, bits 42..50 min, 50..58 max).
+    let layout = StreamLayout::of(&settings, mode);
+    let mut words = Vec::with_capacity(layout.words());
     // The compiler cannot prove anything about the host's future inputs,
     // so it declares the full pixel range; hosts with tighter sensors
     // narrow it via [`Loadable::set_declared_input_range`].
-    let packing_flag = u64::from(mode == PackingMode::Dense) << 40;
-    let range_meta = RANGE_FLAG | (u64::from(u8::MAX) << RANGE_MAX_SHIFT);
-    words.push(
-        u64::from(MAGIC)
-            | (u64::from(VERSION) << 16)
-            | (cast::u64_from_usize(n) << 24)
-            | packing_flag
-            | range_meta,
-    );
-    layout.header = 0..1;
-
-    // (2) All layer settings.
+    let header = Header {
+        magic: MAGIC,
+        version: VERSION,
+        layers: settings.len(),
+        packing: mode,
+        input_range: Some((0, u8::MAX)),
+    };
+    words.push(header.encode());
     words.extend(settings.iter().map(LayerSetting::encode));
-    layout.settings = 1..words.len();
-
-    // (3) Dataset inputs as 8-bit lanes.
-    let start = words.len();
+    // Dataset inputs as 8-bit lanes.
     words.extend(
         pixels
             .chunks(LANES_PER_WORD)
             .map(|c| lane_word(c.iter().copied())),
     );
-    layout.input = start..words.len();
-
-    // (4…) The §III.B.3 interleave, every section written in place: P0,
-    // then Pk+1 before Wk, then W(N−1).
-    let mut strays = vec![None; n];
-    let mut emit = |kind: SectionKind, k: usize| {
-        let start = words.len();
+    // The §III.B.3 interleave, every section written in place.
+    let mut strays = vec![None; settings.len()];
+    for (kind, k, _) in &layout.sections {
         match kind {
-            SectionKind::Params => push_params(&mut words, mlp, k),
+            SectionKind::Params => push_params(&mut words, mlp, *k),
             SectionKind::Weights => {
-                strays[k] = push_weights(&mut words, mlp, k, &settings[k], mode)
+                strays[*k] = push_weights(&mut words, mlp, *k, &settings[*k], mode)
             }
         }
-        layout.sections.push((kind, k, start..words.len()));
-    };
-    emit(SectionKind::Params, 0);
-    for k in 1..n {
-        emit(SectionKind::Params, k);
-        emit(SectionKind::Weights, k - 1);
     }
-    emit(SectionKind::Weights, n - 1);
 
     mlp.validate_scanned(|layer| strays.get(layer).copied().flatten())
         .map_err(StreamError::InvalidModel)?;
@@ -593,7 +666,11 @@ pub fn compile_packed(
             got: pixels.len(),
         });
     }
-    debug_assert_eq!(words.len(), size, "sections sized from the settings");
+    debug_assert_eq!(
+        words.len(),
+        layout.words(),
+        "sections sized from the settings"
+    );
     Ok(Loadable { words, layout })
 }
 
@@ -620,10 +697,12 @@ impl Loadable {
     /// bounds; an untrue one is caught by NPC020 against the stream's
     /// own input section.
     pub fn set_declared_input_range(&mut self, lo: u8, hi: u8) {
-        let header = &mut self.words[self.layout.header.start];
-        *header &= !(RANGE_FLAG | (0xFF << RANGE_MIN_SHIFT) | (0xFF << RANGE_MAX_SHIFT));
-        *header |=
-            RANGE_FLAG | (u64::from(lo) << RANGE_MIN_SHIFT) | (u64::from(hi) << RANGE_MAX_SHIFT);
+        let word = &mut self.words[self.layout.header.start];
+        let header = Header {
+            input_range: Some((lo, hi)),
+            ..Header::decode(*word)
+        };
+        *word = header.encode();
     }
 }
 
@@ -632,10 +711,7 @@ impl Loadable {
 /// count), never from host-side layout metadata.
 pub fn input_section(words: &[u64]) -> Result<Range<usize>, StreamError> {
     let &header = words.first().ok_or(StreamError::Truncated { at: 0 })?;
-    if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
-        return Err(StreamError::BadHeader(header));
-    }
-    let layers = cast::usize_sat((header >> 24) & 0xFFFF);
+    let layers = Header::parse(header)?.layers;
     if layers == 0 {
         return Err(StreamError::BadLayerSequence);
     }
@@ -643,8 +719,7 @@ pub fn input_section(words: &[u64]) -> Result<Range<usize>, StreamError> {
         .get(1)
         .ok_or(StreamError::Truncated { at: words.len() })?;
     let pixels = LayerSetting::decode(first).map_err(StreamError::BadSetting)?;
-    let start = 1 + layers;
-    let span = start..start + input_words(cast::usize_from_u32(pixels.neurons));
+    let span = input_span(layers, pixels.neurons);
     if span.end > words.len() {
         return Err(StreamError::Truncated { at: words.len() });
     }
@@ -716,22 +791,28 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// The next `n` words, consumed.
     fn take(&mut self, n: usize) -> Result<&'a [u64], StreamError> {
-        let span = self.span(n)?;
-        Ok(&self.words[span])
-    }
-
-    /// The next `n` words' positions, consumed.
-    fn span(&mut self, n: usize) -> Result<Range<usize>, StreamError> {
         if self.pos + n > self.words.len() {
             return Err(StreamError::Truncated {
                 at: self.words.len(),
             });
         }
-        let span = self.pos..self.pos + n;
         self.pos += n;
-        Ok(span)
+        Ok(&self.words[self.pos - n..self.pos])
     }
+}
+
+/// The `n` layer settings following a stream's header word.
+pub(crate) fn read_settings(words: &[u64], n: usize) -> Result<Vec<LayerSetting>, StreamError> {
+    let raw = words
+        .get(1..1 + n)
+        .ok_or(StreamError::Truncated { at: words.len() })?;
+    let mut settings = Vec::with_capacity(n);
+    for &w in raw {
+        settings.push(LayerSetting::decode(w).map_err(StreamError::BadSetting)?);
+    }
+    Ok(settings)
 }
 
 fn decode_activation(
@@ -804,13 +885,6 @@ fn decode_bias_bn(
     }
 }
 
-/// Unwraps a layer's payload slice collected by the interleave replay,
-/// reporting [`StreamError::MissingSection`] instead of panicking if the
-/// replay left a hole.
-fn section<'a>(slot: &Option<&'a [u64]>, layer: usize) -> Result<&'a [u64], StreamError> {
-    slot.ok_or(StreamError::MissingSection { layer })
-}
-
 /// Decodes a transmission stream back into a model + input. The inverse
 /// of [`compile`] up to the untransmitted model name: the stream's
 /// [`StreamView`] expanded to `i32` weights.
@@ -845,65 +919,36 @@ impl StreamView {
     /// Decodes `words`, validating the model as [`decode`] does (its
     /// weights read from their fields), with the same errors.
     pub fn new(words: Arc<[u64]>) -> Result<StreamView, StreamError> {
-        let mut r = Reader {
-            words: &words,
-            pos: 0,
-        };
-        let header = r.take(1)?[0];
-        if cast::lo16(header) != MAGIC || cast::lo8(header >> 16) != VERSION {
-            return Err(StreamError::BadHeader(header));
-        }
-        let mode = if header >> 40 & 1 == 1 {
-            PackingMode::Dense
-        } else {
-            PackingMode::Lanes8
-        };
-        let n = cast::usize_sat((header >> 24) & 0xFFFF);
+        let &word = words.first().ok_or(StreamError::Truncated { at: 0 })?;
+        let header = Header::parse(word)?;
+        let (n, mode) = (header.layers, header.packing);
         if n < 2 {
             return Err(StreamError::BadLayerSequence);
         }
-        let mut settings = Vec::with_capacity(n);
-        for &w in r.take(n)? {
-            settings.push(LayerSetting::decode(w).map_err(StreamError::BadSetting)?);
-        }
-        if settings[0].layer_type != LayerType::Input
-            || settings[n - 1].layer_type != LayerType::Output
-            || settings[1..n - 1]
-                .iter()
-                .any(|s| s.layer_type != LayerType::Hidden)
-        {
+        let settings = read_settings(&words, n)?;
+        if !is_layer_sequence(&settings) {
             return Err(StreamError::BadLayerSequence);
         }
-        let input_len = cast::usize_from_u32(settings[0].neurons);
-        r.span(input_words(input_len))?;
-
-        // Replay the interleave, collecting per-layer payload slices and
-        // weight sections.
-        let mut params: Vec<Option<&[u64]>> = vec![None; n];
-        let mut sections: Vec<Range<usize>> = vec![0..0; n];
-        params[0] = Some(r.take(param_words(&settings[0]))?);
-        for k in 1..n {
-            params[k] = Some(r.take(param_words(&settings[k]))?);
-            sections[k - 1] = r.span(weight_words_mode(&settings[k - 1], mode))?;
+        let layout = StreamLayout::of(&settings, mode);
+        if layout.words() > words.len() {
+            return Err(StreamError::Truncated { at: words.len() });
         }
-        sections[n - 1] = r.span(weight_words_mode(&settings[n - 1], mode))?;
+        let params = |k| &words[layout.section(SectionKind::Params, k)];
 
         // Reconstruct the model without its weights.
         let input = InputLayer {
-            len: input_len,
+            len: cast::usize_from_u32(settings[0].neurons),
             out_precision: settings[0].out_precision,
-            activation: decode_activation(&settings[0], section(&params[0], 0)?, 0)?,
+            activation: decode_activation(&settings[0], params(0), 0)?,
         };
         let mut hidden = Vec::with_capacity(n - 2);
-        for k in 1..n - 1 {
-            let s = &settings[k];
-            let layer_params = section(&params[k], k)?;
+        for (k, s) in settings.iter().enumerate().take(n - 1).skip(1) {
             let mut reader = Reader {
-                words: layer_params,
+                words: params(k),
                 pos: 0,
             };
             let (bias, bn) = decode_bias_bn(s, &mut reader)?;
-            let act_words = reader.take(layer_params.len() - reader.pos)?;
+            let act_words = &reader.words[reader.pos..];
             hidden.push(HiddenLayer {
                 in_len: cast::usize_from_u32(s.input_len),
                 neurons: cast::usize_from_u32(s.neurons),
@@ -918,7 +963,7 @@ impl StreamView {
         }
         let s = &settings[n - 1];
         let mut reader = Reader {
-            words: section(&params[n - 1], n - 1)?,
+            words: params(n - 1),
             pos: 0,
         };
         let (bias, bn) = decode_bias_bn(s, &mut reader)?;
@@ -938,17 +983,15 @@ impl StreamView {
             output,
         };
 
-        let rows = sections[1..]
-            .iter()
-            .zip(&settings[1..])
-            .enumerate()
-            .map(|(k, (section, s))| {
+        let rows = (settings.iter().enumerate().skip(1))
+            .map(|(k, s)| {
+                let section = layout.section(SectionKind::Weights, k);
                 let neurons = cast::usize_from_u32(s.neurons);
                 let in_len = cast::usize_from_u32(s.input_len);
                 let field = weight_field(s, mode);
-                WeightRows::new(Arc::clone(&words), section.clone(), neurons, in_len, field).ok_or(
+                WeightRows::new(Arc::clone(&words), section, neurons, in_len, field).ok_or(
                     StreamError::InvalidModel(netpu_nn::qmodel::ModelError::WeightShape {
-                        layer: k + 1,
+                        layer: k,
                     }),
                 )
             })
@@ -957,7 +1000,7 @@ impl StreamView {
             kernel: PackedMlp::from_words(model, rows).map_err(StreamError::InvalidModel)?,
             settings,
             packing: mode,
-            input_range: declared_input_range(header),
+            input_range: header.input_range,
         })
     }
 

@@ -23,7 +23,8 @@ use crate::cycles::{LayerCycles, LayerPhase};
 use crate::tnpu::{LayerCfg, MaxOut, NeuronActivation, NeuronParams, Tnpu, TnpuOut};
 use netpu_arith::{cast, ActivationKind, Fix, QuantParams};
 use netpu_compiler::stream::{
-    extract_weight, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path, weights_per_word,
+    act_param_u32s, extract_weight, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path,
+    weights_per_word,
 };
 use netpu_compiler::{LayerSetting, LayerType, PackingMode};
 use netpu_sim::engine::Tick;
@@ -99,15 +100,6 @@ fn record_finalize(obs: &mut Observer, neuron: usize, tap: crate::tnpu::NeuronTa
     }
 }
 
-/// 32-bit activation-parameter words per neuron for a setting.
-fn act_u32s(setting: &LayerSetting) -> usize {
-    match setting.activation {
-        ActivationKind::Sign => 1,
-        ActivationKind::MultiThreshold => setting.out_precision.multi_threshold_count(),
-        _ => 2,
-    }
-}
-
 /// Decodes a layer's raw parameter-section words into per-neuron
 /// parameters — the hardware's view of the buffer cluster contents.
 /// Inverse of the compiler's parameter encoding.
@@ -140,7 +132,7 @@ pub fn decode_neuron_params(setting: &LayerSetting, words: &[u64]) -> Vec<Neuron
     let acts: Vec<NeuronActivation> = if setting.layer_type == LayerType::Output {
         vec![NeuronActivation::None; neurons]
     } else {
-        let per = act_u32s(setting);
+        let per = act_param_u32s(setting);
         let vals = unpack_u32_pairs(&words[pos..], neurons * per);
         vals.chunks(per)
             .map(|row| match setting.activation {
@@ -177,7 +169,7 @@ pub fn decode_neuron_params(setting: &LayerSetting, words: &[u64]) -> Vec<Neuron
 /// Input-layer cycles per 64-bit input word: one read cycle,
 /// threshold-read cycles for its eight pixels, one write cycle.
 pub fn input_word_cycles(setting: &LayerSetting) -> u64 {
-    2 + cast::u64_from_usize((8 * act_u32s(setting)).div_ceil(PARAM_READ_WIDTH))
+    2 + cast::u64_from_usize((8 * act_param_u32s(setting)).div_ceil(PARAM_READ_WIDTH))
 }
 
 /// Write-out cycles of a `batch`-neuron batch (at least one): MaxOut
@@ -233,7 +225,7 @@ pub fn init_cycles_per_neuron(setting: &LayerSetting) -> u64 {
     let act_reads = if setting.layer_type == LayerType::Output {
         0
     } else {
-        act_u32s(setting).div_ceil(PARAM_READ_WIDTH)
+        act_param_u32s(setting).div_ceil(PARAM_READ_WIDTH)
     };
     let bias_reads = usize::from(setting.layer_type != LayerType::Input);
     cast::u64_from_usize(act_reads + bias_reads)

@@ -21,7 +21,9 @@ use crate::cycles::{CycleBreakdown, LayerPhase, StreamPhase};
 use crate::lpu::{LayerOutput, Lpu};
 use netpu_arith::{cast, Fix};
 use netpu_compiler::stream::{input_words, param_words, StreamError};
-use netpu_compiler::{LayerSetting, LayerType, PackingMode};
+use netpu_compiler::{
+    is_layer_sequence, section_at, Header, LayerSetting, PackingMode, SectionKind,
+};
 use netpu_nn::reference::to_mac_domain;
 use netpu_sim::engine::Tick;
 use netpu_sim::{
@@ -66,15 +68,6 @@ impl std::error::Error for NetPuError {
     }
 }
 
-/// One step of the §III.B.3 section walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Section {
-    /// Ingest the parameter section of layer `k` into LPU `k mod L`.
-    Params(usize),
-    /// Consume layer `k`'s weight section while LPU `k mod L` processes.
-    Process(usize),
-}
-
 #[derive(Clone, Debug, PartialEq)]
 enum TopState {
     Header,
@@ -96,7 +89,11 @@ pub struct NetPu {
     observer: Observer,
     state: TopState,
     settings: Vec<LayerSetting>,
-    sections: Vec<Section>,
+    /// The current loadable's layer count: its sections are walked in
+    /// the [`section_at`] order. A parameter section is ingested into
+    /// LPU `k mod L`; layer `k`'s weight section is consumed while that
+    /// LPU processes.
+    layers: usize,
     packing: PackingMode,
     pixels: Vec<i32>,
     result: Option<(usize, Fix)>,
@@ -120,7 +117,7 @@ impl NetPu {
             observer: Observer::default(),
             state: TopState::Header,
             settings: Vec::new(),
-            sections: Vec::new(),
+            layers: 0,
             packing: PackingMode::Lanes8,
             pixels: Vec::new(),
             result: None,
@@ -188,19 +185,6 @@ impl NetPu {
 
     fn lpu_of(&self, layer: usize) -> usize {
         layer % self.cfg.lpus
-    }
-
-    /// Builds the §III.B.3 section order for `n` layers:
-    /// P0, (P1, W0), (P2, W1), …, (P(n−1), W(n−2)), W(n−1).
-    fn build_sections(n: usize) -> Vec<Section> {
-        let mut v = Vec::with_capacity(2 * n);
-        v.push(Section::Params(0));
-        for k in 1..n {
-            v.push(Section::Params(k));
-            v.push(Section::Process(k - 1));
-        }
-        v.push(Section::Process(n - 1));
-        v
     }
 
     /// Routes a finished layer's output to the next LPU or the Network
@@ -271,8 +255,8 @@ impl NetPu {
         let TopState::Sections { idx, entered } = self.state else {
             return self.single_step(cycle);
         };
-        match self.sections[idx] {
-            Section::Params(layer) => {
+        match section_at(self.layers, idx) {
+            (SectionKind::Params, layer) => {
                 if !entered {
                     // The first parameter edge also performs layer
                     // initialization; keep it on the reference path.
@@ -302,7 +286,7 @@ impl NetPu {
                 };
                 (cast::u64_from_usize(k), Tick::Progress)
             }
-            Section::Process(layer) => {
+            (SectionKind::Weights, layer) => {
                 let id = self.lpu_of(layer);
                 self.observer.set_layer(layer);
                 let r =
@@ -322,7 +306,6 @@ impl NetPu {
                         }
                         self.lpus[id].reset();
                         self.settings.clear();
-                        self.sections.clear();
                         self.pixels.clear();
                         self.state = TopState::Resetting {
                             idx: usize::MAX,
@@ -352,27 +335,21 @@ impl Clocked for NetPu {
                 self.breakdown[StreamPhase::HEADER] += 1;
                 match self.stream.take() {
                     Some(w) => {
-                        if cast::lo16(w) != netpu_compiler::stream::MAGIC
-                            || cast::lo8(w >> 16) != netpu_compiler::stream::VERSION
-                        {
-                            return self.fail(StreamError::BadHeader(w));
-                        }
-                        let n = cast::usize_sat(w >> 24 & 0xFFFF);
-                        if n < 2 {
+                        let header = match Header::parse(w) {
+                            Ok(header) => header,
+                            Err(e) => return self.fail(e),
+                        };
+                        if header.layers < 2 {
                             return self.fail(StreamError::BadLayerSequence);
                         }
-                        // Packing flag (bit 40): dense streams need an
-                        // instance generated with dense unpack logic.
-                        self.packing = if w >> 40 & 1 == 1 {
-                            PackingMode::Dense
-                        } else {
-                            PackingMode::Lanes8
-                        };
+                        // Dense streams need an instance generated with
+                        // dense unpack logic.
+                        self.packing = header.packing;
                         if self.packing == PackingMode::Dense && !self.cfg.dense_weight_packing {
                             return self.fail(StreamError::PackingUnsupported);
                         }
-                        self.settings.reserve(n);
-                        self.sections = NetPu::build_sections(n);
+                        self.layers = header.layers;
+                        self.settings.reserve(header.layers);
                         self.state = TopState::Settings { idx: 0 };
                         Tick::Progress
                     }
@@ -389,16 +366,10 @@ impl Clocked for NetPu {
                             Err(e) => return self.fail(StreamError::BadSetting(e)),
                         };
                         self.settings.push(s);
-                        let n = self.sections.len() / 2;
-                        if idx + 1 == n {
+                        if idx + 1 == self.layers {
                             // Validate the layer sequence before relying
                             // on it structurally.
-                            let ok = self.settings[0].layer_type == LayerType::Input
-                                && self.settings[n - 1].layer_type == LayerType::Output
-                                && self.settings[1..n - 1]
-                                    .iter()
-                                    .all(|s| s.layer_type == LayerType::Hidden);
-                            if !ok {
+                            if !is_layer_sequence(&self.settings) {
                                 return self.fail(StreamError::BadLayerSequence);
                             }
                             self.state = TopState::InputIngest { idx: 0 };
@@ -436,8 +407,8 @@ impl Clocked for NetPu {
                 }
             }
             TopState::Sections { idx, entered } => {
-                match self.sections[idx] {
-                    Section::Params(layer) => {
+                match section_at(self.layers, idx) {
+                    (SectionKind::Params, layer) => {
                         let id = self.lpu_of(layer);
                         if !entered {
                             if !self.lpus[id].is_idle() {
@@ -493,7 +464,7 @@ impl Clocked for NetPu {
                             }
                         }
                     }
-                    Section::Process(layer) => {
+                    (SectionKind::Weights, layer) => {
                         let id = self.lpu_of(layer);
                         self.observer.set_layer(layer);
                         let t = self.lpus[id].tick(&mut self.stream, cycle, &mut self.observer);
@@ -510,7 +481,6 @@ impl Clocked for NetPu {
                                 }
                                 self.lpus[id].reset();
                                 self.settings.clear();
-                                self.sections.clear();
                                 self.pixels.clear();
                                 self.state = TopState::Resetting {
                                     idx: usize::MAX, // sentinel: restart at Header

@@ -407,12 +407,11 @@ impl CompiledModelCache {
         // certified closed form derives the full-stream/resident word
         // split from the decoded stream + `HwConfig` alone, and `xtask
         // certify-timing` pins it to the simulator.
-        let t = kernel.timing();
-        let transfer_us = self.driver.dma.occupancy_us(t.stream_words, clock);
-        let resident_transfer_us = self.driver.dma.occupancy_us(t.resident_words, clock);
-        let weight_stream_us = (transfer_us - resident_transfer_us).max(0.0);
-        let resident_latency_us =
-            (run.measured_latency_us - weight_stream_us).max(resident_transfer_us);
+        let (t, dma) = (kernel.timing(), &self.driver.dma);
+        let transfer_us = t.transfer_us(dma, clock);
+        let resident_transfer_us = t.resident_transfer_us(dma, clock);
+        let weight_stream_us = t.weight_stream_us(dma, clock);
+        let resident_latency_us = t.resident_latency_us(dma, clock);
         let bytes = cast::u64_from_usize(loadable.words.len()) * 8;
         Ok(Arc::new(AdmittedModel {
             id,

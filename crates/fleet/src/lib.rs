@@ -35,7 +35,7 @@ pub mod tenant;
 pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore};
 pub use metrics::{FleetMetrics, ShardStats};
 pub use netpu_runtime::{ValueKernel, SHADOW_EVERY};
-pub use netpu_serve::{AdmissionVerdict, RejectReason, TraceSink};
+pub use netpu_serve::{RejectReason, TraceSink};
 pub use replay::{run_replay, ReplayConfig, ReplayReport, TenantRow};
 pub use sched::{BoardPool, DispatchPolicy, Placement};
 pub use shard::{FleetConfig, FleetRequest, FleetResponse, FleetServer, FleetSubmit, FleetTicket};

@@ -313,12 +313,15 @@ mod tests {
         let mut words = vec![0u64];
         apply(&mut words, &Mutation::DeclareRange { min: 5, max: 250 });
         assert_eq!(
-            netpu_compiler::declared_input_range(words[0]),
+            netpu_compiler::Header::decode(words[0]).input_range,
             Some((5, 250))
         );
         // Idempotent: re-declaring replaces, not accumulates.
         apply(&mut words, &Mutation::DeclareRange { min: 0, max: 1 });
-        assert_eq!(netpu_compiler::declared_input_range(words[0]), Some((0, 1)));
+        assert_eq!(
+            netpu_compiler::Header::decode(words[0]).input_range,
+            Some((0, 1))
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! inference (the §V loading bottleneck at system scale).
 
 use crate::driver::{Driver, DriverError};
+use netpu_arith::cast;
 use netpu_compiler::compile;
 use netpu_nn::QuantMlp;
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,7 @@ impl ClusterThroughput {
         {
             return Err(DriverError::Degenerate { latency_us });
         }
-        let compute_bound = boards as f64 * 1e6 / latency_us;
+        let compute_bound = cast::f64_from_usize(boards) * 1e6 / latency_us;
         let transfer_bound = if transfer_us > 0.0 {
             1e6 / transfer_us
         } else {
@@ -119,15 +120,16 @@ impl Cluster {
     /// DMA link is saturated).
     pub fn useful_boards(&self, model: &QuantMlp) -> Result<usize, DriverError> {
         let one = Cluster::new(1, self.driver.clone()).throughput(model)?;
-        Ok((one.transfer_bound_fps * one.latency_us / 1e6)
+        let boards = (one.transfer_bound_fps * one.latency_us / 1e6)
             .ceil()
-            .max(1.0) as usize)
+            .max(1.0);
+        Ok(cast::usize_sat(cast::f64_to_u64_sat(boards)))
     }
 
     /// Total cluster wall power.
     pub fn power_w(&self) -> f64 {
         let util = netpu_core::resources::netpu_utilization(&self.driver.hw);
-        self.boards as f64
+        cast::f64_from_usize(self.boards)
             * self
                 .driver
                 .power

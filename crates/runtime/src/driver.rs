@@ -17,10 +17,10 @@
 //! observed in one way only: through the [`TraceSink`] attached with
 //! [`DriverBuilder::trace_sink`].
 
-use crate::dma::DmaModel;
 use crate::power::PowerParams;
 use crate::value::{self, ValueKernel, ValueSlot};
-use netpu_arith::Fix;
+use crate::DmaModel;
+use netpu_arith::{cast, Fix};
 use netpu_check::{Analysis, RejectReason, StoredStream, VerdictStore};
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_core::netpu::{run_inference_fast, run_inference_observed, InferenceRun, NetPuError};
@@ -605,8 +605,7 @@ impl Driver {
         let stream = self.verdicts.lookup(&loadable.words, &self.hw, source);
         stream
             .analysis()
-            .verdict(self.strict_range, self.strict_equiv)
-            .into_result()?;
+            .admit(self.strict_range, self.strict_equiv)?;
         Ok(Admitted { loadable, stream })
     }
 
@@ -856,17 +855,17 @@ impl Driver {
         }
         let n = inputs.len();
         let total_words = words.len();
-        let run = self.simulate(words, analysis.as_deref(), n as u64)?;
+        let run = self.simulate(words, analysis.as_deref(), cast::u64_from_usize(n))?;
         let cycles = run.cycles;
         let total_us = self.dma.setup_us + netpu_sim::cycles_to_us(cycles, self.hw.clock_mhz);
-        let fps = n as f64 * 1e6 / total_us;
+        let fps = cast::f64_from_usize(n) * 1e6 / total_us;
         let util = netpu_utilization(&self.hw);
         let power = self.power.wall_power_w(&util, self.hw.clock_mhz);
         // Per-frame decomposition: frame i spans the cycles between the
         // (i−1)-th and i-th result words (the last frame absorbs the
         // stream tail), and the single DMA setup is amortized evenly,
         // so the per-frame figures sum back to the burst totals.
-        let setup_share = self.dma.setup_us / n as f64;
+        let setup_share = self.dma.setup_us / cast::f64_from_usize(n);
         let base_words = total_words / n;
         let mut runs = Vec::with_capacity(run.results.len());
         let mut prev_end = 0u64;

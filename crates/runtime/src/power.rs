@@ -13,6 +13,7 @@
 //! energy per resource than the 16 nm UltraScale+, hence per-platform
 //! coefficients.
 
+use netpu_arith::cast;
 use netpu_sim::fpga::Utilization;
 use serde::{Deserialize, Serialize};
 
@@ -54,8 +55,8 @@ impl PowerParams {
     pub fn wall_power_w(&self, util: &Utilization, clock_mhz: f64) -> f64 {
         self.static_w
             + clock_mhz
-                * (self.lut_w_mhz * util.luts as f64
-                    + self.dsp_w_mhz * util.dsps as f64
+                * (self.lut_w_mhz * cast::f64_from_u64(util.luts)
+                    + self.dsp_w_mhz * cast::f64_from_u64(util.dsps)
                     + self.bram_w_mhz * util.bram36)
     }
 

@@ -33,7 +33,7 @@ pub mod worker;
 pub use arbiter::{DmaArbiter, Grant};
 pub use faults::{FaultInjector, FaultPlan};
 pub use metrics::MetricsSnapshot;
-pub use netpu_check::{AdmissionVerdict, RejectReason};
+pub use netpu_check::RejectReason;
 pub use netpu_trace::TraceSink;
 pub use queue::{BoundedQueue, Push};
 pub use server::{ServeResponse, Server, ServerConfig, Submit, Ticket};

@@ -3,6 +3,7 @@
 use crate::worker::PoolCounters;
 use netpu_check::StoreStats;
 use netpu_core::SlabBreakdown;
+use netpu_runtime::cast;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -61,10 +62,12 @@ impl Counters {
     /// the breakdown instead of the raw frame count keeps the metric
     /// honest for fallback-only models, which run zero slabs.
     pub fn observe_batch_slabs(&self, breakdown: SlabBreakdown) {
-        self.slabs_full
-            .fetch_add(breakdown.slabs_full as u64, Ordering::Relaxed);
+        self.slabs_full.fetch_add(
+            cast::u64_from_usize(breakdown.slabs_full),
+            Ordering::Relaxed,
+        );
         self.slabs_partial.fetch_add(
-            breakdown.partial_slab_equivalents() as u64,
+            cast::u64_from_usize(breakdown.partial_slab_equivalents()),
             Ordering::Relaxed,
         );
     }
@@ -180,7 +183,7 @@ impl MetricsSnapshot {
     /// divided by the makespan. `None` before anything finished.
     pub fn measured_fps(&self) -> Option<f64> {
         (self.frames_completed > 0 && self.makespan_us > 0.0)
-            .then(|| self.frames_completed as f64 * 1e6 / self.makespan_us)
+            .then(|| cast::f64_from_u64(self.frames_completed) * 1e6 / self.makespan_us)
     }
 
     /// Fraction of the makespan each board spent busy, in `[0, 1]`.
@@ -212,7 +215,7 @@ impl MetricsSnapshot {
     /// batch completed.
     pub fn batch_slab_occupancy(&self) -> Option<f64> {
         let total = self.slabs_full + self.slabs_partial;
-        (total > 0).then(|| self.slabs_full as f64 / total as f64)
+        (total > 0).then(|| cast::f64_from_u64(self.slabs_full) / cast::f64_from_u64(total))
     }
 }
 

@@ -42,7 +42,7 @@ use netpu_check::RejectReason;
 use netpu_compiler::compile;
 use netpu_nn::QuantMlp;
 use netpu_runtime::{
-    Admitted, Driver, DriverError, InferPayload, InferRequest, InferResponse, RequestOptions,
+    cast, Admitted, Driver, DriverError, InferPayload, InferRequest, InferResponse, RequestOptions,
 };
 use netpu_trace::{TraceEvent, TraceSink};
 use std::borrow::Cow;
@@ -306,7 +306,10 @@ fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
     let (dma, clock) = (&shared.driver.dma, shared.driver.hw.clock_mhz);
     let transfer_us = match resp.dma_transfers {
         0 => 0.0,
-        n => dma.occupancy_us(resp.total_stream_words(), clock) + (n - 1) as f64 * dma.setup_us,
+        n => {
+            let setups = cast::f64_from_usize(n - 1);
+            dma.occupancy_us(resp.total_stream_words(), clock) + setups * dma.setup_us
+        }
     };
     let grant = grant(shared, job.id, transfer_us, resp.total_latency_us());
     if let Some(deadline) = options.deadline_us.or(shared.cfg.default_deadline_us) {
@@ -321,7 +324,7 @@ fn serve_one(shared: &Shared, job: &mut ServeJob) -> Served<ServeResponse> {
     shared
         .counters
         .frames_completed
-        .fetch_add(resp.runs.len() as u64, Ordering::Relaxed);
+        .fetch_add(cast::u64_from_usize(resp.runs.len()), Ordering::Relaxed);
     if let Some(breakdown) = resp.batch_slabs {
         shared.counters.observe_batch_slabs(breakdown);
     }
@@ -421,7 +424,7 @@ fn grant(shared: &Shared, request: u64, transfer_us: f64, latency_us: f64) -> Gr
         g.start_us,
         TraceEvent::Granted {
             request,
-            board: g.board as u64,
+            board: cast::u64_from_usize(g.board),
             arrival_us: 0.0,
             transfer_us,
             latency_us,

@@ -25,7 +25,7 @@
 
 use crate::queue::{BoundedQueue, Push};
 use netpu_check::RejectReason;
-use netpu_runtime::DriverError;
+use netpu_runtime::{cast, DriverError};
 use netpu_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -337,7 +337,7 @@ fn recover_crash<S: Stage>(stage: &S, queue: usize, worker: usize, mut job: Job<
     stage.trace(
         t_us,
         TraceEvent::WorkerCrash {
-            worker: worker as u64,
+            worker: cast::u64_from_usize(worker),
             request: id,
         },
     );

@@ -103,7 +103,7 @@ const PANIC_FREE: &[&str] = &[
 
 /// Crates whose non-test code must not contain bare numeric `as` casts.
 const CAST_FREE: &[&str] = &[
-    "arith", "core", "fleet", "check", "compiler", "trace", "fuzz", "xtask",
+    "arith", "core", "runtime", "serve", "fleet", "check", "compiler", "trace", "fuzz", "xtask",
 ];
 
 /// Modules of other crates held to both rules: the value kernel, which
@@ -837,7 +837,7 @@ fn dse_price(
     util: netpu_core::resources::Utilization,
 ) -> DsePoint {
     let t = netpu_check::timing::analyze_settings(settings, packing, &cfg);
-    let dma = netpu_check::DmaParams::zynq_uls();
+    let dma = netpu_check::DmaModel::zynq_uls();
     DsePoint {
         cycles: t.total_cycles(),
         latency_us: t.latency_us(cfg.clock_mhz),
@@ -859,7 +859,10 @@ fn minimal_accumulator_bits(analysis: &netpu_check::RangeAnalysis) -> u8 {
     for layer in &analysis.layers {
         for neuron in &layer.neurons {
             if let Some((lo, hi)) = neuron.acc {
-                width = width.max(interval_width(i64::from(lo), i64::from(hi)));
+                width = width.max(netpu_check::absint::signed_width((
+                    i64::from(lo),
+                    i64::from(hi),
+                )));
             }
         }
     }
@@ -868,19 +871,6 @@ fn minimal_accumulator_bits(analysis: &netpu_check::RangeAnalysis) -> u8 {
     } else {
         width
     }
-}
-
-/// Bits of a signed two's-complement field covering `[lo, hi]`
-/// (mirrors the absint analyzer's own width rule).
-fn interval_width(lo: i64, hi: i64) -> u8 {
-    for bits in 1u8..=63 {
-        let min = -(1i64 << (bits - 1));
-        let max = (1i64 << (bits - 1)) - 1;
-        if lo >= min && hi <= max {
-            return bits;
-        }
-    }
-    64
 }
 
 /// Reduces priced points to the Pareto frontier over (cycles, LUTs,
