@@ -8,8 +8,8 @@
 //!
 //! * `*_sat` — **saturating** conversions that clamp to the target range,
 //!   matching the saturating adders the hardware uses everywhere else.
-//! * `lo8` / `lane_of_i32` / `i32_from_bits` / `bits_of_i32` /
-//!   `word_from_i64` / `sign_extend` — **bit-pattern** conversions where
+//! * `lo8` / `lane_of_i32` / `lane_of_i8` / `i8_from_lane` /
+//!   `i32_from_bits` / `bits_of_i32` / `word_from_i64` / `sign_extend` — **bit-pattern** conversions where
 //!   wrapping is the *point* (lane extraction, two's-complement
 //!   reinterpretation, sign extension from a narrow field).
 //! * `f64_from_*` / `f64_to_*_sat` — float bridges for host-side code;
@@ -122,6 +122,27 @@ pub fn lane_of_i32(v: i32) -> u8 {
     lo8(bits_of_i32(v) & 0xFF)
 }
 
+/// Two's-complement bit pattern of an `i8` weight — its 8-bit stream
+/// lane.
+#[inline]
+pub fn lane_of_i8(v: i8) -> u8 {
+    u8::from_ne_bytes(v.to_ne_bytes())
+}
+
+/// Reinterprets an 8-bit lane as a signed two's-complement value.
+#[inline]
+pub fn i8_from_lane(lane: u8) -> i8 {
+    i8::from_ne_bytes(lane.to_ne_bytes())
+}
+
+/// Saturating `i32` → `i8`: exact for every weight of a precision of
+/// at most 8 bits.
+#[inline]
+pub fn i8_sat(v: i32) -> i8 {
+    v.try_into()
+        .unwrap_or(if v < 0 { i8::MIN } else { i8::MAX })
+}
+
 /// Reinterprets a 32-bit pattern as a signed two's-complement value.
 #[inline]
 pub fn i32_from_bits(bits: u32) -> i32 {
@@ -212,6 +233,10 @@ mod tests {
         assert_eq!(i64_sat(42), 42);
         assert_eq!(u8_sat(300), u8::MAX);
         assert_eq!(u8_sat(7), 7);
+        assert_eq!(i8_sat(128), i8::MAX);
+        assert_eq!(i8_sat(-129), i8::MIN);
+        assert_eq!(i8_sat(-128), -128);
+        assert_eq!(i8_sat(5), 5);
         assert_eq!(u32_sat_usize(usize::MAX), u32::MAX);
         assert_eq!(i64_sat_usize(usize::MAX), i64::MAX);
         assert_eq!(i32_sat_usize(usize::MAX), i32::MAX);
@@ -228,6 +253,10 @@ mod tests {
         assert_eq!(lane_of_i32(-1), 0xFF);
         assert_eq!(lane_of_i32(-2), 0xFE);
         assert_eq!(lane_of_i32(5), 5);
+        for v in [i8::MIN, -2, -1, 0, 1, i8::MAX] {
+            assert_eq!(i8_from_lane(lane_of_i8(v)), v);
+            assert_eq!(lane_of_i8(v), lane_of_i32(i32::from(v)));
+        }
         assert_eq!(i64_from_word(0xFFFF_FFFF), -1);
         assert_eq!(i64_from_word(0x7FFF_FFFF), i64::from(i32::MAX));
         assert_eq!(word_from_i64(-1), 0xFFFF_FFFF);

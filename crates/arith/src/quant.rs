@@ -137,6 +137,32 @@ pub fn pack_binary_channels(values: &[i32]) -> Vec<u64> {
         .collect()
 }
 
+/// Eight `i8` weights' [`crate::binary::encode_bipolar`] bits from one
+/// 64-bit read: bit `i` of the result is set when `g[i]` is positive.
+#[inline]
+pub fn positive_bits(g: [i8; 8]) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let x = u64::from_le_bytes(g.map(cast::lane_of_i8));
+    // A byte's top bit: its low seven bits are not all clear, and its
+    // sign bit is. Then a multiply gathers each byte's top bit.
+    let positive = ((x & LOW7) + LOW7) & !x & !LOW7;
+    (positive >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// [`pack_binary_channels`] over `i8` weights, eight at a time.
+pub fn pack_weight_channels(weights: &[i8]) -> Vec<u64> {
+    weights
+        .chunks(64)
+        .map(|chunk| {
+            chunk.chunks(8).zip(0..).fold(0, |word, (g, i)| {
+                let mut eight = [0; 8];
+                eight[..g.len()].copy_from_slice(g);
+                word | positive_bits(eight) << (8 * i)
+            })
+        })
+        .collect()
+}
+
 /// Extracts lane `i` of a stream word as a sign-extended value at
 /// precision `p` (the hardware masks away placeholder bits then
 /// sign-extends from bit `p.bits()−1`).
@@ -189,6 +215,18 @@ mod tests {
         assert_eq!(clamp_unsigned(-5, Precision::W8), 0);
         assert_eq!(clamp_unsigned(3, Precision::W2), 3);
         assert_eq!(clamp_unsigned(4, Precision::W2), 3);
+    }
+
+    #[test]
+    fn weight_channels_match_the_i32_packing() {
+        let all: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        for len in [1, 7, 8, 63, 64, 65, all.len()] {
+            let wide: Vec<i32> = all[..len].iter().map(|&v| i32::from(v)).collect();
+            assert_eq!(
+                pack_weight_channels(&all[..len]),
+                pack_binary_channels(&wide)
+            );
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ struct FcAcc {
 /// Analyzes one FC neuron's MAC against the per-input mac-domain
 /// intervals. `parity` is the known accumulator parity (XNOR layers).
 fn fc_neuron(
-    weights: impl Iterator<Item = i32>,
+    weights: impl Iterator<Item = i8>,
     inputs: &[(i64, i64)],
     bias: Option<i32>,
     parity: Parity,
@@ -434,7 +434,7 @@ pub fn analyze(
 /// layers, with the per-neuron NPC014/015/018/019 classification.
 #[allow(clippy::too_many_arguments)] // mirrors the FC layer's field set
 fn fc_post(
-    weights: impl Iterator<Item = i32>,
+    weights: impl Iterator<Item = i8>,
     inputs: &[(i64, i64)],
     bias: Option<i32>,
     bn: Option<BnParams>,

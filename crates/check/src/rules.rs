@@ -14,8 +14,8 @@ use crate::diag::{Report, RuleId, Severity};
 use netpu_arith::{cast, ActivationKind, Fix};
 use netpu_compiler::settings::MAX_FIELD_WIDTH;
 use netpu_compiler::stream::{
-    input_words, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path, weight_field_bits,
-    MAGIC, VERSION,
+    bias_bn_words, input_words, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path,
+    weight_field_bits, MAGIC, VERSION,
 };
 use netpu_compiler::{
     is_layer_sequence, Header, LayerSetting, LayerType, PackingMode, SectionKind, StreamLayout,
@@ -351,27 +351,22 @@ fn check_param_section(
     body: &[u64],
 ) {
     let neurons = cast::usize_from_u32(s.neurons);
-    let mut cursor = 0usize;
+    let cursor = bias_bn_words(s);
 
     // Bias / BN block (FC layers).
-    if s.layer_type != LayerType::Input {
-        if s.bn_folded {
-            cursor += neurons.div_ceil(8);
-        } else {
-            for (i, &w) in body[..neurons.min(body.len())].iter().enumerate() {
-                // NPC008 — a zero Q16.16 scale multiplies every
-                // accumulator to zero; the layer cannot discriminate.
-                if cast::i32_from_bits(cast::lo32(w)) == 0 {
-                    report.push(
-                        RuleId::Npc008,
-                        Severity::Warning,
-                        Some((start + i) * WORD),
-                        Some(layer),
-                        format!("neuron {i}: BN scale is zero"),
-                    );
-                }
+    if s.layer_type != LayerType::Input && !s.bn_folded {
+        for (i, &w) in body[..cursor.min(body.len())].iter().enumerate() {
+            // NPC008 — a zero Q16.16 scale multiplies every
+            // accumulator to zero; the layer cannot discriminate.
+            if cast::i32_from_bits(cast::lo32(w)) == 0 {
+                report.push(
+                    RuleId::Npc008,
+                    Severity::Warning,
+                    Some((start + i) * WORD),
+                    Some(layer),
+                    format!("neuron {i}: BN scale is zero"),
+                );
             }
-            cursor += neurons;
         }
     }
 

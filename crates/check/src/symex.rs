@@ -445,7 +445,7 @@ fn mac_interval((lo, hi): (i32, i32), precision: Precision) -> (i64, i64) {
 /// input element ranges freely), so the running min/max of the term
 /// sequence — bias last, mirroring the accumulate order — is attained
 /// by a concrete input, making the width exact rather than just sound.
-fn fc_envelope(weights: &[i32], inputs: &[(i64, i64)], bias: Option<i32>) -> ((i64, i64), u8) {
+fn fc_envelope(weights: &[i8], inputs: &[(i64, i64)], bias: Option<i32>) -> ((i64, i64), u8) {
     let mut lo = 0i64;
     let mut hi = 0i64;
     let mut width = 1u8;
@@ -666,7 +666,7 @@ fn shapes_match(src: &QuantMlp, dec: &QuantMlp, report: &mut Report) -> bool {
 /// NPC024 permutation check: the weight row, the bias/BN words, and the
 /// activation parameters, all as raw integers.
 fn neuron_row(
-    weights: &[i32],
+    weights: &[i8],
     in_len: usize,
     bias: &Option<Vec<i32>>,
     bn: &Option<Vec<netpu_nn::qmodel::BnParams>>,

@@ -490,7 +490,7 @@ fn npc022_output_inequivalence_with_witness() {
 /// any two thresholds in the same open unit interval encode the same
 /// step function.
 fn sign_model(thresh: Fix) -> QuantMlp {
-    let weights: Vec<i32> = (0..32).map(|i| if i % 3 == 0 { 1 } else { -1 }).collect();
+    let weights: Vec<i8> = (0..32).map(|i| if i % 3 == 0 { 1 } else { -1 }).collect();
     QuantMlp {
         name: String::new(),
         input: InputLayer {

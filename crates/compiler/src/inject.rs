@@ -176,7 +176,7 @@ pub fn compile_miscompiled(
     Some(compile(&mutated, pixels))
 }
 
-fn negatable(wp: Precision, w: i32) -> bool {
+fn negatable(wp: Precision, w: i8) -> bool {
     if w == 0 {
         return false;
     }
@@ -184,7 +184,7 @@ fn negatable(wp: Precision, w: i32) -> bool {
         return true; // ±1 stays ±1
     }
     w.checked_neg()
-        .is_some_and(|n| (wp.signed_min()..=wp.signed_max()).contains(&n))
+        .is_some_and(|n| (wp.signed_min()..=wp.signed_max()).contains(&i32::from(n)))
 }
 
 /// Swaps neuron rows 0 and 1 of an FC layer's weight matrix plus the
@@ -192,7 +192,7 @@ fn negatable(wp: Precision, w: i32) -> bool {
 /// were already identical (the swap changed nothing).
 fn swap_fc_rows(
     in_len: usize,
-    weights: &mut [i32],
+    weights: &mut [i8],
     bias: &mut Option<Vec<i32>>,
     bn: &mut Option<Vec<BnParams>>,
 ) -> bool {

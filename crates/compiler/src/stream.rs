@@ -14,7 +14,7 @@
 //! input into that stream and decodes it back for validation.
 
 use crate::settings::{is_layer_sequence, LayerSetting, LayerType, SettingError};
-use netpu_arith::quant::LANES_PER_WORD;
+use netpu_arith::quant::{positive_bits, LANES_PER_WORD};
 use netpu_arith::{cast, ActivationKind, Fix, Precision, QuantParams};
 use netpu_nn::kernel::{PackedMlp, WeightField, WeightRows};
 use netpu_nn::qmodel::{
@@ -405,20 +405,24 @@ pub fn act_param_u32s(setting: &LayerSetting) -> usize {
 /// Total parameter-section words of a layer.
 pub fn param_words(setting: &LayerSetting) -> usize {
     let neurons = cast::usize_from_u32(setting.neurons);
-    let mut words = 0usize;
-    // Bias / BN block (FC layers only).
-    if setting.layer_type != LayerType::Input {
-        words += if setting.bn_folded {
-            neurons.div_ceil(LANES_PER_WORD) // 8-bit biases, 8 per word
-        } else {
-            neurons // one (scale, offset) pair-word per neuron
-        };
-    }
+    let mut words = bias_bn_words(setting);
     // Activation parameter block (Input and Hidden layers).
     if setting.layer_type != LayerType::Output {
         words += (neurons * act_param_u32s(setting)).div_ceil(2);
     }
     words
+}
+
+/// Words of a layer's bias/BN block, which opens its parameter section:
+/// 8-bit folded biases eight a word, or one (scale, offset) pair-word
+/// per neuron; none for the input layer.
+pub fn bias_bn_words(setting: &LayerSetting) -> usize {
+    let neurons = cast::usize_from_u32(setting.neurons);
+    match (setting.layer_type, setting.bn_folded) {
+        (LayerType::Input, _) => 0,
+        (_, true) => neurons.div_ceil(LANES_PER_WORD),
+        (_, false) => neurons,
+    }
 }
 
 /// Words carrying the dataset input (8-bit pixel lanes).
@@ -537,27 +541,24 @@ fn push_weights(
 }
 
 /// [`push_weights`]' pass over `PER` fields a word, packed eight
-/// weights at a time: a 1-bit field is set for +1, a wider one holds the
-/// weight's two's-complement low bits.
+/// weights (one 64-bit read) at a time: a 1-bit field is set for +1, a
+/// wider one holds the weight's two's-complement low bits.
 fn pack_rows<const PER: usize>(
     words: &mut Vec<u64>,
-    weights: &[i32],
+    weights: &[i8],
     in_len: usize,
     wp: Precision,
 ) -> Option<i32> {
-    let in_range = |w: i32| weight_in_range(wp, w);
+    let in_range = |w: i8| weight_in_range(wp, w);
     let width = 64 / PER;
-    let eight = |g: &[i32; 8]| match width {
-        // One byte per sign, then a multiply gathers bit 0 of each.
-        1 => {
-            u64::from_le_bytes(g.map(|w| u8::from(w > 0))).wrapping_mul(0x0102_0408_1020_4080) >> 56
-        }
-        8 => u64::from_le_bytes(g.map(cast::lane_of_i32)),
+    let eight = |g: &[i8; 8]| match width {
+        1 => positive_bits(*g),
+        8 => u64::from_le_bytes(g.map(cast::lane_of_i8)),
         _ => g.iter().zip(0..).fold(0, |f, (&w, i)| {
-            f | (u64::from(cast::lane_of_i32(w)) & ((1 << width) - 1)) << (width * i)
+            f | (u64::from(cast::lane_of_i8(w)) & ((1 << width) - 1)) << (width * i)
         }),
     };
-    let word = |c: &[i32; PER]| {
+    let word = |c: &[i8; PER]| {
         let groups = c.as_chunks::<8>().0.iter().zip(0..);
         groups.fold(0, |word, (g, j)| word | eight(g) << (8 * width * j))
     };
@@ -574,14 +575,15 @@ fn pack_rows<const PER: usize>(
         ok &= row.iter().fold(true, |ok, &w| ok & in_range(w));
     }
     // The offending value is looked up only on the failure path.
-    (!ok).then(|| weights.iter().copied().find(|&w| !in_range(w)))?
+    let stray = (!ok).then(|| weights.iter().copied().find(|&w| !in_range(w)))?;
+    stray.map(i32::from)
 }
 
 /// `true` when every layer of `mlp` is within the architecture's width
 /// and every FC layer's weights fill its `neurons × in_len` matrix: what
 /// sizing a stream from the model's settings takes.
 fn fits(mlp: &QuantMlp) -> bool {
-    let fc = |in_len: usize, neurons: usize, weights: &[i32]| {
+    let fc = |in_len: usize, neurons: usize, weights: &[i8]| {
         in_len.max(neurons) <= MAX_LAYER_WIDTH && in_len.checked_mul(neurons) == Some(weights.len())
     };
     let hidden = mlp
@@ -864,8 +866,8 @@ fn decode_bias_bn(
     reader: &mut Reader<'_>,
 ) -> Result<BiasOrBn, StreamError> {
     let neurons = cast::usize_from_u32(setting.neurons);
+    let words = reader.take(bias_bn_words(setting))?;
     if setting.bn_folded {
-        let words = reader.take(neurons.div_ceil(LANES_PER_WORD))?;
         let mut bias = Vec::with_capacity(neurons);
         for i in 0..neurons {
             let lane = cast::lo8(words[i / LANES_PER_WORD] >> (8 * (i % LANES_PER_WORD)));
@@ -873,7 +875,6 @@ fn decode_bias_bn(
         }
         Ok((Some(bias), None))
     } else {
-        let words = reader.take(neurons)?;
         let bn = words
             .iter()
             .map(|&w| BnParams {
@@ -887,7 +888,7 @@ fn decode_bias_bn(
 
 /// Decodes a transmission stream back into a model + input. The inverse
 /// of [`compile`] up to the untransmitted model name: the stream's
-/// [`StreamView`] expanded to `i32` weights.
+/// [`StreamView`] expanded to `i8` weights.
 pub fn decode(words: &[u64]) -> Result<Decoded, StreamError> {
     Ok(StreamView::new(words.into())?.expand(words))
 }
@@ -1005,7 +1006,7 @@ impl StreamView {
     }
 
     /// The stream's value kernel: the model without its FC layers'
-    /// `i32` weights ([`PackedMlp::model`]) and one [`WeightRows`] per
+    /// `i8` weights ([`PackedMlp::model`]) and one [`WeightRows`] per
     /// FC layer ([`PackedMlp::weight_rows`]).
     pub fn kernel(&self) -> &PackedMlp<'static> {
         &self.kernel
@@ -1028,7 +1029,7 @@ impl StreamView {
 
     /// What [`decode`] returns for `words`, a stream of this view's
     /// shape: the model with every FC layer's weights expanded to
-    /// `i32`, and the pixels of `words`.
+    /// `i8`, and the pixels of `words`.
     pub fn expand(&self, words: &[u64]) -> Decoded {
         let mut model = self.kernel.model().clone();
         let weights = model

@@ -205,7 +205,7 @@ fn the_view_reads_the_compiled_weights_in_place() {
             for (layer, weights) in compiled.enumerate() {
                 let rows = view.kernel().weight_rows(layer).unwrap();
                 fields.insert(format!("{:?}", rows.field()));
-                let read: Vec<i32> = (0..rows.neurons()).flat_map(|n| rows.weights(n)).collect();
+                let read: Vec<i8> = (0..rows.neurons()).flat_map(|n| rows.weights(n)).collect();
                 assert_eq!(&read, weights, "model {k} {mode:?} layer {layer}");
             }
             let full = decode(&loadable.words).unwrap();

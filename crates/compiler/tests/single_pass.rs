@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 const MODES: [PackingMode; 2] = [PackingMode::Lanes8, PackingMode::Dense];
 
 /// FC layer `k`'s (1-based, as the stream counts) weights and fan-in.
-fn fc(model: &QuantMlp, k: usize) -> (&[i32], usize) {
+fn fc(model: &QuantMlp, k: usize) -> (&[i8], usize) {
     match model.hidden.get(k - 1) {
         Some(h) => (&h.weights, h.in_len),
         None => (&model.output.weights, model.output.in_len),
@@ -102,12 +102,13 @@ fn activation(rng: &mut StdRng, neurons: usize, out: Precision) -> LayerActivati
 fn model_with_fan_in(seed: u64, fan_in: usize) -> QuantMlp {
     let mut rng = StdRng::seed_from_u64(seed);
     let act = Precision::new([1u8, 2, 4][rng.gen_range(0..3usize)]).unwrap();
-    let weights = |rng: &mut StdRng, n: usize, wp: Precision| -> Vec<i32> {
+    let weights = |rng: &mut StdRng, n: usize, wp: Precision| -> Vec<i8> {
         (0..n)
             .map(|_| match wp.is_binary() {
                 true => [1, -1][rng.gen_range(0..2usize)],
                 false => rng.gen_range(wp.signed_min()..=wp.signed_max()),
             })
+            .map(|w| w as i8)
             .collect()
     };
     let weight_precision = |rng: &mut StdRng| match act.is_binary() {
@@ -212,15 +213,16 @@ fn assert_parity(model: &QuantMlp, pixels: &[u8], what: &str) -> Option<StreamEr
 #[test]
 fn invalid_models_get_validations_error_in_its_order() {
     use netpu_nn::qmodel::ModelError::*;
-    let multi_bit = |m: &QuantMlp, k: usize| !m.hidden[k].weight_precision.is_binary();
+    // Multi-bit and narrower than a byte: an `i8` weight can stray.
+    let narrow = |m: &QuantMlp, k: usize| (2..8).contains(&m.hidden[k].weight_precision.bits());
     let base = (0..)
         .map(|s| model_with_fan_in(s, 65))
-        .find(|m| multi_bit(m, 0))
+        .find(|m| narrow(m, 0))
         .unwrap();
     let pixels = vec![0u8; 65];
     let two_hidden = (0..)
         .map(|s| model_with_fan_in(s, 7))
-        .find(|m| m.hidden.len() == 2 && multi_bit(m, 1))
+        .find(|m| m.hidden.len() == 2 && narrow(m, 1))
         .unwrap();
 
     // A stray weight, then a later fault in the same layer: the weight
@@ -228,7 +230,7 @@ fn invalid_models_get_validations_error_in_its_order() {
     let mut m = base.clone();
     let stray = m.hidden[0].weight_precision.signed_max() + 1;
     let at = m.hidden[0].weights.len() / 2;
-    m.hidden[0].weights[at] = stray;
+    m.hidden[0].weights[at] = stray as i8;
     m.hidden[0].bias = Some(vec![300; m.hidden[0].neurons]);
     m.hidden[0].bn = None;
     let want = Some(StreamError::InvalidModel(WeightRange {
@@ -250,11 +252,11 @@ fn invalid_models_get_validations_error_in_its_order() {
     // without weights that fill the mismatched shape.
     let mut m = two_hidden.clone();
     let px = vec![0u8; m.input.len];
-    m.hidden[1].weights[0] = 999;
+    m.hidden[1].weights[0] = 99;
     m.output.in_len += 1;
     let want = Some(StreamError::InvalidModel(WeightRange {
         layer: 2,
-        value: 999,
+        value: 99,
     }));
     assert_eq!(assert_parity(&m, &px, "stray then short output"), want);
     m.output.weights = vec![0; m.output.neurons * m.output.in_len];
@@ -339,10 +341,10 @@ fn invalid_models_get_validations_error_in_its_order() {
     // A wrong pixel count: an invalid model reports the model, a valid
     // one the input length.
     let mut m = base.clone();
-    m.output.weights[0] = 1000;
+    m.hidden[0].weights[0] = 100;
     assert!(matches!(
         assert_parity(&m, &[0u8; 3], "short pixels, invalid model"),
-        Some(StreamError::InvalidModel(WeightRange { value: 1000, .. }))
+        Some(StreamError::InvalidModel(WeightRange { value: 100, .. }))
     ));
     assert_eq!(
         assert_parity(&base, &[0u8; 3], "short pixels"),

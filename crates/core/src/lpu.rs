@@ -23,8 +23,8 @@ use crate::cycles::{LayerCycles, LayerPhase};
 use crate::tnpu::{LayerCfg, MaxOut, NeuronActivation, NeuronParams, Tnpu, TnpuOut};
 use netpu_arith::{cast, ActivationKind, Fix, QuantParams};
 use netpu_compiler::stream::{
-    act_param_u32s, extract_weight, neuron_weight_words_mode, unpack_u32_pairs, uses_xnor_path,
-    weights_per_word,
+    act_param_u32s, bias_bn_words, extract_weight, neuron_weight_words_mode, unpack_u32_pairs,
+    uses_xnor_path, weights_per_word,
 };
 use netpu_compiler::{LayerSetting, LayerType, PackingMode};
 use netpu_sim::engine::Tick;
@@ -105,20 +105,16 @@ fn record_finalize(obs: &mut Observer, neuron: usize, tap: crate::tnpu::NeuronTa
 /// Inverse of the compiler's parameter encoding.
 pub fn decode_neuron_params(setting: &LayerSetting, words: &[u64]) -> Vec<NeuronParams> {
     let neurons = cast::usize_from_u32(setting.neurons);
-    let mut pos = 0usize;
+    let pos = bias_bn_words(setting);
+    let block = &words[..pos];
     let (biases, bns) = if setting.layer_type == LayerType::Input {
         (None, None)
     } else if setting.bn_folded {
-        let n_words = neurons.div_ceil(8);
-        let block = &words[..n_words];
-        pos = n_words;
         let biases: Vec<i32> = (0..neurons)
             .map(|i| cast::sign_extend(u32::from(cast::lo8(block[i / 8] >> (8 * (i % 8)))), 8))
             .collect();
         (Some(biases), None)
     } else {
-        let block = &words[..neurons];
-        pos = neurons;
         let bns: Vec<netpu_nn::BnParams> = block
             .iter()
             .map(|&w| netpu_nn::BnParams {

@@ -10,22 +10,12 @@
 //! alignment the way a buggy host-side framer would.
 
 use netpu_arith::cast;
-use netpu_compiler::StreamLayout;
+use netpu_compiler::stream::PackingMode;
+use netpu_compiler::{Header, StreamLayout};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
 use std::ops::Range;
-
-/// Header bit 40: the weight packing flag (`PackingMode::Dense`).
-const PACKING_BIT: u64 = 1 << 40;
-/// Header bit 41: declared-input-range-present flag.
-const RANGE_FLAG: u64 = 1 << 41;
-/// Header bits 42..50 / 50..58: declared min / max input pixel.
-const RANGE_MIN_SHIFT: u32 = 42;
-/// See [`RANGE_MIN_SHIFT`].
-const RANGE_MAX_SHIFT: u32 = 50;
-/// Header bits 24..32: the layer count field.
-const LAYER_COUNT_SHIFT: u32 = 24;
 
 /// One structured edit of a word stream.
 ///
@@ -86,10 +76,10 @@ pub enum Mutation {
     },
     /// Flip the header's weight packing flag (bit 40).
     FlipPackingFlag,
-    /// Overwrite the header's layer-count field (bits 24..32).
+    /// Overwrite the header's whole layer-count field (bits 24..40).
     SmashLayerCount {
         /// Replacement layer count.
-        count: u8,
+        count: u16,
     },
 }
 
@@ -151,26 +141,28 @@ pub fn apply(words: &mut Vec<u64>, m: &Mutation) {
             }
         }
         Mutation::DeclareRange { min, max } => {
-            if len > 0 {
-                let keep_mask =
-                    !(RANGE_FLAG | (0xFFu64 << RANGE_MIN_SHIFT) | (0xFFu64 << RANGE_MAX_SHIFT));
-                words[0] = (words[0] & keep_mask)
-                    | RANGE_FLAG
-                    | (u64::from(min) << RANGE_MIN_SHIFT)
-                    | (u64::from(max) << RANGE_MAX_SHIFT);
-            }
+            edit_header(words, |h| h.input_range = Some((min, max)));
         }
-        Mutation::FlipPackingFlag => {
-            if len > 0 {
-                words[0] ^= PACKING_BIT;
+        Mutation::FlipPackingFlag => edit_header(words, |h| {
+            h.packing = match h.packing {
+                PackingMode::Lanes8 => PackingMode::Dense,
+                PackingMode::Dense => PackingMode::Lanes8,
             }
-        }
+        }),
         Mutation::SmashLayerCount { count } => {
-            if len > 0 {
-                words[0] = (words[0] & !(0xFFu64 << LAYER_COUNT_SHIFT))
-                    | (u64::from(count) << LAYER_COUNT_SHIFT);
-            }
+            edit_header(words, |h| h.layers = usize::from(count));
         }
+    }
+}
+
+/// Rewrites the header word (if any) through the stream format's codec:
+/// `edit` changes its decoded fields, the bits no field covers are
+/// dropped.
+fn edit_header(words: &mut [u64], edit: impl FnOnce(&mut Header)) {
+    if let Some(word) = words.first_mut() {
+        let mut header = Header::decode(*word);
+        edit(&mut header);
+        *word = header.encode();
     }
 }
 
@@ -270,7 +262,7 @@ pub fn arbitrary(rng: &mut StdRng, layout: &StreamLayout, len: usize) -> Mutatio
         },
         95..=96 => Mutation::FlipPackingFlag,
         _ => Mutation::SmashLayerCount {
-            count: cast::lo8(rng.gen::<u64>()),
+            count: cast::lo16(rng.gen::<u64>()),
         },
     }
 }
@@ -312,16 +304,36 @@ mod tests {
     fn declare_range_sets_flag_and_fields() {
         let mut words = vec![0u64];
         apply(&mut words, &Mutation::DeclareRange { min: 5, max: 250 });
-        assert_eq!(
-            netpu_compiler::Header::decode(words[0]).input_range,
-            Some((5, 250))
-        );
+        assert_eq!(Header::decode(words[0]).input_range, Some((5, 250)));
         // Idempotent: re-declaring replaces, not accumulates.
         apply(&mut words, &Mutation::DeclareRange { min: 0, max: 1 });
-        assert_eq!(
-            netpu_compiler::Header::decode(words[0]).input_range,
-            Some((0, 1))
-        );
+        assert_eq!(Header::decode(words[0]).input_range, Some((0, 1)));
+    }
+
+    #[test]
+    fn header_mutations_write_whole_fields() {
+        let header = Header {
+            magic: netpu_compiler::stream::MAGIC,
+            version: netpu_compiler::stream::VERSION,
+            layers: 0xAB12,
+            packing: PackingMode::Lanes8,
+            input_range: None,
+        };
+        let mut words = vec![header.encode()];
+        apply(&mut words, &Mutation::SmashLayerCount { count: 0x0109 });
+        let want = Header {
+            layers: 0x0109,
+            ..header
+        };
+        assert_eq!(Header::decode(words[0]), want);
+        apply(&mut words, &Mutation::FlipPackingFlag);
+        let dense = Header {
+            packing: PackingMode::Dense,
+            ..want
+        };
+        assert_eq!(Header::decode(words[0]), dense);
+        apply(&mut words, &Mutation::FlipPackingFlag);
+        assert_eq!(words, vec![want.encode()]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`mod@crate::export`] into a hardware-ready [`crate::qmodel::QuantMlp`].
 
 use crate::tensor::Matrix;
+use netpu_arith::cast;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -193,8 +194,9 @@ pub fn quantize_weights(w: &Matrix, bits: u8) -> (Matrix, f32) {
 }
 
 /// Integer weights corresponding to [`quantize_weights`]' output:
-/// `round(W/α_w)` clamped to the signed range (`±1` for 1-bit).
-pub fn integer_weights(w: &Matrix, bits: u8, alpha: f32) -> Vec<i32> {
+/// `round(W/α_w)` clamped to the signed range (`±1` for 1-bit), one
+/// byte each (`bits` is at most 8).
+pub fn integer_weights(w: &Matrix, bits: u8, alpha: f32) -> Vec<i8> {
     let smax = if bits == 1 {
         1
     } else {
@@ -211,7 +213,7 @@ pub fn integer_weights(w: &Matrix, bits: u8, alpha: f32) -> Vec<i32> {
                     -1
                 }
             } else {
-                ((v / alpha).round() as i32).clamp(smin, smax)
+                cast::i8_sat(((v / alpha).round() as i32).clamp(smin, smax))
             }
         })
         .collect()
@@ -462,7 +464,10 @@ mod tests {
                 (1i32 << (bits - 1)) - 1
             };
             let smin = if bits == 1 { -1 } else { -(1i32 << (bits - 1)) };
-            assert!(ints.iter().all(|&v| (smin..=smax).contains(&v)), "{bits}");
+            assert!(
+                ints.iter().all(|&v| (smin..=smax).contains(&i32::from(v))),
+                "{bits}"
+            );
         }
     }
 

@@ -108,6 +108,25 @@ fn activation_from_json(v: &Value, out: Precision) -> Result<LayerActivation, Er
     })
 }
 
+/// An FC layer's weights: integers in −128..=127, the byte every
+/// precision's range lies within. Weight `i` outside it is refused
+/// here, never wrapped; a byte outside its layer's precision is left to
+/// [`QuantMlp::validate`].
+fn weights_from_json(v: &Value) -> Result<Vec<i8>, Error> {
+    let weights = v
+        .as_array()
+        .ok_or_else(|| Error::msg("weights: expected array"))?;
+    (weights.iter().enumerate())
+        .map(|(i, w)| {
+            w.as_i64()
+                .and_then(|w| i8::try_from(w).ok())
+                .ok_or_else(|| {
+                    Error::msg(format!("weight {i}: {w} is not an integer in -128..=127"))
+                })
+        })
+        .collect()
+}
+
 impl ToJson for InputLayer {
     fn to_json(&self) -> Value {
         obj(vec![
@@ -160,7 +179,7 @@ impl FromJson for HiddenLayer {
             weight_precision: FromJson::from_json(&v["weight_precision"])?,
             in_precision: FromJson::from_json(&v["in_precision"])?,
             out_precision,
-            weights: FromJson::from_json(&v["weights"])?,
+            weights: weights_from_json(&v["weights"])?,
             bias: FromJson::from_json(&v["bias"])?,
             bn: FromJson::from_json(&v["bn"])?,
             activation: activation_from_json(&v["activation"], out_precision)?,
@@ -189,7 +208,7 @@ impl FromJson for OutputLayer {
             neurons: usize::from_json(&v["neurons"])?,
             weight_precision: FromJson::from_json(&v["weight_precision"])?,
             in_precision: FromJson::from_json(&v["in_precision"])?,
-            weights: FromJson::from_json(&v["weights"])?,
+            weights: weights_from_json(&v["weights"])?,
             bias: FromJson::from_json(&v["bias"])?,
             bn: FromJson::from_json(&v["bn"])?,
         })
@@ -209,11 +228,23 @@ impl ToJson for QuantMlp {
 
 impl FromJson for QuantMlp {
     fn from_json(v: &Value) -> Result<QuantMlp, Error> {
+        // An FC layer's error names it as `ModelError` does: hidden
+        // layers from 1, then the output layer.
+        let in_layer = |layer: usize| move |e: Error| Error::msg(format!("layer {layer}: {e}"));
+        let name = String::from_json(&v["name"])?;
+        let input = FromJson::from_json(&v["input"])?;
+        let hidden = (v["hidden"].as_array())
+            .ok_or_else(|| Error::msg("hidden: expected array"))?
+            .iter()
+            .zip(1..)
+            .map(|(h, layer)| HiddenLayer::from_json(h).map_err(in_layer(layer)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let output = OutputLayer::from_json(&v["output"]).map_err(in_layer(hidden.len() + 1))?;
         Ok(QuantMlp {
-            name: String::from_json(&v["name"])?,
-            input: FromJson::from_json(&v["input"])?,
-            hidden: FromJson::from_json(&v["hidden"])?,
-            output: FromJson::from_json(&v["output"])?,
+            name,
+            input,
+            hidden,
+            output,
         })
     }
 }
@@ -391,12 +422,70 @@ impl FromJson for FloatMlp {
 mod tests {
     use super::*;
     use crate::qmodel::tests::tiny_model;
+    use crate::qmodel::ModelError;
 
     #[test]
     fn quant_mlp_value_roundtrips() {
         let m = tiny_model();
         let v = m.to_json();
         assert_eq!(QuantMlp::from_json(&v).unwrap(), m);
+    }
+
+    /// The tiny model's JSON with output weight 4 and hidden weight 7
+    /// written as `out` and `hidden`, parsed.
+    fn parse_with(out: &str, hidden: &str) -> Result<QuantMlp, Error> {
+        let m = tiny_model();
+        let text = serde_json::to_string(&m).unwrap();
+        let text = text.replacen("[1,-1,1,-1,1,0]", &format!("[1,-1,1,-1,{out},0]"), 1);
+        let text = text.replacen(
+            "[1,-1,0,1,-2,1,1,0,0,1,-1,-1]",
+            &format!("[1,-1,0,1,-2,1,1,{hidden},0,1,-1,-1]"),
+            1,
+        );
+        serde_json::from_str(&text)
+    }
+
+    #[test]
+    fn weights_outside_a_byte_are_refused_at_parse() {
+        assert_eq!(parse_with("1", "0").unwrap(), tiny_model());
+        // 127 is a byte: parsed, then refused by the W2 range check, or
+        // kept by a W8 layer.
+        let m = parse_with("127", "0").unwrap();
+        assert_eq!(m.output.weights[4], 127);
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::WeightRange {
+                layer: 2,
+                value: 127
+            })
+        );
+        let mut wide = m.clone();
+        wide.output.weight_precision = Precision::W8;
+        wide.validate().unwrap();
+        // Past a byte: refused at parse, naming layer and index, never
+        // wrapped into range.
+        let err = parse_with("128", "0").unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "layer 2: weight 4: 128 is not an integer in -128..=127"
+        );
+        let err = parse_with("1", "-129").unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "layer 1: weight 7: -129 is not an integer in -128..=127"
+        );
+        assert!(parse_with("1.5", "0").is_err());
+    }
+
+    #[test]
+    fn an_in_byte_stray_is_left_to_validate() {
+        // 5 is a byte but not a W2 weight: the same error as before.
+        let m = parse_with("1", "5").unwrap();
+        assert_eq!(m.hidden[0].weights[7], 5);
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::WeightRange { layer: 1, value: 5 })
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the layouts a NetPU-M stream uses ([`WeightField`]): XNOR-path
 //! layers as ±1 bit rows (XNOR+popcount dot products), integer-path
 //! layers as sign-extended fields of 1–8 bits. Those words are either
-//! packed here from a model's `i32` weights ([`PackedMlp::new`]) or
+//! packed here from a model's `i8` weights ([`PackedMlp::new`]) or
 //! shared with a stream that already holds them
 //! ([`PackedMlp::from_words`]), so a kernel over an admitted stream
 //! keeps no copy of its weights.
@@ -47,7 +47,7 @@ pub enum WeightField {
     /// bipolar inputs by the `2·popcount(XNOR) − n` identity.
     Xnor,
     /// The integer path: `width`-bit fields (`width` divides 64) whose
-    /// low `bits` bits (at most 16) are a two's-complement weight.
+    /// low `bits` bits (at most 8) are a two's-complement weight.
     Signed {
         /// Field width, bits.
         width: u32,
@@ -94,7 +94,7 @@ impl WeightRows {
     ) -> Option<WeightRows> {
         let width = field.width();
         let bits_fit = match field {
-            WeightField::Signed { width, bits } => (1..=width.min(16)).contains(&bits),
+            WeightField::Signed { width, bits } => (1..=width.min(8)).contains(&bits),
             WeightField::Xnor | WeightField::Bipolar => true,
         };
         if !(1..=32).contains(&width) || 64 % width != 0 || in_len == 0 || !bits_fit {
@@ -117,13 +117,13 @@ impl WeightRows {
     /// Packs a row-major ±1 matrix as XNOR rows; `None` when any weight
     /// is not strictly bipolar (the popcount identity only holds for
     /// ±1).
-    pub(crate) fn pack_xnor(weights: &[i32], neurons: usize, in_len: usize) -> Option<WeightRows> {
+    pub(crate) fn pack_xnor(weights: &[i8], neurons: usize, in_len: usize) -> Option<WeightRows> {
         if in_len == 0 || weights.iter().any(|&v| v != 1 && v != -1) {
             return None;
         }
         let words: Arc<[u64]> = weights
             .chunks(in_len)
-            .flat_map(netpu_arith::quant::pack_binary_channels)
+            .flat_map(netpu_arith::quant::pack_weight_channels)
             .collect();
         let len = words.len();
         WeightRows::new(words, 0..len, neurons, in_len, WeightField::Xnor)
@@ -134,7 +134,7 @@ impl WeightRows {
     /// holds them. `None` for a zero fan-in or a matrix that is not
     /// `neurons × in_len`.
     pub(crate) fn pack_signed(
-        weights: &[i32],
+        weights: &[i8],
         neurons: usize,
         in_len: usize,
         bits: u32,
@@ -146,9 +146,9 @@ impl WeightRows {
             .chunks(in_len)
             .flat_map(|row| row.chunks(8))
             .map(|lanes| {
-                lanes.iter().zip(0..).fold(0u64, |word, (&w, i)| {
-                    word | u64::from(cast::bits_of_i32(w) & 0xFF) << (8 * i)
-                })
+                let mut word = [0; 8];
+                word[..lanes.len()].copy_from_slice(lanes);
+                u64::from_le_bytes(word.map(cast::lane_of_i8))
             })
             .collect();
         let len = words.len();
@@ -179,7 +179,7 @@ impl WeightRows {
 
     /// Neuron `n`'s `in_len` weights, read from their fields (none past
     /// the last neuron).
-    pub fn weights(&self, n: usize) -> impl Iterator<Item = i32> + '_ {
+    pub fn weights(&self, n: usize) -> impl Iterator<Item = i8> + '_ {
         let row = self.row(n);
         let (field, width) = (self.field, self.field.width());
         // The current word, shifted so its next field is at bit 0, and
@@ -194,8 +194,11 @@ impl WeightRows {
             word >>= width;
             fields -= 1;
             Some(match field {
-                WeightField::Xnor | WeightField::Bipolar => 2 * i32::from(f & 1 == 1) - 1,
-                WeightField::Signed { bits, .. } => cast::sign_extend(cast::lo32(f), bits),
+                WeightField::Xnor | WeightField::Bipolar => 2 * i8::from(f & 1 == 1) - 1,
+                WeightField::Signed { bits, .. } => {
+                    let shift = 8 - bits;
+                    cast::i8_from_lane(cast::lo8(f) << shift) >> shift
+                }
             })
         });
         weights.take(self.in_len)
@@ -213,7 +216,10 @@ impl WeightRows {
         if !precision.is_binary() && bits <= u32::from(precision.bits()) {
             return None;
         }
-        let decode = |n| self.weights(n).find(|&w| !weight_in_range(precision, w));
+        let decode = |n| {
+            let stray = self.weights(n).find(|&w| !weight_in_range(precision, w));
+            stray.map(i32::from)
+        };
         if !(precision.is_binary() && width == 8 && bits == 8) {
             return (0..self.neurons).find_map(decode);
         }
@@ -675,7 +681,7 @@ impl FcWeights {
 /// Every FC layer reads its weights from [`WeightRows`], and an
 /// integer-path layer within the [`MAX_PLANE_PAIRS`] cutover from bit
 /// planes built from them. [`PackedMlp::new`] packs a borrowed model's
-/// `i32` weights once: fully binary layers as XNOR rows, the others as
+/// `i8` weights once: fully binary layers as XNOR rows, the others as
 /// two's-complement fields. [`PackedMlp::from_words`] owns a model
 /// without weights and reads every layer from words it shares,
 /// typically an admitted stream. Both build the same planes.
@@ -689,7 +695,7 @@ pub struct PackedMlp<'a> {
 /// every FC layer: hidden layers, then the output layer.
 fn fc_layers(
     mlp: &QuantMlp,
-) -> impl Iterator<Item = (Precision, Precision, &[i32], usize, usize)> + '_ {
+) -> impl Iterator<Item = (Precision, Precision, &[i8], usize, usize)> + '_ {
     mlp.hidden
         .iter()
         .map(|l| {
@@ -739,7 +745,7 @@ impl<'a> PackedMlp<'a> {
     }
 
     /// The model the kernel runs. Under [`PackedMlp::from_words`] its
-    /// FC layers carry no `i32` weights: they are in
+    /// FC layers carry no `i8` weights: they are in
     /// [`weight_rows`](Self::weight_rows).
     pub fn model(&self) -> &QuantMlp {
         &self.mlp
@@ -774,7 +780,7 @@ impl<'a> PackedMlp<'a> {
     }
 
     /// Heap bytes the kernel holds besides its weight words: an owned
-    /// model's parameters (thresholds, biases, BN) and `i32` weights,
+    /// model's parameters (thresholds, biases, BN) and `i8` weights,
     /// the per-layer descriptors, and the bit planes. Words shared with
     /// a stream are that stream's.
     pub fn heap_bytes(&self) -> usize {
@@ -1042,13 +1048,13 @@ mod tests {
         for (w_bits, a_bits) in [(1u8, 2u8), (2, 2), (2, 4), (4, 4), (8, 2), (2, 8), (1, 8)] {
             for in_len in [1usize, 63, 64, 65, 130] {
                 let wp = Precision::new(w_bits.max(2)).unwrap();
-                let weights: Vec<i32> = (0..3 * in_len)
+                let weights: Vec<i8> = (0..3 * in_len)
                     .map(|i| match i % 5 {
                         0 => wp.signed_min(),
                         1 => wp.signed_max(),
                         k => (k as i32 * 7 + i as i32) % (wp.signed_max() + 1),
                     })
-                    .map(|w| if w_bits == 1 { 2 * (w & 1) - 1 } else { w })
+                    .map(|w| if w_bits == 1 { 2 * (w & 1) - 1 } else { w } as i8)
                     .collect();
                 let top = (1i32 << a_bits) - 1;
                 let levels: Vec<i32> = (0..in_len).map(|i| (i as i32 * 5) % (top + 1)).collect();
@@ -1076,7 +1082,7 @@ mod tests {
         // A W2A2 layer runs bit-serial on 2-bit levels. Fed levels whose
         // products overflow i32 instead, the planes refuse them and the
         // field walk clamps every step as `neuron_accumulate` does.
-        let weights = [1i32, 1, -2, -2];
+        let weights = [1i8, 1, -2, -2];
         let rows = WeightRows::pack_signed(&weights, 1, 4, 2).unwrap();
         let fc = FcWeights {
             planes: WeightPlanes::new(&rows, Precision::W2, Precision::W2),
@@ -1120,12 +1126,11 @@ mod tests {
         // One neuron whose 8-bit products overflow i32: the fast sum is
         // refused and every step clamps as `neuron_accumulate` does.
         let in_len = 4;
-        let weights = [127i32, 127, -128, -128];
+        let weights = [127i8, 127, -128, -128];
         let inputs = [i32::MAX / 200, i32::MAX / 200, 1, 1];
-        let words: Arc<[u64]> = vec![weights
-            .iter()
-            .enumerate()
-            .fold(0u64, |w, (i, &v)| w | u64::from(v as u8) << (8 * i))]
+        let words: Arc<[u64]> = vec![weights.iter().enumerate().fold(0u64, |w, (i, &v)| {
+            w | u64::from(cast::lane_of_i8(v)) << (8 * i)
+        })]
         .into();
         let field = WeightField::Signed { width: 8, bits: 8 };
         let rows = WeightRows::new(words, 0..1, 1, in_len, field).unwrap();
@@ -1142,7 +1147,7 @@ mod tests {
             .build_untrained(5, crate::export::BnMode::Folded)
             .unwrap();
         let (stripped, mut rows) = split(&m, 0);
-        // A model that still carries its i32 weights.
+        // A model that still carries its i8 weights.
         assert!(PackedMlp::from_words(m, rows.clone()).is_err());
         // Rows of the wrong layer.
         rows.swap(0, 1);
@@ -1253,7 +1258,7 @@ mod tests {
         // Row lengths straddling the 64-lane word boundary exercise the
         // tail masks.
         for in_len in [1usize, 63, 64, 65, 128, 130] {
-            let weights: Vec<i32> = (0..in_len)
+            let weights: Vec<i8> = (0..in_len)
                 .map(|i| if i % 3 == 0 { 1 } else { -1 })
                 .collect();
             let inputs: Vec<i32> = (0..in_len)

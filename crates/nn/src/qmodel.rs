@@ -162,8 +162,9 @@ pub struct HiddenLayer {
     /// Outgoing-activation precision.
     pub out_precision: Precision,
     /// Row-major `neurons × in_len` integer weights in the signed range
-    /// of `weight_precision` (bipolar ±1 for 1-bit).
-    pub weights: Vec<i32>,
+    /// of `weight_precision` (bipolar ±1 for 1-bit), one byte each: no
+    /// precision is wider than 8 bits.
+    pub weights: Vec<i8>,
     /// Per-neuron integer bias (the ACCU's 8-bit Bias Input), present
     /// exactly when BN is folded into weight/bias (Eq. 2).
     pub bias: Option<Vec<i32>>,
@@ -186,8 +187,8 @@ pub struct OutputLayer {
     pub weight_precision: Precision,
     /// Incoming-activation precision.
     pub in_precision: Precision,
-    /// Row-major `neurons × in_len` integer weights.
-    pub weights: Vec<i32>,
+    /// Row-major `neurons × in_len` integer weights, one byte each.
+    pub weights: Vec<i8>,
     /// Per-neuron integer bias when BN is folded.
     pub bias: Option<Vec<i32>>,
     /// Per-neuron hardware BN parameters when BN is not folded.
@@ -370,13 +371,13 @@ fn check_activation(
 }
 
 /// `true` when `w` is a weight of precision `wp`: ±1 when binary, in
-/// the signed range otherwise.
+/// the signed range otherwise (every `i8` at 8 bits).
 #[inline]
-pub fn weight_in_range(wp: Precision, w: i32) -> bool {
+pub fn weight_in_range(wp: Precision, w: i8) -> bool {
     if wp.is_binary() {
         w == 1 || w == -1
     } else {
-        (wp.signed_min()..=wp.signed_max()).contains(&w)
+        (wp.signed_min()..=wp.signed_max()).contains(&i32::from(w))
     }
 }
 
@@ -399,7 +400,7 @@ fn check_fc(
     layer: usize,
     in_len: usize,
     neurons: usize,
-    weights: &[i32],
+    weights: &[i8],
     wp: Precision,
     ip: Precision,
     bias: &Option<Vec<i32>>,
@@ -430,11 +431,15 @@ fn check_fc(
     // Branchless validity fold so the scan vectorises (models carry
     // millions of weights); the offending value is recovered in a second
     // pass only on the failure path.
-    let in_range = |w: i32| weight_in_range(wp, w);
+    let in_range = |w: i8| weight_in_range(wp, w);
     let stray = match source {
         Weights::Scanned(stray) | Weights::Outside(stray) => stray(layer),
         Weights::Held if weights.iter().fold(true, |ok, &w| ok & in_range(w)) => None,
-        Weights::Held => weights.iter().copied().find(|&w| !in_range(w)),
+        Weights::Held => weights
+            .iter()
+            .copied()
+            .find(|&w| !in_range(w))
+            .map(i32::from),
     };
     if let Some(value) = stray {
         return Err(ModelError::WeightRange { layer, value });

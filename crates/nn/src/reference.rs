@@ -29,7 +29,7 @@ pub fn accumulate(acc: i32, term: i64) -> i32 {
 /// binary). The XNOR path and the integer path produce identical sums by
 /// construction (Table I), so one MAC loop serves both.
 #[inline]
-pub fn neuron_accumulate(weights: &[i32], inputs: &[i32], bias: Option<i32>) -> i32 {
+pub fn neuron_accumulate(weights: &[i8], inputs: &[i32], bias: Option<i32>) -> i32 {
     debug_assert_eq!(weights.len(), inputs.len());
     let mut acc: i32 = 0;
     for (&w, &a) in weights.iter().zip(inputs) {
@@ -349,12 +349,12 @@ mod tests {
     #[test]
     fn binary_mac_matches_xnor_popcount() {
         // Weights/inputs ±1: the plain MAC must equal XNOR+popcount.
-        let w = [1, -1, 1, 1, -1, -1, 1, -1];
+        let w: [i8; 8] = [1, -1, 1, 1, -1, -1, 1, -1];
         let a = [-1, -1, 1, -1, 1, -1, 1, 1];
         let wa_bits: u8 = w
             .iter()
             .enumerate()
-            .map(|(i, &v)| netpu_arith::binary::encode_bipolar(v) << i)
+            .map(|(i, &v)| netpu_arith::binary::encode_bipolar(i32::from(v)) << i)
             .sum();
         let aa_bits: u8 = a
             .iter()

@@ -9,7 +9,7 @@
 use crate::export::{export, BnMode, ExportConfig, ExportError};
 use crate::float::{ActSpec, FloatMlp, LayerSpec, MlpSpec};
 use crate::qmodel::{BnParams, HiddenLayer, InputLayer, LayerActivation, OutputLayer, QuantMlp};
-use netpu_arith::{Fix, Precision, QuantParams};
+use netpu_arith::{cast, Fix, Precision, QuantParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -172,6 +172,21 @@ impl fmt::Display for ZooModel {
     }
 }
 
+/// One uniform weight of precision `wp` (±1 when binary), drawn as an
+/// `i32` so each seed keeps its model.
+fn random_weight(rng: &mut StdRng, wp: Precision) -> i8 {
+    let w = if wp.is_binary() {
+        if rng.gen() {
+            1
+        } else {
+            -1
+        }
+    } else {
+        rng.gen_range(wp.signed_min()..=wp.signed_max())
+    };
+    cast::i8_sat(w)
+}
+
 /// Deterministically builds a small random-but-valid [`QuantMlp`] from a
 /// seed: rng-drawn shape (4–23 inputs, 1–2 hidden layers 2–11 wide, 2–5
 /// classes), precision mix (W1/W2/W4 weights, 1/2/4-bit activations),
@@ -219,18 +234,8 @@ pub fn random_model(seed: u64) -> QuantMlp {
         } else {
             Precision::new([1u8, 2, 4][rng.gen_range(0..3usize)]).expect("valid widths")
         };
-        let weights: Vec<i32> = (0..width * prev_width)
-            .map(|_| {
-                if wp.is_binary() {
-                    if rng.gen() {
-                        1
-                    } else {
-                        -1
-                    }
-                } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
-                }
-            })
+        let weights: Vec<i8> = (0..width * prev_width)
+            .map(|_| random_weight(&mut rng, wp))
             .collect();
         let out = prev_prec; // keep one precision through the stack
         let activation = if out.is_binary() {
@@ -309,17 +314,7 @@ pub fn random_model(seed: u64) -> QuantMlp {
         weight_precision: wp,
         in_precision: prev_prec,
         weights: (0..classes * prev_width)
-            .map(|_| {
-                if wp.is_binary() {
-                    if rng.gen() {
-                        1
-                    } else {
-                        -1
-                    }
-                } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
-                }
-            })
+            .map(|_| random_weight(&mut rng, wp))
             .collect(),
         bias: None,
         bn: Some(
@@ -367,6 +362,21 @@ mod tests {
         assert_eq!(ZooModel::SfcW1A1.weight_count(), 334_336);
         // LFC: 784·1024 + 2·1024² + 1024·10 = 2,910,208.
         assert_eq!(ZooModel::LfcW1A1.weight_count(), 2_910_208);
+    }
+
+    #[test]
+    fn source_weights_cost_one_byte_each() {
+        let m = ZooModel::SfcW1A1
+            .build_untrained(1, BnMode::Folded)
+            .unwrap();
+        let bytes: usize = m
+            .hidden
+            .iter()
+            .map(|h| std::mem::size_of_val(h.weights.as_slice()))
+            .sum::<usize>()
+            + std::mem::size_of_val(m.output.weights.as_slice());
+        assert_eq!(bytes, 334_336);
+        assert_eq!(bytes, m.weight_count());
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn matrix_model(wp: u8, ip: u8, seed: u64) -> QuantMlp {
     let input_thresholds = thresholds(input_len, 0, 255);
     let hidden_thresholds = thresholds(width, -40, 40);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    let mut weights = |n: usize| -> Vec<i32> {
+    let mut weights = |n: usize| -> Vec<i8> {
         (0..n)
             .map(|_| {
                 if wp.is_binary() {
@@ -203,6 +203,7 @@ fn matrix_model(wp: u8, ip: u8, seed: u64) -> QuantMlp {
                     rng.gen_range(wp.signed_min()..=wp.signed_max())
                 }
             })
+            .map(|w: i32| w as i8)
             .collect()
     };
     // Spread a layer's accumulators over about ±64 after BN.

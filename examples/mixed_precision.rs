@@ -38,8 +38,8 @@ fn main() {
     let h2 = 16usize;
     let classes = 4usize;
 
-    let rand_weights = |rng: &mut StdRng, n: usize, lo: i32, hi: i32| -> Vec<i32> {
-        (0..n).map(|_| rng.gen_range(lo..=hi)).collect()
+    let rand_weights = |rng: &mut StdRng, n: usize, lo: i32, hi: i32| -> Vec<i8> {
+        (0..n).map(|_| rng.gen_range(lo..=hi) as i8).collect()
     };
 
     let model = QuantMlp {

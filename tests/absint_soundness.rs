@@ -133,7 +133,7 @@ fn build_model(seed: u64, input_len: usize, hidden_layers: usize, width: usize) 
         } else {
             Precision::new([1u8, 2, 4][rng.gen_range(0..3usize)]).unwrap()
         };
-        let weights: Vec<i32> = (0..width * prev_width)
+        let weights: Vec<i8> = (0..width * prev_width)
             .map(|_| {
                 if wp.is_binary() {
                     if rng.gen() {
@@ -142,7 +142,7 @@ fn build_model(seed: u64, input_len: usize, hidden_layers: usize, width: usize) 
                         -1
                     }
                 } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
+                    rng.gen_range(wp.signed_min()..=wp.signed_max()) as i8
                 }
             })
             .collect();
@@ -230,7 +230,7 @@ fn build_model(seed: u64, input_len: usize, hidden_layers: usize, width: usize) 
                         -1
                     }
                 } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
+                    rng.gen_range(wp.signed_min()..=wp.signed_max()) as i8
                 }
             })
             .collect(),

@@ -34,7 +34,7 @@ fn build_binary_model(
             .map(|_| Fix::from_i32(rng.gen_range(lo..hi)))
             .collect(),
     };
-    let bipolar = |rng: &mut StdRng, n: usize| -> Vec<i32> {
+    let bipolar = |rng: &mut StdRng, n: usize| -> Vec<i8> {
         (0..n).map(|_| if rng.gen() { 1 } else { -1 }).collect()
     };
 

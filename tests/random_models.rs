@@ -58,7 +58,7 @@ fn build_model(
         } else {
             Precision::new([1u8, 2, 4][rng.gen_range(0..3usize)]).unwrap()
         };
-        let weights: Vec<i32> = (0..width * prev_width)
+        let weights: Vec<i8> = (0..width * prev_width)
             .map(|_| {
                 if wp.is_binary() {
                     if rng.gen() {
@@ -67,7 +67,7 @@ fn build_model(
                         -1
                     }
                 } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
+                    rng.gen_range(wp.signed_min()..=wp.signed_max()) as i8
                 }
             })
             .collect();
@@ -157,7 +157,7 @@ fn build_model(
                         -1
                     }
                 } else {
-                    rng.gen_range(wp.signed_min()..=wp.signed_max())
+                    rng.gen_range(wp.signed_min()..=wp.signed_max()) as i8
                 }
             })
             .collect(),
